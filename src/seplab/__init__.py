@@ -42,10 +42,12 @@ from .linalg import (
     rank,
     right_kernel,
     rref,
+    span_rank,
 )
 from .measures import (
     MeasureReport,
     compute_measure,
+    derivative_rows,
     dim_partials,
     hessian,
     hessian_rank_at,

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Callable, Sequence
 
-from . import groups, linalg
+from . import groups, linalg, measures
 from . import poly as polyops
 from .errors import InfeasibleError
 from .field import Field, prime_field
@@ -177,11 +177,7 @@ class AgreementReport:
 
 
 def _monomial_masks(n: int, d: int) -> list[tuple[int, ...]]:
-    out = [
-        e
-        for bits in range(1 << n)
-        if (e := _mask_to_exponent(bits, n)) is not None and sum(e) <= d
-    ]
+    out = [e for bits in range(1 << n) if sum(e := _mask_to_exponent(bits, n)) <= d]
     out.sort(key=grlex_key)
     return out
 
@@ -208,14 +204,8 @@ def distance_to_degree(t: TruthTable, d: int) -> AgreementReport:
             f"the enumeration budget is 2^{_DISTANCE_CODE_BITS}"
         )
     monomials = _monomial_masks(t.n, d)
-    tables = []
-    for e in monomials:
-        word = 0
-        for idx in range(1 << t.n):
-            point = index_point(idx, t.n)
-            if all(point[i] for i in range(t.n) if e[i]):
-                word |= 1 << idx
-        tables.append(word)
+    masks = [point_index(e, t.n) for e in monomials]
+    tables = [sum(1 << idx for idx in range(1 << t.n) if idx & m == m) for m in masks]
 
     target = t.as_int()
     best_dist = target.bit_count()
@@ -468,27 +458,6 @@ def _twist_matrix(sigma, n: int, q: int) -> list[list[int]]:
     return m
 
 
-def _derivative_span_rows(
-    f: Poly, r: int, twist: list[list[int]] | None, monomials, q: int
-) -> list[list[int]]:
-    index = {e: i for i, e in enumerate(monomials)}
-    rows = []
-    for order in polyops.monomials_upto(f.n, min(r, max(f.degree, 0))):
-        g = polyops.derivative(f, order)
-        if g.is_zero:
-            continue
-        if twist is not None:
-            g = polyops.substitute_linear(g, twist)
-        g = reduce_pointwise(g)
-        if g.is_zero:
-            continue
-        row = [0] * len(monomials)
-        for e, c in g.terms.items():
-            row[index[e]] = c
-        rows.append(row)
-    return rows
-
-
 def gk_intersection_test(
     f: Poly,
     r: int,
@@ -542,11 +511,21 @@ def gk_intersection_test(
             n, q, r, max_degree, len(sigmas), strategy, 0, 0, False
         )
 
+    # the derivatives do not depend on the twist, so they are taken once
+    ops = polyops.monomials_upto(m, min(r, reduced_f.degree))
+    derivs = [
+        Poly(m, f.field, t) for t in measures.derivative_rows(reduced_f, ops) if t
+    ]
     spans = []
     for s in sigmas:
         twist = _twist_matrix(s.matrix, n, q)
-        rows = _derivative_span_rows(reduced_f, r, twist, monomials, q)
-        spans.append(_make_subspace(q, monomials, rows))
+        twisted = [
+            reduce_pointwise(polyops.substitute_linear(g, twist)) for g in derivs
+        ]
+        rows = [g.terms for g in twisted if not g.is_zero]
+        spans.append(
+            _make_subspace(q, monomials, linalg.densify(rows, f.field, monomials)[1])
+        )
     lam = intersect_all(spans, strategy)
     ideal = vanishing_ideal_basis(gl_points(n, q), max_degree, q)
     final = intersect_all([lam, ideal], strategy)

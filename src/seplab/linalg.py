@@ -5,15 +5,20 @@ fraction-free Bareiss elimination on integer rows (each row is scaled by the
 lcm of its denominators first, which preserves rank); rank over F_p uses
 Gaussian elimination without inverses.  RREF and kernels are available over
 both fields and are canonical, so subspace equality is basis equality.
+
+Sparse rows are maps from column keys (exponent tuples) to scalars, such as
+polynomial term maps.  ``densify`` lays them out over the grlex-sorted union
+of their supports, and ``span_rank`` ranks the span they generate.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .field import Field, Scalar
+from .poly import grlex_key
 
 
 def _as_rows(rows, ncols: int | None) -> tuple[list[list], int]:
@@ -105,6 +110,26 @@ def rank(rows, field: Field, ncols: int | None = None) -> int:
     if field.p is None:
         return _rank_bareiss(_integer_rows(m))
     return _rank_mod_p(m, field.p)
+
+
+def densify(
+    rows: Sequence[Mapping], field: Field, cols: Sequence | None = None
+) -> tuple[list, list[list[Scalar]]]:
+    """Dense form of sparse rows: (column keys, one list per row).
+
+    Columns default to the grlex-sorted union of the row supports; keys of a
+    row outside an explicit ``cols`` are dropped.
+    """
+    if cols is None:
+        cols = sorted({e for r in rows for e in r}, key=grlex_key)
+    zero = field.zero()
+    return cols, [[r.get(e, zero) for e in cols] for r in rows]
+
+
+def span_rank(rows: Sequence[Mapping], field: Field) -> int:
+    """Rank of the span of sparse rows (zero rows are skipped)."""
+    cols, dense = densify([r for r in rows if r], field)
+    return rank(dense, field, ncols=len(cols)) if cols else 0
 
 
 def rref(rows, field: Field, ncols: int | None = None) -> tuple[list[list[Scalar]], list[int]]:

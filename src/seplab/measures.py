@@ -9,17 +9,20 @@ Three measures are computed from a polynomial f:
 * ``hessian_rank`` — rank of the matrix of second partials evaluated at a
   point.
 
-``partial_deriv_matrix`` / ``shifted_partials_matrix`` materialize the full
-dense matrices with graded-lex row/column labels.  The rank entry points use
-rank-preserving reductions (skip identically-zero derivative rows, keep only
-columns that are hit, and sum per-degree block ranks for homogeneous f, whose
-matrix is block diagonal when columns are grouped by total degree).
+Every derivative measure is the rank of rows m * d^c f (a shift monomial
+times a derivative of f), and ``derivative_rows`` is the one generator of
+those rows; ``linalg.span_rank`` ranks them.  ``partial_deriv_matrix`` /
+``shifted_partials_matrix`` densify the same rows into full matrices with
+graded-lex row/column labels.  The rank entry points use rank-preserving
+reductions (only operators below some term of f, zero rows skipped, only
+columns that are hit, and per-degree block ranks for homogeneous f).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product as iter_product
+from typing import Sequence
 
 from . import linalg
 from .field import Field, Scalar
@@ -102,13 +105,45 @@ def _derivative_operators(f: Poly) -> list[Exponent]:
     return sorted(cands, key=grlex_key)
 
 
-def _span_rank(polys: list[Poly], field: Field) -> int:
-    """Rank of the coefficient-vector span of the given polynomials."""
-    support = sorted({e for g in polys for e in g.terms}, key=grlex_key)
-    if not support:
-        return 0
-    rows = [[g.terms.get(e, 0) for e in support] for g in polys]
-    return linalg.rank(rows, field, ncols=len(support))
+def derivative_rows(
+    f: Poly, ops: Sequence[Exponent], shifts: Sequence[Exponent] | None = None
+) -> list[dict[Exponent, Scalar]]:
+    """Sparse rows m * d^c f as term maps, shift-major (for m, for c).
+
+    Without ``shifts`` the rows are the derivatives themselves (m = 1).  Each
+    operator is applied once; zero derivatives give empty rows, so row i
+    always belongs to the i-th (shift, operator) pair.
+    """
+    derivs = [derivative(f, c).terms for c in ops]
+    if shifts is None:
+        return derivs
+    return [
+        {tuple(a + b for a, b in zip(e, m)): v for e, v in g.items()}
+        for m in shifts
+        for g in derivs
+    ]
+
+
+def _rows_rank(f: Poly, rows: list[dict]) -> int:
+    """Span rank of rows built from f, summed over output-degree blocks.
+
+    Blocks are used only for homogeneous f: its rows are then homogeneous,
+    so the matrix is block diagonal once columns are grouped by degree.
+    """
+    if not f.is_homogeneous:
+        return linalg.span_rank(rows, f.field)
+    blocks: dict[int, list[dict]] = {}
+    for r in rows:
+        if r:
+            blocks.setdefault(sum(next(iter(r))), []).append(r)
+    return sum(linalg.span_rank(b, f.field) for b in blocks.values())
+
+
+def _labeled_matrix(f: Poly, rows: list[dict], row_labels, cols) -> ExactMatrix:
+    _, entries = linalg.densify(rows, f.field, cols)
+    return ExactMatrix(
+        f.field, tuple(map(tuple, entries)), tuple(row_labels), tuple(cols)
+    )
 
 
 def partial_deriv_matrix(f: Poly, include_order_zero: bool = True) -> ExactMatrix:
@@ -122,17 +157,9 @@ def partial_deriv_matrix(f: Poly, include_order_zero: bool = True) -> ExactMatri
     """
     if f.is_zero:
         raise ValueError("zero polynomial: derivative matrix is degenerate (rank 0)")
-    d = f.degree
-    ops = monomials_upto(f.n, d)
-    if not include_order_zero:
-        ops = ops[1:]
-    cols = monomials_upto(f.n, d)
-    zero = f.field.zero()
-    entries = []
-    for c in ops:
-        g = derivative(f, c)
-        entries.append(tuple(g.terms.get(e, zero) for e in cols))
-    return ExactMatrix(f.field, tuple(entries), tuple(ops), tuple(cols))
+    cols = monomials_upto(f.n, f.degree)
+    ops = cols if include_order_zero else cols[1:]
+    return _labeled_matrix(f, derivative_rows(f, ops), ops, cols)
 
 
 def dim_partials(f: Poly, include_order_zero: bool = True) -> int:
@@ -144,20 +171,15 @@ def dim_partials(f: Poly, include_order_zero: bool = True) -> int:
     """
     if f.is_zero:
         return 0
-    zero_op = (0,) * f.n
-    derivs = []
-    for c in _derivative_operators(f):
-        if not include_order_zero and c == zero_op:
-            continue
-        g = derivative(f, c)
-        if not g.is_zero:
-            derivs.append(g)
-    if f.is_homogeneous:
-        by_degree: dict[int, list[Poly]] = {}
-        for g in derivs:
-            by_degree.setdefault(g.degree, []).append(g)
-        return sum(_span_rank(group, f.field) for group in by_degree.values())
-    return _span_rank(derivs, f.field)
+    ops = _derivative_operators(f)  # ops[0] is the order-0 operator
+    return _rows_rank(f, derivative_rows(f, ops if include_order_zero else ops[1:]))
+
+
+def _check_shifted(f: Poly, k: int, l: int) -> None:
+    if f.is_zero or not 0 <= k <= f.degree:
+        raise ValueError(f"derivative order k={k} outside 0..deg f")
+    if l < 0:
+        raise ValueError("negative shift degree")
 
 
 def shifted_partials_matrix(f: Poly, k: int, l: int) -> ExactMatrix:
@@ -167,65 +189,19 @@ def shifted_partials_matrix(f: Poly, k: int, l: int) -> ExactMatrix:
     by monomials of degree <= deg f - k + l; the row content is the shift
     monomial times the order-k derivative.
     """
-    if f.is_zero or not 0 <= k <= f.degree:
-        raise ValueError(f"derivative order k={k} outside 0..deg f")
-    if l < 0:
-        raise ValueError("negative shift degree")
+    _check_shifted(f, k, l)
     shifts = monomials_upto(f.n, l)
     ops = monomials_exact(f.n, k)
+    labels = [(m, c) for m in shifts for c in ops]
     cols = monomials_upto(f.n, f.degree - k + l)
-    zero = f.field.zero()
-    entries = []
-    labels = []
-    for m in shifts:
-        for c in ops:
-            g = derivative(f, c)
-            shifted = {
-                tuple(a + b for a, b in zip(e, m)): v for e, v in g.terms.items()
-            }
-            entries.append(tuple(shifted.get(e, zero) for e in cols))
-            labels.append((m, c))
-    return ExactMatrix(f.field, tuple(entries), tuple(labels), tuple(cols))
+    return _labeled_matrix(f, derivative_rows(f, ops, shifts), labels, cols)
 
 
 def shifted_partials_rank(f: Poly, k: int, l: int) -> int:
     """Rank of ``shifted_partials_matrix(f, k, l)`` via pruned block ranks."""
-    if f.is_zero or not 0 <= k <= f.degree:
-        raise ValueError(f"derivative order k={k} outside 0..deg f")
-    if l < 0:
-        raise ValueError("negative shift degree")
-    derivs = []
-    for c in _derivative_operators(f):
-        if sum(c) == k:
-            g = derivative(f, c)
-            if not g.is_zero:
-                derivs.append(g)
-    if not derivs:
-        return 0
-
-    def shifted_polys(shift_degrees) -> list[Poly]:
-        out = []
-        for j in shift_degrees:
-            for m in monomials_exact(f.n, j):
-                for g in derivs:
-                    out.append(
-                        Poly(
-                            f.n,
-                            f.field,
-                            {
-                                tuple(a + b for a, b in zip(e, m)): v
-                                for e, v in g.terms.items()
-                            },
-                        )
-                    )
-        return out
-
-    if f.is_homogeneous:
-        # each shift degree contributes a block with its own column degrees
-        return sum(
-            _span_rank(shifted_polys([j]), f.field) for j in range(l + 1)
-        )
-    return _span_rank(shifted_polys(range(l + 1)), f.field)
+    _check_shifted(f, k, l)
+    ops = [c for c in _derivative_operators(f) if sum(c) == k]
+    return _rows_rank(f, derivative_rows(f, ops, monomials_upto(f.n, l)))
 
 
 # ---------------------------------------------------------------------------

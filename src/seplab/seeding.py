@@ -2,9 +2,9 @@
 
 One master seed reproduces an entire batch: trial i uses the sub-seed
 ``master * 1_000_003 + i``.  The stride is a prime comfortably above any
-realistic trial count, so distinct (master, i) pairs cannot collide within a
-batch, and the scheme is documented so results can be reproduced one trial at
-a time.
+realistic trial count; indices at or above it are refused, so distinct
+(master, i) pairs never collide, and the scheme is documented so results can
+be reproduced one trial at a time.
 """
 
 from __future__ import annotations
@@ -17,6 +17,11 @@ SEED_STRIDE = 1_000_003
 def derive_seed(master: int, index: int) -> int:
     if index < 0:
         raise ValueError("negative trial index")
+    if index >= SEED_STRIDE:
+        raise ValueError(
+            f"trial index {index} reaches the seed stride {SEED_STRIDE}, "
+            "where it would reuse the next master seed's trials"
+        )
     return master * SEED_STRIDE + index
 
 

@@ -22,8 +22,9 @@ from . import circuits, groups, linalg, measures
 from . import poly as polyops
 from .errors import InfeasibleError
 from .field import Field, Scalar
-from .poly import Poly, grlex_key, monomial, monomials_exact, monomials_upto
-from .seeding import derive_seed, trial_rng
+from .functions import _permutation_sign
+from .poly import Poly, monomial, monomials_exact, monomials_upto
+from .seeding import SEED_STRIDE, derive_seed, trial_rng
 
 MINOR_CAP = 6
 
@@ -92,10 +93,9 @@ class Ambient:
 
 
 def _reduce_polys(polys: Sequence[Poly], nvars: int, fld: Field) -> tuple[Poly, ...]:
-    support = sorted({e for t in polys for e in t.terms}, key=grlex_key)
+    support, rows = linalg.densify([t.terms for t in polys], fld)
     if not support:
         return ()
-    rows = [[t.coefficient(e) for e in support] for t in polys]
     reduced, _ = linalg.rref(rows, fld, ncols=len(support))
     return tuple(
         Poly(nvars, fld, {e: c for e, c in zip(support, row) if c != 0})
@@ -105,17 +105,11 @@ def _reduce_polys(polys: Sequence[Poly], nvars: int, fld: Field) -> tuple[Poly, 
 
 def span_rank_with(polys: Sequence[Poly], extra: Poly) -> tuple[int, int]:
     """Ranks of the span without and with one extra polynomial."""
-    all_polys = list(polys) + [extra]
-    support = sorted({e for t in all_polys for e in t.terms}, key=grlex_key)
-    if not support:
-        return 0, 0
-    fld = extra.field
-    base = [[t.coefficient(e) for e in support] for t in polys]
-    r0 = linalg.rank(base, fld, ncols=len(support))
-    r1 = linalg.rank(
-        base + [[extra.coefficient(e) for e in support]], fld, ncols=len(support)
+    rows = [t.terms for t in polys]
+    return (
+        linalg.span_rank(rows, extra.field),
+        linalg.span_rank(rows + [extra.terms], extra.field),
     )
-    return r0, r1
 
 
 # ---------------------------------------------------------------------------
@@ -352,13 +346,6 @@ def symbolic_partial_deriv_matrix(
     return SymbolicMatrix(row_labels, col_labels, tuple(rows))
 
 
-def _perm_sign(p: tuple[int, ...]) -> int:
-    inv = sum(
-        1 for i in range(len(p)) for j in range(i + 1, len(p)) if p[i] > p[j]
-    )
-    return -1 if inv % 2 else 1
-
-
 def poly_det(entries: Sequence[Sequence[Poly]]) -> Poly:
     """Determinant of a square matrix of polynomials (permutation expansion)."""
     k = len(entries)
@@ -369,7 +356,7 @@ def poly_det(entries: Sequence[Sequence[Poly]]) -> Poly:
     sample = entries[0][0]
     total = polyops.zero(sample.n, sample.field)
     for p in itertools.permutations(range(k)):
-        term = polyops.constant(sample.n, _perm_sign(p), sample.field)
+        term = polyops.constant(sample.n, _permutation_sign(p), sample.field)
         for i in range(k):
             term = polyops.multiply(term, entries[i][p[i]])
         total = polyops.add(total, term)
@@ -571,6 +558,11 @@ def run_separation(
     """
     if trials < 0:
         raise ValueError("trials must be nonnegative")
+    if trials > SEED_STRIDE:
+        raise ValueError(
+            f"{trials} trials exceed the seed stride {SEED_STRIDE}; "
+            "split the batch over several master seeds"
+        )
     rows = []
     vanish_count = 0
     for i in range(trials):

@@ -343,6 +343,18 @@ def test_usage_errors_exit_2(capsys):
     )
 
 
+def test_division_by_zero_in_a_point_is_a_usage_error(capsys):
+    hessian = ["measure", "--fn", "det:2", "--measure", "hessian_rank"]
+    for argv in (
+        hessian + ["--point", "1,1/0,1,1"],
+        hessian + ["--point", "1,1/7,1,1", "--field", "Fp:7"],
+    ):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+
+
 def test_outputs_are_byte_identical_across_reruns(tmp_path):
     """Same arguments, same bytes: every command embeds its resolved config."""
     cases = [

@@ -6,6 +6,7 @@ from fractions import Fraction
 from oracles import modular_rank, rational_rank
 from seplab import RATIONALS, prime_field
 from seplab.linalg import (
+    densify,
     identity_matrix,
     is_invertible,
     mat_mul,
@@ -13,6 +14,7 @@ from seplab.linalg import (
     rank,
     rref,
     right_kernel,
+    span_rank,
 )
 
 F5 = prime_field(5)
@@ -151,3 +153,30 @@ def test_mat_mul_and_mat_vec_agree_with_direct_sums():
     assert mat_vec(a, v, RATIONALS) == [
         sum(a[i][k] * v[k] for k in range(4)) for i in range(3)
     ]
+
+
+def test_densify_lays_sparse_rows_over_the_grlex_support():
+    rows = [{(1, 0): 2}, {}, {(0, 0): 1, (0, 1): 3}]
+    cols, dense = densify(rows, RATIONALS)
+    assert cols == [(0, 0), (0, 1), (1, 0)]
+    assert dense == [[0, 0, 2], [0, 0, 0], [1, 3, 0]]
+    cols, dense = densify(rows, F5, cols=[(1, 0), (0, 0)])
+    assert cols == [(1, 0), (0, 0)]
+    assert dense == [[2, 0], [0, 0], [0, 1]]
+    assert densify([], F5) == ([], [])
+
+
+def test_span_rank_of_sparse_rows_against_sympy():
+    rng = random.Random(40)
+    keys = [(i, j) for i in range(3) for j in range(3)]
+    for p in (None, 2, 5):
+        field = RATIONALS if p is None else prime_field(p)
+        for _ in range(15):
+            rows = [
+                {e: rng.randint(1, 4) for e in rng.sample(keys, rng.randint(0, 4))}
+                for _ in range(rng.randint(0, 6))
+            ]
+            dense = [[r.get(e, 0) for e in keys] for r in rows]
+            expected = rational_rank(dense) if p is None else modular_rank(dense, p)
+            assert span_rank(rows, field) == expected
+    assert span_rank([{}, {}], RATIONALS) == 0

@@ -9,11 +9,13 @@ from seplab import (
     Poly,
     RATIONALS,
     compute_measure,
+    derivative_rows,
     dim_partials,
     elementary_symmetric,
     hessian,
     hessian_rank_at,
     monomial,
+    monomials_exact,
     monomials_upto,
     partial_deriv_matrix,
     permanent_poly,
@@ -67,6 +69,38 @@ def test_dim_partials_matches_independent_oracle():
         assert dim_partials(f) == sympy_dim_partials(
             Poly(3, RATIONALS, dict(f.terms)), p=7
         )
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_small_p_ranks_match_oracles_where_falling_factorials_vanish(p):
+    """Degree >= p, so some derivative multipliers vanish mod p."""
+    fp = prime_field(p)
+    rng = random.Random(24 + p)
+    cube = monomial((3,), 1, fp)
+    homogeneous = Poly(3, fp, {e: rng.randrange(1, p) for e in monomials_exact(3, 3)})
+    dense = Poly(3, fp, {e: rng.randrange(1, p) for e in monomials_upto(3, 3)})
+    assert cube.is_homogeneous and homogeneous.is_homogeneous
+    assert not dense.is_homogeneous
+    for f in (cube, homogeneous, dense):
+        lifted = Poly(f.n, RATIONALS, dict(f.terms))
+        for include in (True, False):
+            assert dim_partials(f, include_order_zero=include) == sympy_dim_partials(
+                lifted, include_order_zero=include, p=p
+            )
+        for k in range(4):
+            for l in (0, 1):
+                assert shifted_partials_rank(f, k, l) == sympy_shifted_rank(
+                    lifted, k, l, p=p
+                )
+
+
+def test_derivative_rows_are_shift_major_and_keep_zero_rows():
+    f = Poly(2, RATIONALS, {(1, 1): 1})
+    ops = [(1, 0), (0, 1), (2, 0)]
+    plain = derivative_rows(f, ops)
+    assert plain == [{(0, 1): 1}, {(1, 0): 1}, {}]
+    shifted = derivative_rows(f, ops, shifts=[(0, 0), (1, 0)])
+    assert shifted == plain + [{(1, 1): 1}, {(2, 0): 1}, {}]
 
 
 def test_order_zero_row_adds_one_for_homogeneous_inputs():

@@ -34,6 +34,7 @@ from seplab import (
     zero,
 )
 from seplab.poly import evaluate
+from seplab.seeding import SEED_STRIDE
 
 
 def rand_poly(n, d, rng, field=RATIONALS, sparsity=0.6):
@@ -312,3 +313,17 @@ def test_run_separation_zero_trials_is_inconclusive():
     assert "insufficient evidence" in report.note
     with pytest.raises(ValueError):
         run_separation(module, sampler, hard, trials=-1)
+
+
+def test_run_separation_refuses_batches_past_the_seed_stride():
+    """Checked up front: nothing is sampled or evaluated first."""
+
+    class NeverSampled:
+        def sample(self, rng):
+            raise AssertionError("sampled before the trial count was checked")
+
+    amb = Ambient(4, 2, RATIONALS)
+    module = MinorsOfMeasure(amb, "dim_partials", 4)
+    hard = elementary_symmetric(2, 4, RATIONALS)
+    with pytest.raises(ValueError, match="seed stride"):
+        run_separation(module, NeverSampled(), hard, trials=SEED_STRIDE + 1)
