@@ -351,12 +351,8 @@ def cmd_gk_check(args) -> int:
         ]
     else:
         sigmas = groups.enumerate_invertible(n, fld)
-    pairwise = f2lab.gk_intersection_test(
-        f, args.r, sigmas, args.max_degree, strategy="pairwise"
-    )
-    stacked = f2lab.gk_intersection_test(
-        f, args.r, sigmas, args.max_degree, strategy="stacked"
-    )
+    reports = f2lab.gk_intersection_test(f, args.r, sigmas, args.max_degree)
+    pairwise, stacked = reports["pairwise"], reports["stacked"]
     agree = (
         pairwise.lambda_dim == stacked.lambda_dim
         and pairwise.intersection_dim == stacked.intersection_dim

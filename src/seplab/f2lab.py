@@ -27,6 +27,9 @@ _DISTANCE_CODE_BITS = 24
 _DISTANCE_MAX_VARS = 16
 _GK_MAX_POINTS = 10_000
 
+# The independent ways ``intersect_all`` can intersect subspaces.
+STRATEGIES = ("pairwise", "stacked")
+
 F2 = prime_field(2)
 
 
@@ -463,17 +466,18 @@ def gk_intersection_test(
     r: int,
     sigmas: Sequence[groups.GroupElement],
     max_degree: int | None = None,
-    strategy: str = "pairwise",
-) -> GKReport:
+) -> dict[str, GKReport]:
     """Check whether twisted derivative spans share a function vanishing on
-    every invertible matrix.
+    every invertible matrix, once per intersection strategy.
 
     f is a polynomial over F_q in n^2 matrix variables.  For each sigma the
     span of all derivatives of order <= r of f, twisted by X -> sigma X and
     reduced by x^q = x, is intersected across sigmas; the result is then
     intersected with the vanishing ideal of the invertible-matrix point set.
     The property holds when that final intersection contains a nonzero
-    function.
+    function.  The spans and the vanishing ideal are built once; the result
+    maps each name in ``STRATEGIES`` to the report of intersecting them that
+    way.
     """
     q = f.field.p
     if q is None:
@@ -507,9 +511,10 @@ def gk_intersection_test(
             )
 
     if reduced_f.is_zero:
-        return GKReport(
-            n, q, r, max_degree, len(sigmas), strategy, 0, 0, False
-        )
+        return {
+            s: GKReport(n, q, r, max_degree, len(sigmas), s, 0, 0, False)
+            for s in STRATEGIES
+        }
 
     # the derivatives do not depend on the twist, so they are taken once
     ops = polyops.monomials_upto(m, min(r, reduced_f.degree))
@@ -522,21 +527,14 @@ def gk_intersection_test(
         twisted = [
             reduce_pointwise(polyops.substitute_linear(g, twist)) for g in derivs
         ]
-        rows = [g.terms for g in twisted if not g.is_zero]
-        spans.append(
-            _make_subspace(q, monomials, linalg.densify(rows, f.field, monomials)[1])
-        )
-    lam = intersect_all(spans, strategy)
+        spans.append(subspace_from_polys(twisted, q, monomials))
     ideal = vanishing_ideal_basis(gl_points(n, q), max_degree, q)
-    final = intersect_all([lam, ideal], strategy)
-    return GKReport(
-        n,
-        q,
-        r,
-        max_degree,
-        len(sigmas),
-        strategy,
-        lam.dim,
-        final.dim,
-        final.dim > 0,
-    )
+    reports = {}
+    for strategy in STRATEGIES:
+        lam = intersect_all(spans, strategy)
+        final = intersect_all([lam, ideal], strategy)
+        reports[strategy] = GKReport(
+            n, q, r, max_degree, len(sigmas), strategy,
+            lam.dim, final.dim, final.dim > 0,
+        )
+    return reports

@@ -1,10 +1,13 @@
 """Dense exact linear algebra over the rationals and prime fields.
 
-Matrices are lists of row lists of scalars.  Rank over the rationals uses
-fraction-free Bareiss elimination on integer rows (each row is scaled by the
-lcm of its denominators first, which preserves rank); rank over F_p uses
-Gaussian elimination without inverses.  RREF and kernels are available over
-both fields and are canonical, so subspace equality is basis equality.
+Matrices are lists of row lists of scalars.  One forward-elimination routine
+serves both fields: rows over the rationals are scaled to integers by the lcm
+of their denominators (which preserves the row space) and eliminated
+fraction-free (Bareiss); rows over F_p are reduced mod p and eliminated
+without inverses.  Rank is the number of pivots it finds, RREF
+back-substitutes over the echelon rows it leaves, and kernels and
+invertibility sit on those two.  RREF and kernels are canonical, so subspace
+equality is basis equality.
 
 Sparse rows are maps from column keys (exponent tuples) to scalars, such as
 polynomial term maps.  ``densify`` lays them out over the grlex-sorted union
@@ -21,20 +24,6 @@ from .field import Field, Scalar
 from .poly import grlex_key
 
 
-def _as_rows(rows, ncols: int | None) -> tuple[list[list], int]:
-    m = [list(r) for r in rows]
-    if m:
-        width = len(m[0])
-        if any(len(r) != width for r in m):
-            raise ValueError("ragged matrix")
-        if ncols is not None and ncols != width:
-            raise ValueError(f"ncols={ncols} disagrees with row width {width}")
-        return m, width
-    if ncols is None:
-        raise ValueError("empty matrix needs an explicit column count")
-    return m, ncols
-
-
 def _integer_rows(rows: list[list]) -> list[list[int]]:
     out = []
     for r in rows:
@@ -44,22 +33,36 @@ def _integer_rows(rows: list[list]) -> list[list[int]]:
     return out
 
 
-def _rank_bareiss(m: list[list[int]]) -> int:
-    if not m or not m[0]:
-        return 0
-    nrows, ncols = len(m), len(m[0])
-    r = 0
+def _eliminate(m: list[list[int]], p: int | None) -> list[int]:
+    """Forward-eliminate integer rows in place; return the pivot columns.
+
+    With ``p`` None this is fraction-free Bareiss, otherwise inverse-free
+    elimination on rows already reduced mod p.  Afterwards the first
+    len(pivots) rows are an echelon basis of the row space and the rest are 0.
+    """
+    nrows = len(m)
+    ncols = len(m[0]) if m else 0
+    pivots: list[int] = []
     prev = 1
     for c in range(ncols):
+        r = len(pivots)
+        if r == nrows:
+            break
         piv = next((i for i in range(r, nrows) if m[i][c]), None)
         if piv is None:
             continue
         m[r], m[piv] = m[piv], m[r]
+        row_r = m[r]
+        mrc = row_r[c]
         for i in range(r + 1, nrows):
-            mic = m[i][c]
-            mrc = m[r][c]
-            if mic:
-                row_i, row_r = m[i], m[r]
+            row_i = m[i]
+            mic = row_i[c]
+            if p is not None:
+                if mic:
+                    for j in range(c + 1, ncols):
+                        row_i[j] = (mrc * row_i[j] - mic * row_r[j]) % p
+                    row_i[c] = 0
+            elif mic:
                 for j in range(c + 1, ncols):
                     row_i[j] = (mrc * row_i[j] - mic * row_r[j]) // prev
                 row_i[c] = 0
@@ -67,49 +70,32 @@ def _rank_bareiss(m: list[list[int]]) -> int:
                 # The zero-pivot-column case still needs the full one-step
                 # update (scale by mrc, divide by the previous pivot), or the
                 # later exact divisions stop being exact.
-                row_i = m[i]
                 for j in range(c + 1, ncols):
                     row_i[j] = mrc * row_i[j] // prev
-        prev = m[r][c]
-        r += 1
-        if r == nrows:
-            break
-    return r
+        prev = mrc
+        pivots.append(c)
+    return pivots
 
 
-def _rank_mod_p(m: list[list], p: int) -> int:
-    m = [[x % p for x in row] for row in m]
-    if not m or not m[0]:
-        return 0
-    nrows, ncols = len(m), len(m[0])
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if m[i][c]), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        mrc = m[r][c]
-        for i in range(r + 1, nrows):
-            mic = m[i][c]
-            if mic:
-                row_i, row_r = m[i], m[r]
-                for j in range(c + 1, ncols):
-                    row_i[j] = (mrc * row_i[j] - mic * row_r[j]) % p
-                row_i[c] = 0
-        r += 1
-        if r == nrows:
-            break
-    return r
+def _echelon(rows, field: Field, ncols: int | None) -> tuple[list[list[int]], list[int]]:
+    """Check the matrix shape, then eliminate a copy: (rows, pivot columns)."""
+    m = [list(r) for r in rows]
+    if m:
+        width = len(m[0])
+        if any(len(r) != width for r in m):
+            raise ValueError("ragged matrix")
+        if ncols is not None and ncols != width:
+            raise ValueError(f"ncols={ncols} disagrees with row width {width}")
+    elif ncols is None:
+        raise ValueError("empty matrix needs an explicit column count")
+    p = field.p
+    m = _integer_rows(m) if p is None else [[x % p for x in row] for row in m]
+    return m, _eliminate(m, p)
 
 
 def rank(rows, field: Field, ncols: int | None = None) -> int:
     """Exact rank of a matrix over the given field."""
-    m, width = _as_rows(rows, ncols)
-    if not m or width == 0:
-        return 0
-    if field.p is None:
-        return _rank_bareiss(_integer_rows(m))
-    return _rank_mod_p(m, field.p)
+    return len(_echelon(rows, field, ncols)[1])
 
 
 def densify(
@@ -139,33 +125,25 @@ def rref(rows, field: Field, ncols: int | None = None) -> tuple[list[list[Scalar
     is the canonical RREF, so two row spaces are equal iff their RREFs are
     equal as lists.
     """
-    m, width = _as_rows(rows, ncols)
+    m, pivots = _echelon(rows, field, ncols)
     p = field.p
-    if p is None:
-        m = [[x if isinstance(x, Fraction) else Fraction(x) for x in row] for row in m]
-    else:
-        m = [[x % p for x in row] for row in m]
-    pivots: list[int] = []
-    r = 0
-    for c in range(width):
-        piv = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = field.inv(m[r][c])
-        m[r] = [x * inv if p is None else x * inv % p for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                factor = m[i][c]
+    # Back-substitute over the echelon rows, bottom row first: scale each
+    # pivot row to a leading 1, then clear its pivot column in the rows above.
+    for k in range(len(pivots) - 1, -1, -1):
+        c = pivots[k]
+        inv = field.inv(m[k][c])
+        if p is None:
+            row = m[k] = [x * inv for x in m[k]]
+        else:
+            row = m[k] = [x * inv % p for x in m[k]]
+        for i in range(k):
+            factor = m[i][c]
+            if factor:
                 if p is None:
-                    m[i] = [a - factor * b for a, b in zip(m[i], m[r])]
+                    m[i] = [a - factor * b for a, b in zip(m[i], row)]
                 else:
-                    m[i] = [(a - factor * b) % p for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return m[:r], pivots
+                    m[i] = [(a - factor * b) % p for a, b in zip(m[i], row)]
+    return m[: len(pivots)], pivots
 
 
 def right_kernel(rows, field: Field, ncols: int) -> list[list[Scalar]]:

@@ -103,15 +103,6 @@ def _reduce_polys(polys: Sequence[Poly], nvars: int, fld: Field) -> tuple[Poly, 
     )
 
 
-def span_rank_with(polys: Sequence[Poly], extra: Poly) -> tuple[int, int]:
-    """Ranks of the span without and with one extra polynomial."""
-    rows = [t.terms for t in polys]
-    return (
-        linalg.span_rank(rows, extra.field),
-        linalg.span_rank(rows + [extra.terms], extra.field),
-    )
-
-
 # ---------------------------------------------------------------------------
 # test-module variants
 # ---------------------------------------------------------------------------
@@ -213,8 +204,9 @@ def explicit_product(left: ExplicitSpan, right: ExplicitSpan) -> ExplicitSpan:
 def in_span(span: ExplicitSpan, t: Poly) -> bool:
     if t.n != span.ambient.N or t.field != span.ambient.field:
         raise ValueError("polynomial does not fit the span's coefficient space")
-    r0, r1 = span_rank_with(span.basis, t)
-    return r0 == r1
+    # the basis is already reduced and independent, so its rank is its size
+    rows = [b.terms for b in span.basis] + [t.terms]
+    return linalg.span_rank(rows, t.field) == span.dim
 
 
 # ---------------------------------------------------------------------------

@@ -48,6 +48,34 @@ def oracle_rank(rows, p=None):
     return modular_rank(rows, p)
 
 
+def oracle_rref(rows, p=None):
+    """Nonzero RREF rows and pivot columns via sympy.
+
+    Over the rationals entries come back as Fractions; over F_p as integers
+    in [0, p).
+    """
+    rows = [list(r) for r in rows]
+    if not rows or not rows[0]:
+        return [], []
+    if p is None:
+        reduced, pivots = sympy.Matrix(
+            [[_to_rational(x) for x in r] for r in rows]
+        ).rref()
+        out = [
+            [Fraction(int(x.p), int(x.q)) for x in reduced.row(i)]
+            for i in range(len(pivots))
+        ]
+    else:
+        dom = GF(p)
+        reduced, pivots = DomainMatrix(
+            [[dom(int(x) % p) for x in r] for r in rows],
+            (len(rows), len(rows[0])),
+            dom,
+        ).rref()
+        out = [[int(x) % p for x in r] for r in reduced.to_list()[: len(pivots)]]
+    return out, list(pivots)
+
+
 def laplace_det(rows):
     """Determinant by recursive first-row Laplace expansion (Fractions)."""
     k = len(rows)

@@ -398,8 +398,8 @@ def test_criterion_11_invertible_point_set_ideal_and_twisted_spans():
             random_invertible(2, f2, rng) for _ in range(rng.randint(1, 2))
         ]
         r = rng.randint(0, 2)
-        a = gk_intersection_test(f, r, sigmas, strategy="pairwise")
-        b = gk_intersection_test(f, r, sigmas, strategy="stacked")
+        reports = gk_intersection_test(f, r, sigmas)
+        a, b = reports["pairwise"], reports["stacked"]
         assert (a.lambda_dim, a.intersection_dim, a.property_holds) == (
             b.lambda_dim,
             b.intersection_dim,

@@ -33,6 +33,7 @@ from seplab import (
     vanishing_ideal_basis,
     zero,
 )
+from seplab import f2lab
 from seplab.f2lab import TruthTable, index_point, point_index, table_from_int
 from seplab.poly import evaluate
 
@@ -281,6 +282,12 @@ def test_intersect_all_strategies_agree():
         intersect_all([rand_subspace(2, function_monomials(1, 2, 1), rng, 1)], "magic")
 
 
+def test_subspace_from_polys_rejects_monomials_outside_the_basis():
+    monos = function_monomials(2, 2, 1)
+    with pytest.raises(ValueError):
+        subspace_from_polys([Poly(2, F2, {(1, 1): 1})], 2, monos)
+
+
 def test_subspace_ambient_mismatch_rejected():
     a = subspace_from_polys([], 2, function_monomials(2, 2, 2))
     b = subspace_from_polys([], 2, function_monomials(2, 2, 1))
@@ -309,8 +316,9 @@ def test_gk_determinant_frozen_outcome():
         [[0, 1], [1, 1]],
         [[1, 1], [1, 0]],
     )]
+    reports = gk_intersection_test(det, 1, sigmas)
     for strategy in ("pairwise", "stacked"):
-        rep = gk_intersection_test(det, 1, sigmas, strategy=strategy)
+        rep = reports[strategy]
         assert rep.lambda_dim == 5
         assert rep.intersection_dim == 0
         assert not rep.property_holds
@@ -324,16 +332,38 @@ def test_gk_positive_construction():
     """A function taken from the vanishing ideal itself passes the test."""
     ideal = vanishing_ideal_basis(gl_points(2, 2), 4, 2)
     f = ideal.polynomials(4)[0]
-    rep = gk_intersection_test(f, 0, [identity_element(2, F2)])
-    assert rep.lambda_dim == 1
-    assert rep.intersection_dim == 1
-    assert rep.property_holds
+    for rep in gk_intersection_test(f, 0, [identity_element(2, F2)]).values():
+        assert rep.lambda_dim == 1
+        assert rep.intersection_dim == 1
+        assert rep.property_holds
+
+
+def test_gk_builds_the_vanishing_ideal_once_for_both_strategies(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return vanishing_ideal_basis(*args)
+
+    monkeypatch.setattr(f2lab, "vanishing_ideal_basis", counting)
+    reports = gk_intersection_test(
+        determinant_poly(2, F3), 1, [identity_element(2, F3)]
+    )
+    assert len(calls) == 1
+    assert tuple(reports) == f2lab.STRATEGIES
+    assert reports["pairwise"].to_json() == {
+        **reports["stacked"].to_json(),
+        "strategy": "pairwise",
+    }
 
 
 def test_gk_zero_polynomial_fails_cleanly():
-    rep = gk_intersection_test(zero(4, F2), 1, [identity_element(2, F2)])
-    assert rep.lambda_dim == 0 and rep.intersection_dim == 0
-    assert not rep.property_holds
+    reports = gk_intersection_test(zero(4, F2), 1, [identity_element(2, F2)])
+    assert sorted(reports) == ["pairwise", "stacked"]
+    for strategy, rep in reports.items():
+        assert rep.strategy == strategy
+        assert rep.lambda_dim == 0 and rep.intersection_dim == 0
+        assert not rep.property_holds
 
 
 def test_gk_validation_and_guards():

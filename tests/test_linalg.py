@@ -3,7 +3,10 @@
 import random
 from fractions import Fraction
 
-from oracles import modular_rank, rational_rank
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from oracles import modular_rank, oracle_rref, rational_rank
 from seplab import RATIONALS, prime_field
 from seplab.linalg import (
     densify,
@@ -18,6 +21,15 @@ from seplab.linalg import (
 )
 
 F5 = prime_field(5)
+
+# Zero pivot columns mixed with later dependencies (the corrupting shape).
+SPARSE_PIVOT_PATTERN = [
+    [0, 1, 1, 0],
+    [2, 0, 0, 1],
+    [0, 3, 3, 0],
+    [4, 0, 0, 2],
+    [2, 1, 1, 1],
+]
 
 
 def rand_matrix(rows, cols, rng, fractions=False):
@@ -72,15 +84,47 @@ def test_rank_fuzz_against_sympy_mod_p():
 
 
 def test_rank_sparse_pivot_pattern():
-    """Zero pivot columns mixed with later dependencies (the corrupting shape)."""
-    m = [
-        [0, 1, 1, 0],
-        [2, 0, 0, 1],
-        [0, 3, 3, 0],
-        [4, 0, 0, 2],
-        [2, 1, 1, 1],
-    ]
+    m = SPARSE_PIVOT_PATTERN
     assert rank(m, RATIONALS) == rational_rank(m) == 2
+
+
+@st.composite
+def field_matrices(draw):
+    """(matrix, p): dense, sparse or low-rank-product matrices over Q or F_p."""
+    p = draw(st.sampled_from([None, 2, 3, 7]))
+    nr, nc = draw(st.integers(0, 6)), draw(st.integers(1, 6))
+    entry = st.integers(-6, 6)
+    if p is None:
+        entry = st.one_of(
+            entry, st.fractions(min_value=-6, max_value=6, max_denominator=4)
+        )
+    entry = st.one_of(st.just(0), entry)
+
+    def matrix(nrows, ncols, cell):
+        row = st.lists(cell, min_size=ncols, max_size=ncols)
+        return draw(st.lists(row, min_size=nrows, max_size=nrows))
+
+    if draw(st.booleans()):
+        return matrix(nr, nc, entry), p
+    k = draw(st.integers(1, 3))
+    a, b = matrix(nr, k, st.integers(-3, 3)), matrix(k, nc, entry)
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a], p
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(field_matrices())
+# rows with a zero pivot-column entry under a non-unit pivot: Bareiss must
+# still rescale them, or its later exact divisions go wrong
+@example(([[0, 1, 0, 0, 0, 0], [1, 0, 0, 0, 0, Fraction(1, 2)], [0, 1, 0, 0, 0, 1]], None))
+@example((SPARSE_PIVOT_PATTERN, None))
+@example((SPARSE_PIVOT_PATTERN, 2))
+@example((SPARSE_PIVOT_PATTERN, 3))
+@example((SPARSE_PIVOT_PATTERN, 7))
+def test_rref_fuzz_against_sympy(case):
+    m, p = case
+    field = RATIONALS if p is None else prime_field(p)
+    ncols = len(m[0]) if m else 1
+    assert rref(m, field, ncols) == oracle_rref(m, p)
 
 
 def test_rref_is_canonical_and_idempotent():
