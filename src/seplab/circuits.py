@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
-from . import functions, measures
+from . import functions, linalg, measures
 from . import poly as polyops
 from .field import Field, RATIONALS, Scalar, field_from_name
 from .poly import Poly
@@ -92,21 +92,11 @@ class Depth4Circuit:
         return len(self.summands)
 
 
-def _form_poly(form: LinearForm, n: int, field: Field) -> Poly:
-    terms = {}
-    for i, c in enumerate(form):
-        if c != 0:
-            e = [0] * n
-            e[i] = 1
-            terms[tuple(e)] = c
-    return Poly(n, field, terms)
-
-
 def expand(circuit: Depth3Circuit | Depth4Circuit) -> Poly:
     """Multiply out a circuit into its canonical sparse polynomial."""
     if isinstance(circuit, Depth3Circuit):
         summands = [
-            [_form_poly(form, circuit.n, circuit.field) for form in prod]
+            [polyops.linear_form(form, circuit.field) for form in prod]
             for prod in circuit.products
         ]
     elif isinstance(circuit, Depth4Circuit):
@@ -182,18 +172,7 @@ def transform_depth3(
     rows = [[field.coerce(v) for v in row] for row in matrix]
     if len(rows) != circuit.n or any(len(r) != circuit.n for r in rows):
         raise ValueError("matrix shape does not match the circuit arity")
-    products = tuple(
-        tuple(
-            tuple(
-                field.coerce(
-                    sum(form[i] * rows[i][j] for i in range(circuit.n))
-                )
-                for j in range(circuit.n)
-            )
-            for form in prod
-        )
-        for prod in circuit.products
-    )
+    products = tuple(linalg.mat_mul(prod, rows, field) for prod in circuit.products)
     return Depth3Circuit(circuit.n, field, products)
 
 

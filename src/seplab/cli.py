@@ -69,11 +69,13 @@ def _parse_point(text: str, fld: Field) -> list:
     return [fld.parse(tok.strip()) for tok in text.split(",") if tok.strip()]
 
 
+def _shift_params(args) -> dict:
+    """The --k/--l the user set; ``compute_measure`` fills in the defaults."""
+    return {key: v for key in ("k", "l") if (v := getattr(args, key)) is not None}
+
+
 def _measure_params(args, fld: Field) -> dict:
-    params: dict = {}
-    if args.measure == "shifted":
-        params["k"] = args.k if args.k is not None else 1
-        params["l"] = args.l if args.l is not None else 1
+    params = _shift_params(args) if args.measure == "shifted" else {}
     if args.measure == "hessian_rank":
         if not args.point:
             raise ValueError("hessian_rank needs --point")
@@ -89,10 +91,7 @@ def _module_from_spec(spec: str, ambient: sepmod.Ambient, args) -> sepmod.TestMo
             r = int(parts[2])
         except ValueError as exc:
             raise ValueError(f"bad rank threshold in module spec {spec!r}") from exc
-        params: dict = {}
-        if name == "shifted":
-            params["k"] = args.k if args.k is not None else 1
-            params["l"] = args.l if args.l is not None else 1
+        params = _shift_params(args) if name == "shifted" else {}
         return sepmod.MinorsOfMeasure(ambient, name, r, params)
     raise ValueError(
         f"unrecognized module spec {spec!r} (format: \"minors:<measure>:<r>\")"
@@ -344,6 +343,8 @@ def cmd_gk_check(args) -> int:
     n = isqrt(f.n)
     if n * n != f.n:
         raise ValueError(f"{f.n} variables do not form a square matrix")
+    if args.trials < 0:
+        raise ValueError("--trials must be nonnegative (0 = whole group)")
     if args.trials > 0:
         rng = trial_rng(args.seed, 0)
         sigmas = [

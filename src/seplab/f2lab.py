@@ -122,15 +122,11 @@ def _xor_subset_transform(values: list[int], n: int) -> list[int]:
     return arr
 
 
-def _mask_to_exponent(mask: int, n: int) -> tuple[int, ...]:
-    return tuple((mask >> (n - 1 - i)) & 1 for i in range(n))
-
-
 def truth_table_to_multilinear(t: TruthTable) -> Poly:
     """The unique multilinear polynomial over F_2 computing the table."""
     coeffs = _xor_subset_transform(list(t.bits), t.n)
     terms = {
-        _mask_to_exponent(mask, t.n): 1
+        index_point(mask, t.n): 1
         for mask, c in enumerate(coeffs)
         if c
     }
@@ -180,7 +176,7 @@ class AgreementReport:
 
 
 def _monomial_masks(n: int, d: int) -> list[tuple[int, ...]]:
-    out = [e for bits in range(1 << n) if sum(e := _mask_to_exponent(bits, n)) <= d]
+    out = [e for bits in range(1 << n) if sum(e := index_point(bits, n)) <= d]
     out.sort(key=grlex_key)
     return out
 
@@ -291,15 +287,7 @@ def subspace_from_polys(
     polys: Sequence[Poly], q: int, monomials: Sequence[tuple[int, ...]]
 ) -> SubspaceOverFq:
     """Span of the given (already reduced) polynomials in the monomial basis."""
-    index = {e: i for i, e in enumerate(monomials)}
-    rows = []
-    for f in polys:
-        row = [0] * len(monomials)
-        for e, c in f.terms.items():
-            if e not in index:
-                raise ValueError(f"monomial {e} outside the ambient basis")
-            row[index[e]] = c
-        rows.append(row)
+    _, rows = linalg.densify([f.terms for f in polys], prime_field(q), monomials)
     return _make_subspace(q, monomials, rows)
 
 

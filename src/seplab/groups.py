@@ -237,20 +237,15 @@ def induced_coeff_map(
     basis = (
         monomials_exact(g.n, d) if homogeneous else monomials_upto(g.n, d)
     )
-    index = {e: i for i, e in enumerate(basis)}
-    cols = []
-    for e in basis:
-        image = apply(g, monomial(e, 1, fld))
-        col = [fld.zero()] * len(basis)
-        for e2, c in image.terms.items():
-            if e2 not in index:
-                raise ValueError(
-                    "element does not preserve the chosen coefficient space; "
-                    "use homogeneous=False"
-                )
-            col[index[e2]] = c
-        cols.append(col)
-    matrix = tuple(tuple(col[i] for col in cols) for i in range(len(basis)))
+    images = [apply(g, monomial(e, 1, fld)).terms for e in basis]
+    try:
+        _, cols = linalg.densify(images, fld, basis)
+    except ValueError as exc:
+        raise ValueError(
+            "element does not preserve the chosen coefficient space; "
+            "use homogeneous=False"
+        ) from exc
+    matrix = tuple(zip(*cols))
     return CoeffMap(g.n, d, fld, homogeneous, tuple(basis), matrix)
 
 
@@ -297,6 +292,8 @@ def invariance_check(
     (refused over the rationals or when the group has more than 10^4
     elements).
     """
+    if trials < 0:
+        raise ValueError("trials must be nonnegative")
     base_report = measures.compute_measure(measure, f, params)
     base = base_report.rank
     if exhaustive:

@@ -10,13 +10,14 @@ invertibility sit on those two.  RREF and kernels are canonical, so subspace
 equality is basis equality.
 
 Sparse rows are maps from column keys (exponent tuples) to scalars, such as
-polynomial term maps.  ``densify`` lays them out over the grlex-sorted union
-of their supports, and ``span_rank`` ranks the span they generate.
+polynomial term maps; ``densify`` is the one place they are laid out as dense
+rows.  Its columns are the grlex-sorted union of the row supports, or a given
+column list that must hold every key (a key outside it raises ValueError).
+``span_rank`` ranks the span of sparse rows.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import lcm
 from typing import Mapping, Sequence
 
@@ -25,11 +26,11 @@ from .poly import grlex_key
 
 
 def _integer_rows(rows: list[list]) -> list[list[int]]:
+    # ints and Fractions both carry numerator and denominator
     out = []
     for r in rows:
-        fr = [x if isinstance(x, Fraction) else Fraction(x) for x in r]
-        den = lcm(*(x.denominator for x in fr)) if fr else 1
-        out.append([int(x * den) for x in fr])
+        den = lcm(*(x.denominator for x in r))
+        out.append([x.numerator * (den // x.denominator) for x in r])
     return out
 
 
@@ -103,13 +104,23 @@ def densify(
 ) -> tuple[list, list[list[Scalar]]]:
     """Dense form of sparse rows: (column keys, one list per row).
 
-    Columns default to the grlex-sorted union of the row supports; keys of a
-    row outside an explicit ``cols`` are dropped.
+    Columns default to the grlex-sorted union of the row supports.  With an
+    explicit ``cols`` every key of every row must be one of them; a key
+    outside raises ValueError instead of being dropped.
     """
     if cols is None:
         cols = sorted({e for r in rows for e in r}, key=grlex_key)
+    index = {e: i for i, e in enumerate(cols)}
     zero = field.zero()
-    return cols, [[r.get(e, zero) for e in cols] for r in rows]
+    dense = []
+    for r in rows:
+        row = [zero] * len(cols)
+        for e, c in r.items():
+            if e not in index:
+                raise ValueError(f"key {e} outside the given columns")
+            row[index[e]] = c
+        dense.append(row)
+    return cols, dense
 
 
 def span_rank(rows: Sequence[Mapping], field: Field) -> int:

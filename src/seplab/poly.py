@@ -284,37 +284,35 @@ def substitute(f: Poly, images: Sequence[Poly]) -> Poly:
     return Poly(n_out, fld, acc)
 
 
+def linear_form(coeffs: Sequence, field: Field) -> Poly:
+    """The linear form sum coeffs[i] * x_i in len(coeffs) variables."""
+    n = len(coeffs)
+    units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    return Poly(n, field, dict(zip(units, coeffs)))
+
+
 def substitute_linear(f: Poly, matrix: Sequence[Sequence]) -> Poly:
     """Return f(A·x): variable i is replaced by the linear form of row i.
 
     The matrix need not be invertible; restrictions and projections reuse
     this path.
     """
-    a = [list(row) for row in matrix]
-    if len(a) != f.n or any(len(row) != f.n for row in a):
+    if len(matrix) != f.n or any(len(row) != f.n for row in matrix):
         raise ValueError(f"matrix must be {f.n}x{f.n}")
-    fld = f.field
-    images = []
-    for row in a:
-        terms = {}
-        for j, v in enumerate(row):
-            v = fld.coerce(v)
-            if v != 0:
-                e = tuple(1 if k == j else 0 for k in range(f.n))
-                terms[e] = v
-        images.append(Poly(f.n, fld, terms))
-    return substitute(f, images)
+    return substitute(f, [linear_form(row, f.field) for row in matrix])
 
 
 def substitute_affine(f: Poly, matrix: Sequence[Sequence], shift: Sequence) -> Poly:
-    """Return f(A·x + b), by homogenizing with one extra variable set to 1."""
+    """Return f(A·x + b): variable i is replaced by row i's form plus b_i."""
     if len(shift) != f.n:
         raise ValueError(f"shift must have length {f.n}")
-    n = f.n
-    ext = Poly(n + 1, f.field, {e + (0,): c for e, c in f.terms.items()})
-    rows = [list(matrix[i]) + [shift[i]] for i in range(n)]
-    rows.append([0] * n + [1])
-    return restrict(substitute_linear(ext, rows), {n: 1})
+    if len(matrix) != f.n or any(len(row) != f.n for row in matrix):
+        raise ValueError(f"matrix must be {f.n}x{f.n}")
+    images = [
+        add(linear_form(row, f.field), constant(f.n, b, f.field))
+        for row, b in zip(matrix, shift)
+    ]
+    return substitute(f, images)
 
 
 _NAME_RE = re.compile(r"^x(\d+)$")

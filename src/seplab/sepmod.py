@@ -15,15 +15,14 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field as dc_field
-from math import perm as falling_factorial
 from typing import Sequence, Union
 
 from . import circuits, groups, linalg, measures
 from . import poly as polyops
 from .errors import InfeasibleError
 from .field import Field, Scalar
-from .functions import _permutation_sign
-from .poly import Poly, monomial, monomials_exact, monomials_upto
+from .functions import determinant_poly
+from .poly import Poly, monomials_exact, monomials_upto
 from .seeding import SEED_STRIDE, derive_seed, trial_rng
 
 MINOR_CAP = 6
@@ -307,6 +306,8 @@ def symbolic_partial_deriv_matrix(
     Row c (a derivative operator of order |c| <= max_order, order 0
     included), column e (a monomial): the entry is mu * a_{e+c} where mu is
     the falling-factorial multiplier, or zero when e+c leaves the space.
+    The multipliers are read off the derivative rows of the generic
+    polynomial with every coefficient 1, since d^c x^(e+c) = mu * x^e.
     """
     if max_order is None:
         max_order = ambient.d
@@ -316,43 +317,32 @@ def symbolic_partial_deriv_matrix(
     fld = ambient.field
     row_labels = tuple(monomials_upto(ambient.n, max_order))
     col_labels = tuple(monomials_upto(ambient.n, ambient.d))
-    rows = []
-    for c in row_labels:
-        row = []
-        for e in col_labels:
-            big = tuple(ei + ci for ei, ci in zip(e, c))
-            if big in index:
-                mu = 1
-                for bi, ci in zip(big, c):
-                    mu *= falling_factorial(bi, ci)
-                coeff = fld.coerce(mu)
-                if coeff == 0:
-                    row.append(polyops.zero(nvars, fld))
-                else:
-                    unit = [0] * nvars
-                    unit[index[big]] = 1
-                    row.append(monomial(tuple(unit), coeff, fld))
-            else:
-                row.append(polyops.zero(nvars, fld))
-        rows.append(tuple(row))
-    return SymbolicMatrix(row_labels, col_labels, tuple(rows))
+    generic = Poly(ambient.n, fld, dict.fromkeys(exponents, 1))
+    zero = polyops.zero(nvars, fld)
+
+    def entry(c, e, mu) -> Poly:
+        slot = index[tuple(a + b for a, b in zip(e, c))]
+        return polyops.scalar_multiply(mu, polyops.variable(slot, nvars, fld))
+
+    rows = tuple(
+        tuple(entry(c, e, row[e]) if e in row else zero for e in col_labels)
+        for c, row in zip(row_labels, measures.derivative_rows(generic, row_labels))
+    )
+    return SymbolicMatrix(row_labels, col_labels, rows)
 
 
 def poly_det(entries: Sequence[Sequence[Poly]]) -> Poly:
-    """Determinant of a square matrix of polynomials (permutation expansion)."""
+    """Determinant of a square matrix of polynomials.
+
+    The entries, row-major, are substituted into the symbolic determinant.
+    """
     k = len(entries)
     if any(len(row) != k for row in entries):
         raise ValueError("determinant needs a square matrix")
     if k == 0:
         raise ValueError("empty determinant")
-    sample = entries[0][0]
-    total = polyops.zero(sample.n, sample.field)
-    for p in itertools.permutations(range(k)):
-        term = polyops.constant(sample.n, _permutation_sign(p), sample.field)
-        for i in range(k):
-            term = polyops.multiply(term, entries[i][p[i]])
-        total = polyops.add(total, term)
-    return total
+    det = determinant_poly(k, entries[0][0].field, cap=k)
+    return polyops.substitute(det, [t for row in entries for t in row])
 
 
 def poly_matrix_minors(
@@ -417,10 +407,6 @@ class ClosureReport:
         }
 
 
-def _transport(t: Poly, coeff_matrix) -> Poly:
-    return polyops.substitute_linear(t, coeff_matrix)
-
-
 def group_closure(
     span: ExplicitSpan,
     group: str,
@@ -443,7 +429,7 @@ def group_closure(
             cm = groups.induced_coeff_map(
                 g, amb.d, field=amb.field, homogeneous=amb.homogeneous
             )
-            images.extend(_transport(t, cm.matrix) for t in span.basis)
+            images.extend(polyops.substitute_linear(t, cm.matrix) for t in span.basis)
         closed = ExplicitSpan(amb, tuple(images))
         return ClosureReport(
             closed, "sym", "exhaustive", len(elements), closed.dim
@@ -459,7 +445,7 @@ def group_closure(
             cm = groups.induced_coeff_map(
                 g, amb.d, homogeneous=amb.homogeneous
             )
-            images = [_transport(t, cm.matrix) for t in span.basis]
+            images = [polyops.substitute_linear(t, cm.matrix) for t in span.basis]
             grown = ExplicitSpan(amb, current.basis + tuple(images))
             samples += 1
             if grown.dim == current.dim:

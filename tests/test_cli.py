@@ -1,9 +1,15 @@
 """End-to-end tests for the batch command line."""
 
 import csv
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seplab import format_table, prime_field, truth_table
+from seplab.measures import MEASURES
 from seplab.cli import main
 
 
@@ -343,6 +349,17 @@ def test_usage_errors_exit_2(capsys):
     )
 
 
+def test_negative_trials_are_usage_errors(capsys):
+    for argv in (
+        ["invariance", "--fn", "esym:2,4", "--measure", "dim_partials", "--trials", "-3"],
+        ["gk-check", "--fn", "det:2", "--trials", "-1"],
+    ):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+
+
 def test_division_by_zero_in_a_point_is_a_usage_error(capsys):
     hessian = ["measure", "--fn", "det:2", "--measure", "hessian_rank"]
     for argv in (
@@ -405,3 +422,76 @@ def test_field_argument_reaches_the_ring(capsys):
     assert data["config"]["field"] == "Fp:7"
     assert data["result"]["rank"] == 6
     assert prime_field(7).name == "Fp:7"
+
+
+# A small argv grammar for the fuzz test below.  Functions have at most two
+# variables (or one, for gk-check's square-matrix check to pass) and every
+# size stays tiny: no cost guard refuses large work yet.  Each option draws
+# from its own pool, which mixes valid and invalid values, or now and then
+# from tokens that are wrong for (nearly) every option.
+_BAD = ("x", "-1", "", "1/0")
+_VALUES = {
+    "--fn": (
+        "esym:1,2", "esym:2,2", "det:1", "perm:1", "mod3:2", "rand:2,2,1",
+        "rand:1,3,4", "esym:3,2", "det:9", "nope:1", "rand:2",
+    ),
+    "--field": ("Q", "Fp:2", "Fp:3", "Fp:6"),
+    "--measure": MEASURES,
+    "--point": ("1,2", "0,0", "1/2,3", "1,1/0"),
+    "--module": (
+        "minors:dim_partials:2", "minors:shifted:3", "minors:hessian_rank:1",
+        "minors:term_count:0", "minors:dim_partials:x", "span:1",
+    ),
+    "--easy": (
+        "depth3:2,2,1", "depth4:2,2,1,1", "depth3:1,1,1", "depth3:2",
+        "depth4:2,2,1,3", "depth3:0,1,1",
+    ),
+    "--format": ("json", "csv"),
+}
+_VALUES["--hard"] = _VALUES["--fn"]
+_SMALL = ("0", "1", "2", "3")
+_REQUIRED = {
+    "measure": ("--fn", "--measure"),
+    "invariance": ("--fn", "--measure"),
+    "separate": ("--module", "--easy", "--hard"),
+    "table": (),
+    "rs-distance": ("--fn", "--bound"),
+    "gk-check": ("--fn",),
+}
+_OPTIONAL = {
+    "measure": ("--k", "--l", "--point"),
+    "invariance": ("--k", "--l", "--point", "--trials", "--seed", "--exhaustive"),
+    "separate": ("--k", "--l", "--trials", "--seed"),
+    "table": ("--n-min", "--n-max", "--d-min", "--d-max"),
+    "rs-distance": (),
+    "gk-check": ("--r", "--max-degree", "--trials", "--seed"),
+}
+_COMMON = ("--field", "--format", "--mod3-residue")
+
+
+@st.composite
+def cli_argvs(draw):
+    command = draw(st.sampled_from(sorted(_REQUIRED)))
+    # each required option is left out one time in eight
+    opts = [o for o in _REQUIRED[command] if draw(st.integers(0, 7)) < 7]
+    opts += draw(
+        st.lists(st.sampled_from(_OPTIONAL[command] + _COMMON), unique=True, max_size=4)
+    )
+    # the default table grid runs to n = 10, so the grammar caps it first
+    argv = [command] + (["--n-max", "3"] if command == "table" else [])
+    for opt in draw(st.permutations(opts)):
+        argv.append(opt)
+        if opt != "--exhaustive":
+            bad = draw(st.integers(0, 9)) == 9  # one value in ten is malformed
+            argv.append(draw(st.sampled_from(_BAD if bad else _VALUES.get(opt, _SMALL))))
+    return argv
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+@given(cli_argvs())
+def test_cli_fuzz_exits_with_a_documented_code_and_no_traceback(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3), (argv, code)
+    assert "Traceback" not in err.getvalue(), argv

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -204,9 +205,12 @@ def test_densify_lays_sparse_rows_over_the_grlex_support():
     cols, dense = densify(rows, RATIONALS)
     assert cols == [(0, 0), (0, 1), (1, 0)]
     assert dense == [[0, 0, 2], [0, 0, 0], [1, 3, 0]]
-    cols, dense = densify(rows, F5, cols=[(1, 0), (0, 0)])
-    assert cols == [(1, 0), (0, 0)]
-    assert dense == [[2, 0], [0, 0], [0, 1]]
+    cols, dense = densify(rows, F5, cols=[(1, 0), (0, 1), (0, 0)])
+    assert cols == [(1, 0), (0, 1), (0, 0)]
+    assert dense == [[2, 0, 0], [0, 0, 0], [0, 3, 1]]
+    # a key outside explicit columns is refused, not dropped
+    with pytest.raises(ValueError):
+        densify(rows, F5, cols=[(1, 0), (0, 0)])
     assert densify([], F5) == ([], [])
 
 

@@ -204,14 +204,25 @@ def test_substitute_linear_composition_law():
 def test_substitute_affine_pointwise():
     """f(A x + b) evaluated at p equals f evaluated at A p + b."""
     rng = random.Random(32)
-    for _ in range(10):
-        f = rand_poly(2, 3, rng)
-        a = [[rng.randint(-2, 2) for _ in range(2)] for _ in range(2)]
-        b = [rng.randint(-2, 2) for _ in range(2)]
-        g = substitute_affine(f, a, b)
-        pt = [rng.randint(-3, 3) for _ in range(2)]
-        moved = [sum(a[i][j] * pt[j] for j in range(2)) + b[i] for i in range(2)]
-        assert evaluate(g, pt) == evaluate(f, moved)
+    for fld in (RATIONALS, prime_field(7)):
+        for _ in range(10):
+            f = rand_poly(2, 3, rng, fld)
+            a = [[rng.randint(-2, 2) for _ in range(2)] for _ in range(2)]
+            b = [rng.randint(-2, 2) for _ in range(2)]
+            g = substitute_affine(f, a, b)
+            assert g.field == fld
+            pt = [rng.randint(-3, 3) for _ in range(2)]
+            moved = [sum(a[i][j] * pt[j] for j in range(2)) + b[i] for i in range(2)]
+            assert evaluate(g, pt) == evaluate(f, moved)
+    f = rand_poly(2, 3, rng)
+    for a, b in (
+        ([[1, 0], [0, 1]], [1]),  # shift too short
+        ([[1, 0]], [1, 1]),  # too few rows
+        ([[1, 0], [0, 1], [1, 1]], [1, 1]),  # too many rows
+        ([[1, 0], [0]], [1, 1]),  # ragged row
+    ):
+        with pytest.raises(ValueError):
+            substitute_affine(f, a, b)
 
 
 def test_restrict_constant_and_rename():

@@ -1,9 +1,11 @@
 """Tests for test modules: spans, minors, products, closure, separation runs."""
 
+import math
 import random
 
 import pytest
 
+from oracles import laplace_det
 from seplab import (
     Ambient,
     InfeasibleError,
@@ -165,12 +167,26 @@ def test_explicit_product_multiplies_bases():
 
 
 def test_poly_det_generic_two_by_two():
-    """det [[a, b], [c, d]] = ad - bc."""
+    """det [[a, b], [c, d]] = ad - bc; a 3x3 or 4x4 polynomial matrix's det,
+    evaluated at a point, is the Laplace determinant of the evaluated entries
+    (reduced mod p)."""
     a, b, c, d = (variable(i, 4) for i in range(4))
     det = poly_det([[a, b], [c, d]])
     assert det == Poly(4, RATIONALS, {(1, 0, 0, 1): 1, (0, 1, 1, 0): -1})
     with pytest.raises(ValueError):
         poly_det([[a, b]])
+    rng = random.Random(83)
+    for fld in (RATIONALS, prime_field(5)):
+        for k in (3, 4):
+            entries = [[rand_poly(2, 2, rng, fld) for _ in range(k)] for _ in range(k)]
+            det = poly_det(entries)
+            for _ in range(3):
+                pt = [rng.randint(-4, 4) for _ in range(2)]
+                vals = [[evaluate(t, pt) for t in row] for row in entries]
+                expected = laplace_det(vals)
+                if fld.p is not None:
+                    expected %= fld.p
+                assert evaluate(det, pt) == expected
 
 
 def test_poly_matrix_minors_enumeration():
@@ -201,15 +217,38 @@ def test_minors_explicit_of_generic_matrix():
 
 def test_symbolic_derivative_matrix_instantiates_to_the_numeric_one():
     """Plugging a polynomial's coefficients into the generic matrix recovers
-    its derivative matrix entry by entry."""
+    its derivative matrix entry by entry; every entry is the falling-factorial
+    multiplier (reduced mod p, so it can vanish when d >= p) times a slot."""
     rng = random.Random(81)
-    for n, d in ((1, 2), (2, 2)):
-        amb = Ambient(n, d, RATIONALS)
+    f2, f3 = prime_field(2), prime_field(3)
+    ambients = (
+        Ambient(1, 2, RATIONALS),
+        Ambient(2, 2, RATIONALS),
+        Ambient(2, 3, f2),
+        Ambient(1, 4, f2),
+        Ambient(2, 3, f3),
+        Ambient(1, 5, f3),
+        Ambient(2, 3, RATIONALS, homogeneous=True),
+    )
+    for amb in ambients:
+        n, d, fld = amb.n, amb.d, amb.field
         sym = symbolic_partial_deriv_matrix(amb)
+        index = {e: i for i, e in enumerate(amb.coeff_exponents())}
+        for c, row in zip(sym.row_labels, sym.entries):
+            for e, entry in zip(sym.col_labels, row):
+                big = tuple(a + b for a, b in zip(e, c))
+                if big not in index:
+                    assert entry.is_zero
+                    continue
+                mu = math.prod(math.perm(b, k) for b, k in zip(big, c))
+                slot = tuple(int(i == index[big]) for i in range(amb.N))
+                assert entry == Poly(amb.N, fld, {slot: mu})
         for _ in range(6):
-            f = rand_poly(n, d, rng)
+            f = zero(n, fld)
             while f.is_zero or f.degree != d:
-                f = rand_poly(n, d, rng)
+                f = rand_poly(n, d, rng, fld)
+                if amb.homogeneous:
+                    f = Poly(n, fld, {e: v for e, v in f.terms.items() if sum(e) == d})
             vec = amb.coeff_vector(f)
             numeric = partial_deriv_matrix(f)
             assert sym.row_labels == numeric.row_labels
