@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import comb
+from math import comb, prod
 from typing import Callable, Sequence
 
 from . import groups, linalg, measures
@@ -25,7 +25,7 @@ from .poly import Poly, grlex_key
 
 _DISTANCE_CODE_BITS = 24
 _DISTANCE_MAX_VARS = 16
-_GK_MAX_POINTS = 10_000
+_GK_MAX_CELLS = 500_000
 
 # The independent ways ``intersect_all`` can intersect subspaces.
 STRATEGIES = ("pairwise", "stacked")
@@ -478,9 +478,12 @@ def gk_intersection_test(
         raise ValueError(f"{m} variables do not form a square matrix")
     if r < 0:
         raise ValueError("derivative order bound must be nonnegative")
-    if q ** m > _GK_MAX_POINTS:
+    # the vanishing ideal is the kernel of a |GL_n(F_q)| x q^(n^2) matrix
+    cells = prod(q**n - q**i for i in range(n)) * q**m
+    if cells > _GK_MAX_CELLS:
         raise InfeasibleError(
-            f"q^(n^2) = {q ** m} exceeds the desk-scale budget {_GK_MAX_POINTS}"
+            f"|GL_n(F_q)| * q^(n^2) = {cells} cells exceed the desk-scale budget "
+            f"{_GK_MAX_CELLS}"
         )
     reduced_f = reduce_pointwise(f)
     cap = m * (q - 1)

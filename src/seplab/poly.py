@@ -14,6 +14,8 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
+from operator import sub
 from typing import Iterable, Mapping, Sequence
 
 from .field import Field, RATIONALS, Scalar
@@ -69,8 +71,8 @@ class Poly:
             raise ValueError("negative variable count")
         clean: dict[Exponent, Scalar] = {}
         for e, c in self.terms.items():
-            e = tuple(int(v) for v in e)
-            if len(e) != self.n or any(v < 0 for v in e):
+            e = tuple(map(int, e))
+            if len(e) != self.n or min(e, default=0) < 0:
                 raise ValueError(f"bad exponent {e} for {self.n} variable(s)")
             c = self.field.coerce(c)
             if c != 0:
@@ -205,22 +207,29 @@ def derivative(f: Poly, orders: Exponent) -> Poly:
     """Iterated formal derivative: differentiate ``orders[i]`` times in x_i.
 
     Coefficients pick up the falling-factorial multipliers, reduced mod p over
-    a prime field (so high-order derivatives can vanish there).
+    a prime field (so high-order derivatives can vanish there).  The first
+    request for an order k builds, in one pass over the terms, a table of
+    every order-k derivative of f; it is kept on f (outside its fields, so
+    equality and repr are unaffected) and freed with it.
     """
     orders = tuple(int(v) for v in orders)
     if len(orders) != f.n or any(v < 0 for v in orders):
         raise ValueError(f"bad derivative orders {orders} for n={f.n}")
-    terms = {}
-    for e, c in f.terms.items():
-        if all(ei >= oi for ei, oi in zip(e, orders)):
-            mult = 1
-            for ei, oi in zip(e, orders):
-                mult *= math.perm(ei, oi)
-            e2 = tuple(ei - oi for ei, oi in zip(e, orders))
-            prev = terms.get(e2)
-            contrib = c * mult
-            terms[e2] = contrib if prev is None else prev + contrib
-    return Poly(f.n, f.field, terms)
+    k = sum(orders)
+    # one table per order: callers that ask for a single order (hessian,
+    # shifted partials) never pay for the others
+    tables = f.__dict__.setdefault("_derivative_tables", {})
+    if k not in tables:
+        table: dict[Exponent, dict] = {}
+        for e, v in f.terms.items():
+            for c in product(*(range(min(ei, k) + 1) for ei in e)):
+                if sum(c) == k:
+                    mult = math.prod(map(math.perm, e, c))
+                    table.setdefault(c, {})[tuple(map(sub, e, c))] = (
+                        v if mult == 1 else v * mult
+                    )
+        tables[k] = table
+    return Poly(f.n, f.field, tables[k].get(orders, {}))
 
 
 def evaluate(f: Poly, point: Sequence) -> Scalar:

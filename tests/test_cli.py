@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import time
 from contextlib import redirect_stderr, redirect_stdout
 
 from hypothesis import given, settings
@@ -332,6 +333,22 @@ def test_gk_check_sampled_twists(capsys):
     )
     assert code == 0
     assert data["result"]["pairwise"]["sigma_count"] == 3
+
+
+def test_gk_check_guard_counts_matrix_cells_and_refuses_fast(capsys):
+    """The guard prices the |GL_n(F_q)| x q^(n^2) evaluation matrix, not its
+    q^(n^2) columns: det:2 over F_7 has 2,016 x 2,401 cells, rand:1,2,1 over
+    F_9973 has 9,972 x 9,973, and both are refused before that matrix is
+    built."""
+    for spec, q in (("det:2", 7), ("rand:1,2,1", 9973)):
+        for trials in ("1", "0"):
+            start = time.perf_counter()
+            argv = ["gk-check", "--fn", spec, "--field", f"Fp:{q}", "--trials", trials]
+            code = main(argv)
+            assert time.perf_counter() - start < 1.0
+            assert code == 3
+            captured = capsys.readouterr()
+            assert captured.out == "" and "cells" in captured.err
 
 
 def test_gk_check_rejects_rationals(capsys):

@@ -25,6 +25,7 @@ from seplab import (
     shifted_partials_rank,
     zero,
 )
+from seplab import measures
 from seplab.measures import rank_exact
 
 F7 = prime_field(7)
@@ -101,6 +102,26 @@ def test_derivative_rows_are_shift_major_and_keep_zero_rows():
     assert plain == [{(0, 1): 1}, {(1, 0): 1}, {}]
     shifted = derivative_rows(f, ops, shifts=[(0, 0), (1, 0)])
     assert shifted == plain + [{(1, 1): 1}, {(2, 0): 1}, {}]
+
+
+def test_derivative_rows_calls_derivative_once_per_operator(monkeypatch):
+    """One ``derivative`` call per operator, whatever the shifts; the
+    benchmark's span tracer counts these calls."""
+    calls = []
+    real = measures.derivative
+    monkeypatch.setattr(
+        measures, "derivative", lambda f, c: calls.append(c) or real(f, c)
+    )
+    # d^2/dx^2 (x^2 y + x y) = 2y vanishes over F_2
+    f = Poly(2, prime_field(2), {(2, 1): 1, (1, 1): 1})
+    ops = [(2, 0), (1, 0), (2, 0), (0, 1)]
+    plain = derivative_rows(f, ops)
+    assert calls == ops
+    assert plain == [{}, {(0, 1): 1}, {}, {(2, 0): 1, (1, 0): 1}]
+    calls.clear()
+    shifted = derivative_rows(f, ops, shifts=[(0, 0), (1, 0)])
+    assert calls == ops
+    assert shifted == plain + [{}, {(1, 1): 1}, {}, {(3, 0): 1, (2, 0): 1}]
 
 
 def test_order_zero_row_adds_one_for_homogeneous_inputs():

@@ -2,10 +2,13 @@
 
 import math
 import random
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import poly_to_sympy
 from seplab import (
@@ -148,6 +151,51 @@ def test_high_order_derivative_can_vanish_mod_p():
     """d^2/dx^2 of x^2 is 2, which is 0 over F_2."""
     f = monomial((2,), 1, prime_field(2))
     assert derivative(f, (2,)).is_zero
+
+
+@st.composite
+def polys_and_operators(draw):
+    """A polynomial whose exponents reach past p, so that some falling
+    factorials vanish mod p, and a shuffled list of derivative operators of
+    mixed orders with repeats."""
+    field = draw(st.sampled_from([RATIONALS, prime_field(2), prime_field(3), F7]))
+    n = draw(st.integers(1, 3))
+    exps = st.tuples(*[st.integers(0, 9)] * n)
+    if field.p is None:
+        coeffs = st.fractions(max_denominator=5, min_value=-9, max_value=9)
+    else:
+        coeffs = st.integers(-9, 9)
+    terms = draw(st.dictionaries(exps, coeffs, max_size=8))
+    ops = draw(st.lists(st.tuples(*[st.integers(0, 8)] * n), min_size=1, max_size=8))
+    ops = draw(st.permutations(ops + ops[: draw(st.integers(0, len(ops)))]))
+    return Poly(n, field, terms), ops
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(polys_and_operators())
+def test_derivative_matches_sympy_on_one_poly_queried_out_of_order(case):
+    f, ops = case
+    before = repr(f)
+    p = f.field.p
+    xs = sympy.symbols(f"x0:{f.n}")
+    lifted = sum(
+        (sympy.Rational(c.numerator, c.denominator) if p is None else c)
+        * sympy.prod([x**k for x, k in zip(xs, e)])
+        for e, c in f.terms.items()
+    )
+    for c in ops:
+        want = sympy.diff(lifted, *[v for x, k in zip(xs, c) for v in (x, k)])
+        want_terms = {}
+        for e, v in sympy.Poly(want, *xs).terms() if want != 0 else ():
+            v = Fraction(int(v.p), int(v.q))
+            if p is not None:
+                v = int(v) % p
+            if v:
+                want_terms[e] = v
+        assert derivative(f, c).terms == want_terms
+    assert f == Poly(f.n, f.field, dict(f.terms))
+    assert repr(f) == before
+    assert [fl.name for fl in fields(Poly)] == ["n", "field", "terms"]
 
 
 def test_evaluate_matches_sympy_substitution():
