@@ -35,13 +35,16 @@ from .poly import (
     zero,
 )
 from .linalg import (
+    Subspace,
     identity_matrix,
     is_invertible,
+    kernel,
     mat_mul,
     mat_vec,
     rank,
     right_kernel,
     rref,
+    span,
     span_rank,
 )
 from .measures import (
@@ -118,7 +121,6 @@ from .sepmod import (
 from .f2lab import (
     AgreementReport,
     GKReport,
-    SubspaceOverFq,
     TruthTable,
     distance_to_degree,
     format_table,
@@ -132,8 +134,6 @@ from .f2lab import (
     point_index,
     reduce_pointwise,
     table_from_int,
-    subspace_from_polys,
-    subspace_intersection,
     truth_table,
     truth_table_to_multilinear,
     vanishing_ideal_basis,

@@ -5,9 +5,10 @@ XOR subset-sum (binary Moebius) transform.  ``distance_to_degree`` finds the
 exact Hamming distance from a table to the nearest low-degree function by
 walking the whole low-degree code in Gray-code order.  Over a general prime
 field F_q the module works with *functions*, i.e. polynomials reduced by
-x^q = x: vanishing ideals of point sets, canonical subspaces of the reduced
-monomial space, subspace intersections by two independent strategies, and a
-twisted-derivative intersection check against the invertible-matrix locus.
+x^q = x, and subspaces of the reduced monomial space are ``linalg.Subspace``
+values: vanishing ideals of point sets, subspace intersections by two
+independent strategies, and a twisted-derivative intersection check against
+the invertible-matrix locus.
 """
 
 from __future__ import annotations
@@ -175,12 +176,6 @@ class AgreementReport:
         }
 
 
-def _monomial_masks(n: int, d: int) -> list[tuple[int, ...]]:
-    out = [e for bits in range(1 << n) if sum(e := index_point(bits, n)) <= d]
-    out.sort(key=grlex_key)
-    return out
-
-
 def distance_to_degree(t: TruthTable, d: int) -> AgreementReport:
     """Minimum Hamming distance from the table to any degree-<=d function.
 
@@ -202,7 +197,7 @@ def distance_to_degree(t: TruthTable, d: int) -> AgreementReport:
             f"degree-{d} code over {t.n} variables has 2^{m_count} words; "
             f"the enumeration budget is 2^{_DISTANCE_CODE_BITS}"
         )
-    monomials = _monomial_masks(t.n, d)
+    monomials = function_monomials(t.n, 2, d)
     masks = [point_index(e, t.n) for e in monomials]
     tables = [sum(1 << idx for idx in range(1 << t.n) if idx & m == m) for m in masks]
 
@@ -255,45 +250,9 @@ def function_monomials(m: int, q: int, max_degree: int) -> list[tuple[int, ...]]
     return out
 
 
-@dataclass(frozen=True)
-class SubspaceOverFq:
-    """Subspace of the reduced function space, basis kept in canonical RREF."""
-
-    q: int
-    monomials: tuple[tuple[int, ...], ...]
-    basis: tuple[tuple[int, ...], ...]
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
-    def polynomials(self, n: int) -> list[Poly]:
-        fld = prime_field(self.q)
-        return [
-            Poly(n, fld, {e: c for e, c in zip(self.monomials, row) if c})
-            for row in self.basis
-        ]
-
-
-def _make_subspace(q: int, monomials, rows) -> SubspaceOverFq:
-    fld = prime_field(q)
-    reduced, _ = linalg.rref(rows, fld, ncols=len(monomials))
-    return SubspaceOverFq(
-        q, tuple(monomials), tuple(tuple(r) for r in reduced)
-    )
-
-
-def subspace_from_polys(
-    polys: Sequence[Poly], q: int, monomials: Sequence[tuple[int, ...]]
-) -> SubspaceOverFq:
-    """Span of the given (already reduced) polynomials in the monomial basis."""
-    _, rows = linalg.densify([f.terms for f in polys], prime_field(q), monomials)
-    return _make_subspace(q, monomials, rows)
-
-
 def vanishing_ideal_basis(
     points: Sequence[Sequence[int]], max_degree: int, q: int
-) -> SubspaceOverFq:
+) -> linalg.Subspace:
     """All reduced functions of degree <= max_degree vanishing on the points.
 
     Computed as the right kernel of the evaluation matrix whose rows are the
@@ -305,15 +264,8 @@ def vanishing_ideal_basis(
     if any(len(p) != m for p in points):
         raise ValueError("points must share one dimension")
     monomials = function_monomials(m, q, max_degree)
-    fld = prime_field(q)
-    eval_rows = []
-    for pt in points:
-        pt = [v % q for v in pt]
-        eval_rows.append(
-            [_eval_monomial(pt, e, q) for e in monomials]
-        )
-    kernel = linalg.right_kernel(eval_rows, fld, ncols=len(monomials))
-    return SubspaceOverFq(q, tuple(monomials), tuple(tuple(r) for r in kernel))
+    eval_rows = [[_eval_monomial(pt, e, q) for e in monomials] for pt in points]
+    return linalg.kernel(eval_rows, prime_field(q), monomials)
 
 
 def _eval_monomial(point: Sequence[int], e: Sequence[int], q: int) -> int:
@@ -326,73 +278,29 @@ def _eval_monomial(point: Sequence[int], e: Sequence[int], q: int) -> int:
     return v
 
 
-def subspace_intersection(a: SubspaceOverFq, b: SubspaceOverFq) -> SubspaceOverFq:
-    """Intersection of two subspaces in the same ambient basis.
-
-    Solves U^T x = W^T y: the right kernel of the block matrix [U^T | -W^T]
-    gives coefficient pairs, and each x part maps to one intersection vector.
-    """
-    if a.q != b.q or a.monomials != b.monomials:
-        raise ValueError("subspaces live in different ambient spaces")
-    if not a.basis or not b.basis:
-        return _make_subspace(a.q, a.monomials, [])
-    fld = prime_field(a.q)
-    n_cols = len(a.monomials)
-    block = [
-        [a.basis[i][r] for i in range(a.dim)]
-        + [(-b.basis[j][r]) % a.q for j in range(b.dim)]
-        for r in range(n_cols)
-    ]
-    pairs = linalg.right_kernel(block, fld, ncols=a.dim + b.dim)
-    rows = []
-    for vec in pairs:
-        x = vec[: a.dim]
-        rows.append(
-            [
-                sum(x[i] * a.basis[i][c] for i in range(a.dim)) % a.q
-                for c in range(n_cols)
-            ]
-        )
-    return _make_subspace(a.q, a.monomials, rows)
-
-
-def _annihilator_rows(s: SubspaceOverFq) -> list[list[int]]:
-    return linalg.right_kernel(
-        [list(r) for r in s.basis], prime_field(s.q), ncols=len(s.monomials)
-    )
-
-
 def intersect_all(
-    subs: Sequence[SubspaceOverFq], strategy: str = "pairwise"
-) -> SubspaceOverFq:
+    subs: Sequence[linalg.Subspace], strategy: str = "pairwise"
+) -> linalg.Subspace:
     """Intersection of many subspaces.
 
-    "pairwise" folds subspace_intersection left to right; "stacked" collects
-    each subspace's annihilator (right kernel of its basis) into one
-    constraint system and takes a single kernel.  Both return the canonical
-    RREF basis, so results are comparable entry by entry.
+    "pairwise" folds ``Subspace.intersect`` left to right; "stacked" collects
+    each subspace's annihilator into one constraint system and takes a single
+    kernel.  Both return the canonical RREF basis, so results are comparable
+    entry by entry.
     """
     if not subs:
         raise ValueError("need at least one subspace")
     first = subs[0]
-    if any(s.q != first.q or s.monomials != first.monomials for s in subs):
+    if any(s.field != first.field or s.cols != first.cols for s in subs):
         raise ValueError("subspaces live in different ambient spaces")
     if strategy == "pairwise":
-        acc = subs[0]
+        acc = first
         for s in subs[1:]:
-            acc = subspace_intersection(acc, s)
+            acc = acc.intersect(s)
         return acc
     if strategy == "stacked":
-        constraints = []
-        for s in subs:
-            constraints.extend(_annihilator_rows(s))
-        fld = prime_field(first.q)
-        kernel = linalg.right_kernel(
-            constraints, fld, ncols=len(first.monomials)
-        )
-        return SubspaceOverFq(
-            first.q, first.monomials, tuple(tuple(r) for r in kernel)
-        )
+        constraints = [row for s in subs for row in s.annihilator().basis]
+        return linalg.kernel(constraints, first.field, first.cols)
     raise ValueError(f"unknown strategy {strategy!r}")
 
 
@@ -516,9 +424,9 @@ def gk_intersection_test(
     for s in sigmas:
         twist = _twist_matrix(s.matrix, n, q)
         twisted = [
-            reduce_pointwise(polyops.substitute_linear(g, twist)) for g in derivs
+            reduce_pointwise(polyops.substitute_linear(g, twist)).terms for g in derivs
         ]
-        spans.append(subspace_from_polys(twisted, q, monomials))
+        spans.append(linalg.span(twisted, f.field, monomials))
     ideal = vanishing_ideal_basis(gl_points(n, q), max_degree, q)
     reports = {}
     for strategy in STRATEGIES:

@@ -10,6 +10,7 @@ before and after random (or exhaustively enumerated) substitutions.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import random
 from dataclasses import dataclass
@@ -155,7 +156,7 @@ def random_invertible(
             ]
         else:
             rows = [[rng.randrange(field.p) for _ in range(n)] for _ in range(n)]
-        if linalg.is_invertible(rows, field):
+        with contextlib.suppress(ValueError):  # singular: draw again
             return linear_element(rows, field)
 
 
@@ -185,7 +186,7 @@ def enumerate_invertible(
     out = []
     for flat in itertools.product(range(field.p), repeat=n * n):
         rows = [list(flat[i * n : (i + 1) * n]) for i in range(n)]
-        if linalg.is_invertible(rows, field):
+        with contextlib.suppress(ValueError):  # singular matrices are skipped
             out.append(linear_element(rows, field))
             if len(out) > limit:
                 raise InfeasibleError(f"group larger than {limit} elements")

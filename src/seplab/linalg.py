@@ -6,18 +6,23 @@ of their denominators (which preserves the row space) and eliminated
 fraction-free (Bareiss); rows over F_p are reduced mod p and eliminated
 without inverses.  Rank is the number of pivots it finds, RREF
 back-substitutes over the echelon rows it leaves, and kernels and
-invertibility sit on those two.  RREF and kernels are canonical, so subspace
-equality is basis equality.
+invertibility sit on those two.
 
 Sparse rows are maps from column keys (exponent tuples) to scalars, such as
 polynomial term maps; ``densify`` is the one place they are laid out as dense
 rows.  Its columns are the grlex-sorted union of the row supports, or a given
 column list that must hold every key (a key outside it raises ValueError).
 ``span_rank`` ranks the span of sparse rows.
+
+``Subspace`` is the one exact subspace type: columns plus the canonical RREF
+basis, so subspace equality is basis equality.  ``span`` builds one from
+sparse rows and ``kernel`` from the null space of a dense matrix; it
+intersects with another subspace and gives its annihilator, over either field.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from math import lcm
 from typing import Mapping, Sequence
 
@@ -171,6 +176,66 @@ def right_kernel(rows, field: Field, ncols: int) -> list[list[Scalar]]:
         basis.append(v)
     reduced_basis, _ = rref(basis, field, ncols)
     return reduced_basis
+
+
+@dataclass(frozen=True)
+class Subspace:
+    """Subspace of the space of rows over ``cols``, kept as its canonical RREF
+    basis; build it with ``span`` or ``kernel``."""
+
+    field: Field
+    cols: tuple
+    basis: tuple[tuple[Scalar, ...], ...]
+
+    @property
+    def dim(self) -> int:
+        return len(self.basis)
+
+    def term_maps(self) -> list[dict]:
+        """The basis as sparse rows keyed by column."""
+        return [{e: c for e, c in zip(self.cols, row) if c} for row in self.basis]
+
+    def intersect(self, other: "Subspace") -> "Subspace":
+        """Intersection with a subspace of the same ambient space.
+
+        Solves U^T x = W^T y: the right kernel of the block matrix
+        [U^T | -W^T] gives coefficient pairs, and each x part maps to one
+        intersection vector x·U.
+        """
+        if self.field != other.field or self.cols != other.cols:
+            raise ValueError("subspaces live in different ambient spaces")
+        if not self.basis or not other.basis:
+            return Subspace(self.field, self.cols, ())
+        neg = self.field.neg
+        block = [
+            list(u) + [neg(w) for w in ws]
+            for u, ws in zip(zip(*self.basis), zip(*other.basis))
+        ]
+        pairs = right_kernel(block, self.field, ncols=self.dim + other.dim)
+        xs = [v[: self.dim] for v in pairs]
+        rows = mat_mul(xs, self.basis, self.field) if xs else []
+        return _reduced(rows, self.field, self.cols)
+
+    def annihilator(self) -> "Subspace":
+        """All v with u·v = 0 for every u in the subspace."""
+        return kernel(self.basis, self.field, self.cols)
+
+
+def _reduced(rows, field: Field, cols: Sequence) -> Subspace:
+    reduced, _ = rref(rows, field, ncols=len(cols))
+    return Subspace(field, tuple(cols), tuple(map(tuple, reduced)))
+
+
+def span(rows: Sequence[Mapping], field: Field, cols: Sequence | None = None) -> Subspace:
+    """Span of sparse rows, laid out over ``cols`` as ``densify`` does."""
+    cols, dense = densify(rows, field, cols)
+    return _reduced(dense, field, cols)
+
+
+def kernel(rows, field: Field, cols: Sequence) -> Subspace:
+    """{v : M·v = 0} for the dense matrix M whose columns are ``cols``."""
+    basis = right_kernel(rows, field, ncols=len(cols))
+    return Subspace(field, tuple(cols), tuple(map(tuple, basis)))
 
 
 def mat_mul(a, b, field: Field) -> list[list[Scalar]]:

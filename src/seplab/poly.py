@@ -195,12 +195,7 @@ def partial_derivative(f: Poly, i: int) -> Poly:
     """Formal derivative with respect to variable ``i``."""
     if not 0 <= i < f.n:
         raise IndexError(f"variable index {i} out of range for n={f.n}")
-    terms = {}
-    for e, c in f.terms.items():
-        if e[i]:
-            e2 = e[:i] + (e[i] - 1,) + e[i + 1 :]
-            terms[e2] = c * e[i]
-    return Poly(f.n, f.field, terms)
+    return derivative(f, tuple(int(j == i) for j in range(f.n)))
 
 
 def derivative(f: Poly, orders: Exponent) -> Poly:

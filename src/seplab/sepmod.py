@@ -4,10 +4,10 @@ An input polynomial of degree at most d in n variables is a point of
 coefficient space; a *test polynomial* is a polynomial in one coefficient
 variable per monomial slot.  Test modules come in three shapes: rank
 thresholds of a measure (semantically the span of all minors above the
-threshold), explicit spans of test polynomials, and products implementing
-property disjunction.  ``run_separation`` drives the whole pipeline: sample
-easy circuits, evaluate the module on each expansion, and test the hard
-candidate exactly.
+threshold), explicit spans of test polynomials (canonical bases from
+``linalg.span``), and products implementing property disjunction.
+``run_separation`` drives the whole pipeline: sample easy circuits, evaluate
+the module on each expansion, and test the hard candidate exactly.
 """
 
 from __future__ import annotations
@@ -87,22 +87,6 @@ class Ambient:
 
 
 # ---------------------------------------------------------------------------
-# span arithmetic on test polynomials
-# ---------------------------------------------------------------------------
-
-
-def _reduce_polys(polys: Sequence[Poly], nvars: int, fld: Field) -> tuple[Poly, ...]:
-    support, rows = linalg.densify([t.terms for t in polys], fld)
-    if not support:
-        return ()
-    reduced, _ = linalg.rref(rows, fld, ncols=len(support))
-    return tuple(
-        Poly(nvars, fld, {e: c for e, c in zip(support, row) if c != 0})
-        for row in reduced
-    )
-
-
-# ---------------------------------------------------------------------------
 # test-module variants
 # ---------------------------------------------------------------------------
 
@@ -122,7 +106,9 @@ class ExplicitSpan:
                     f"not fit coefficient space of dimension {self.ambient.N} "
                     f"over {self.ambient.field}"
                 )
-        reduced = _reduce_polys(self.basis, self.ambient.N, self.ambient.field)
+        fld = self.ambient.field
+        sub = linalg.span([t.terms for t in self.basis], fld)
+        reduced = tuple(Poly(self.ambient.N, fld, t) for t in sub.term_maps())
         object.__setattr__(self, "basis", reduced)
 
     @property

@@ -381,8 +381,8 @@ def test_criterion_11_invertible_point_set_ideal_and_twisted_spans():
     assert len(points) == 6
     ideal = vanishing_ideal_basis(points, 4, 2)
     assert ideal.dim == 10
-    for g in ideal.polynomials(4):
-        assert all(evaluate(g, pt) == 0 for pt in points)
+    for terms in ideal.term_maps():
+        assert all(evaluate(Poly(4, ideal.field, terms), pt) == 0 for pt in points)
 
     f2 = prime_field(2)
     rng = random.Random(111111)

@@ -26,8 +26,7 @@ from seplab import (
     permutation_element,
     prime_field,
     reduce_pointwise,
-    subspace_from_polys,
-    subspace_intersection,
+    span,
     truth_table,
     truth_table_to_multilinear,
     vanishing_ideal_basis,
@@ -46,12 +45,12 @@ def rand_table(n, rng):
 
 
 def rand_subspace(q, monomials, rng, nrows):
-    from seplab.f2lab import _make_subspace
+    rows = [{e: rng.randrange(q) for e in monomials} for _ in range(nrows)]
+    return span(rows, prime_field(q), monomials)
 
-    rows = [
-        [rng.randrange(q) for _ in range(len(monomials))] for _ in range(nrows)
-    ]
-    return _make_subspace(q, monomials, rows)
+
+def polynomials(sub, n):
+    return [Poly(n, sub.field, t) for t in sub.term_maps()]
 
 
 def test_point_indexing_round_trip():
@@ -223,7 +222,7 @@ def test_vanishing_ideal_of_the_full_cube_is_zero():
 def test_vanishing_ideal_of_the_origin():
     ideal = vanishing_ideal_basis([(0, 0)], 1, 2)
     assert ideal.dim == 2
-    for f in ideal.polynomials(2):
+    for f in polynomials(ideal, 2):
         assert evaluate(f, [0, 0]) == 0
 
 
@@ -233,7 +232,7 @@ def test_vanishing_ideal_of_invertible_matrices_frozen_dim():
     assert len(pts) == 6
     ideal = vanishing_ideal_basis(pts, 4, 2)
     assert ideal.dim == 10
-    for f in ideal.polynomials(4):
+    for f in polynomials(ideal, 4):
         for pt in pts:
             assert evaluate(f, list(pt)) == 0
 
@@ -245,10 +244,10 @@ def test_subspace_intersection_elementary_cases():
     while full.dim < 4:
         full = rand_subspace(2, monos, rng, 10)
     a = rand_subspace(2, monos, rng, 2)
-    empty = subspace_from_polys([], 2, monos)
-    assert subspace_intersection(a, full).basis == a.basis
-    assert subspace_intersection(a, empty).dim == 0
-    assert subspace_intersection(a, a).basis == a.basis
+    empty = span([], F2, monos)
+    assert a.intersect(full).basis == a.basis
+    assert a.intersect(empty).dim == 0
+    assert a.intersect(a).basis == a.basis
 
 
 def test_subspace_intersection_is_commutative_and_bounded():
@@ -258,8 +257,8 @@ def test_subspace_intersection_is_commutative_and_bounded():
         for _ in range(15):
             a = rand_subspace(q, monos, rng, rng.randint(1, 4))
             b = rand_subspace(q, monos, rng, rng.randint(1, 4))
-            ab = subspace_intersection(a, b)
-            ba = subspace_intersection(b, a)
+            ab = a.intersect(b)
+            ba = b.intersect(a)
             assert ab.basis == ba.basis
             assert ab.dim <= min(a.dim, b.dim)
 
@@ -285,14 +284,14 @@ def test_intersect_all_strategies_agree():
 def test_subspace_from_polys_rejects_monomials_outside_the_basis():
     monos = function_monomials(2, 2, 1)
     with pytest.raises(ValueError):
-        subspace_from_polys([Poly(2, F2, {(1, 1): 1})], 2, monos)
+        span([Poly(2, F2, {(1, 1): 1}).terms], F2, monos)
 
 
 def test_subspace_ambient_mismatch_rejected():
-    a = subspace_from_polys([], 2, function_monomials(2, 2, 2))
-    b = subspace_from_polys([], 2, function_monomials(2, 2, 1))
+    a = span([], F2, function_monomials(2, 2, 2))
+    b = span([], F2, function_monomials(2, 2, 1))
     with pytest.raises(ValueError):
-        subspace_intersection(a, b)
+        a.intersect(b)
 
 
 def test_gl_points_are_the_invertible_matrices():
@@ -331,7 +330,7 @@ def test_gk_determinant_frozen_outcome():
 def test_gk_positive_construction():
     """A function taken from the vanishing ideal itself passes the test."""
     ideal = vanishing_ideal_basis(gl_points(2, 2), 4, 2)
-    f = ideal.polynomials(4)[0]
+    f = polynomials(ideal, 4)[0]
     for rep in gk_intersection_test(f, 0, [identity_element(2, F2)]).values():
         assert rep.lambda_dim == 1
         assert rep.intersection_dim == 1
@@ -345,11 +344,20 @@ def test_gk_builds_the_vanishing_ideal_once_for_both_strategies(monkeypatch):
         calls.append(args)
         return vanishing_ideal_basis(*args)
 
+    intersections = []
+
+    def counting_intersect(*args):
+        intersections.append(args)
+        return intersect_all(*args)
+
     monkeypatch.setattr(f2lab, "vanishing_ideal_basis", counting)
+    monkeypatch.setattr(f2lab, "intersect_all", counting_intersect)
     reports = gk_intersection_test(
         determinant_poly(2, F3), 1, [identity_element(2, F3)]
     )
     assert len(calls) == 1
+    # the twisted spans, then the ideal, once per strategy
+    assert len(intersections) == 2 * len(f2lab.STRATEGIES) == 4
     assert tuple(reports) == f2lab.STRATEGIES
     assert reports["pairwise"].to_json() == {
         **reports["stacked"].to_json(),

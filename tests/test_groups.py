@@ -25,6 +25,7 @@ from seplab import (
     random_permutation,
     variable,
 )
+from seplab import linalg
 from seplab.linalg import mat_mul, mat_vec
 
 F5 = prime_field(5)
@@ -212,3 +213,32 @@ def test_term_count_is_not_invariant():
     assert data["measure"] == "term_count"
     assert data["all_equal"] is False
     assert len(data["values"]) == 5
+
+
+def test_each_invertible_candidate_is_ranked_once(monkeypatch):
+    ranks = []
+    real_rank = linalg.rank
+
+    def counting(*args, **kwargs):
+        ranks.append(args)
+        return real_rank(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "rank", counting)
+    f2 = prime_field(2)
+    assert len(enumerate_invertible(2, f2)) == 6
+    assert len(ranks) == 16  # every 2x2 matrix over F_2, singular or not
+
+    draws = []
+
+    class CountingRandom(random.Random):
+        def randrange(self, *args):
+            draws.append(args)
+            return super().randrange(*args)
+
+    ranks.clear()
+    rng = CountingRandom(3)
+    for _ in range(20):
+        random_invertible(2, f2, rng)
+    candidates = len(draws) // 4
+    assert candidates > 20  # some draws were singular and redrawn
+    assert len(ranks) == candidates

@@ -1,4 +1,4 @@
-"""Tests for exact linear algebra (rank, rref, kernels)."""
+"""Tests for exact linear algebra (rank, rref, kernels, subspaces)."""
 
 import random
 from fractions import Fraction
@@ -7,8 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import modular_rank, oracle_rref, rational_rank
-from seplab import RATIONALS, prime_field
+from oracles import modular_rank, oracle_rank, oracle_rref, rational_rank
+from seplab import RATIONALS, intersect_all, prime_field
 from seplab.linalg import (
     densify,
     identity_matrix,
@@ -18,6 +18,7 @@ from seplab.linalg import (
     rank,
     rref,
     right_kernel,
+    span,
     span_rank,
 )
 
@@ -228,3 +229,67 @@ def test_span_rank_of_sparse_rows_against_sympy():
             expected = rational_rank(dense) if p is None else modular_rank(dense, p)
             assert span_rank(rows, field) == expected
     assert span_rank([{}, {}], RATIONALS) == 0
+
+
+@st.composite
+def subspace_pairs(draw):
+    """(A rows, B rows, width, p): two dense matrices of one width."""
+    p = draw(st.sampled_from([None, 2, 3, 7]))
+    nc = draw(st.integers(1, 5))
+    entry = st.one_of(st.just(0), st.integers(-4, 4))
+    if p is None:
+        entry = st.one_of(entry, st.fractions(-4, 4, max_denominator=3))
+
+    def matrix():
+        row = st.lists(entry, min_size=nc, max_size=nc)
+        return draw(st.lists(row, max_size=4))
+
+    a, b = matrix(), matrix()
+    # B may also hold combinations of A's rows, so the spans often meet
+    for _ in range(draw(st.integers(0, 2)) if a else 0):
+        i, j = draw(st.integers(0, len(a) - 1)), draw(st.integers(0, len(a) - 1))
+        s, t = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+        b.append([s * x + t * y for x, y in zip(a[i], a[j])])
+    return a, b, nc, p
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(subspace_pairs())
+def test_subspace_span_and_intersection_against_sympy(case):
+    a_rows, b_rows, nc, p = case
+    field = RATIONALS if p is None else prime_field(p)
+    cols = [(j,) for j in range(nc)]
+    a, b = (
+        span([{c: x for c, x in zip(cols, r) if x} for r in m], field, cols)
+        for m in (a_rows, b_rows)
+    )
+    for sub, m in ((a, a_rows), (b, b_rows)):
+        assert [list(r) for r in sub.basis] == oracle_rref(m, p)[0]
+        assert sub.cols == tuple(cols)
+
+    both = a.intersect(b)
+    assert both.dim == a.dim + b.dim - oracle_rank(a.basis + b.basis, p)
+    for row in both.basis:
+        for sub in (a, b):
+            assert oracle_rank(sub.basis + (row,), p) == sub.dim
+    assert intersect_all([a, b], "pairwise") == both
+    assert intersect_all([a, b], "stacked") == both
+    assert a.annihilator().dim == nc - a.dim
+
+
+def test_subspace_term_maps_round_trip_through_span():
+    cols = [(0, 0), (0, 1), (1, 0)]
+    sub = span([{(1, 0): 2, (0, 1): 4}, {(0, 0): 1}], F5, cols)
+    assert sub.term_maps() == [{(0, 0): 1}, {(0, 1): 1, (1, 0): 3}]
+    assert span(sub.term_maps(), F5, cols) == sub
+
+
+def test_subspace_ambient_mismatch_is_refused():
+    cols = [(0,), (1,)]
+    a = span([{(0,): 1}], F5, cols)
+    with pytest.raises(ValueError):
+        a.intersect(span([{(0,): 1}], RATIONALS, cols))
+    with pytest.raises(ValueError):
+        a.intersect(span([{(0,): 1}], F5, cols[:1]))
+    with pytest.raises(ValueError):
+        intersect_all([a, span([], F5, cols[:1])], "stacked")
