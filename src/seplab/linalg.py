@@ -1,12 +1,14 @@
 """Dense exact linear algebra over the rationals and prime fields.
 
 Matrices are lists of row lists of scalars.  One forward-elimination routine
-serves both fields: rows over the rationals are scaled to integers by the lcm
-of their denominators (which preserves the row space) and eliminated
-fraction-free (Bareiss); rows over F_p are reduced mod p and eliminated
-without inverses.  Rank is the number of pivots it finds, RREF
-back-substitutes over the echelon rows it leaves, and kernels and
-invertibility sit on those two.
+serves both fields, and each of its steps touches only the rows with a
+nonzero pivot-column entry and, in them, only nonzero columns.  Rows over the
+rationals are scaled to integers by the lcm of their denominators (which
+preserves the row space) and eliminated fraction-free (Bareiss), with the
+rescaling of skipped rows deferred until they are next touched; rows over F_p
+are reduced mod p and eliminated against a monic pivot row.  Rank is the
+number of pivots it finds, RREF back-substitutes over the echelon rows it
+leaves, and kernels and invertibility sit on those two.
 
 Sparse rows are maps from column keys (exponent tuples) to scalars, such as
 polynomial term maps; ``densify`` is the one place they are laid out as dense
@@ -42,14 +44,35 @@ def _integer_rows(rows: list[list]) -> list[list[int]]:
 def _eliminate(m: list[list[int]], p: int | None) -> list[int]:
     """Forward-eliminate integer rows in place; return the pivot columns.
 
-    With ``p`` None this is fraction-free Bareiss, otherwise inverse-free
-    elimination on rows already reduced mod p.  Afterwards the first
-    len(pivots) rows are an echelon basis of the row space and the rest are 0.
+    Afterwards the first len(pivots) rows are an echelon basis of the row
+    space and the rest are 0.  A step skips every row whose pivot-column
+    entry is 0 and, in the rows it updates, every column where both that row
+    and the pivot row are 0.
+
+    Mod p (rows already reduced) the pivot row is made monic with one
+    inverse and its nonzero columns past the pivot are listed once; the rows
+    below are updated in those columns only.
+
+    With ``p`` None this is fraction-free Bareiss with deferred scaling.  A
+    Bareiss step only rescales a row whose pivot-column entry is 0, so that
+    scaling waits: ``d`` holds 1 and the pivots so far, and ``stamp[i]`` the
+    step at which row i was last brought up to date.  When a row is next
+    touched at step k, as the pivot or as a row being eliminated, each nonzero
+    x first becomes x * d[k] // d[s] for its stamp s, before its pivot-column
+    entry is read; that is its Bareiss value, so the division is exact.
     """
     nrows = len(m)
     ncols = len(m[0]) if m else 0
     pivots: list[int] = []
-    prev = 1
+    d = [1]
+    stamp = [0] * nrows
+
+    def catch_up(row: list[int], s: int, k: int, c: int) -> None:
+        num, den = d[k], d[s]
+        for j in range(c, ncols):
+            if row[j]:
+                row[j] = row[j] * num // den
+
     for c in range(ncols):
         r = len(pivots)
         if r == nrows:
@@ -58,27 +81,40 @@ def _eliminate(m: list[list[int]], p: int | None) -> list[int]:
         if piv is None:
             continue
         m[r], m[piv] = m[piv], m[r]
+        stamp[r], stamp[piv] = stamp[piv], stamp[r]
         row_r = m[r]
-        mrc = row_r[c]
-        for i in range(r + 1, nrows):
-            row_i = m[i]
-            mic = row_i[c]
-            if p is not None:
-                if mic:
-                    for j in range(c + 1, ncols):
-                        row_i[j] = (mrc * row_i[j] - mic * row_r[j]) % p
+        if p is not None:
+            nz = [j for j in range(c + 1, ncols) if row_r[j]]
+            inv = pow(row_r[c], -1, p)
+            if inv != 1:
+                for j in nz:
+                    row_r[j] = row_r[j] * inv % p
+                row_r[c] = 1
+            for row_i in m[r + 1 :]:
+                f = row_i[c]
+                if f:
+                    for j in nz:
+                        row_i[j] = (row_i[j] - f * row_r[j]) % p
                     row_i[c] = 0
-            elif mic:
-                for j in range(c + 1, ncols):
-                    row_i[j] = (mrc * row_i[j] - mic * row_r[j]) // prev
-                row_i[c] = 0
-            else:
-                # The zero-pivot-column case still needs the full one-step
-                # update (scale by mrc, divide by the previous pivot), or the
-                # later exact divisions stop being exact.
-                for j in range(c + 1, ncols):
-                    row_i[j] = mrc * row_i[j] // prev
-        prev = mrc
+        else:
+            if stamp[r] != r:
+                catch_up(row_r, stamp[r], r, c)
+            mrc, prev = row_r[c], d[r]
+            for i in range(r + 1, nrows):
+                row_i = m[i]
+                if row_i[c]:
+                    if stamp[i] != r:
+                        catch_up(row_i, stamp[i], r, c)
+                    mic = row_i[c]
+                    for j in range(c + 1, ncols):
+                        a, b = row_i[j], row_r[j]
+                        if b:
+                            row_i[j] = (mrc * a - mic * b) // prev
+                        elif a:
+                            row_i[j] = mrc * a // prev
+                    row_i[c] = 0
+                    stamp[i] = r + 1
+            d.append(mrc)
         pivots.append(c)
     return pivots
 
@@ -95,7 +131,12 @@ def _echelon(rows, field: Field, ncols: int | None) -> tuple[list[list[int]], li
     elif ncols is None:
         raise ValueError("empty matrix needs an explicit column count")
     p = field.p
-    m = _integer_rows(m) if p is None else [[x % p for x in row] for row in m]
+    if p is None:
+        m = _integer_rows(m)
+    else:
+        # a Fraction stays a Fraction under % p, so it goes through coerce
+        coerce = field.coerce
+        m = [[x % p if type(x) is int else coerce(x) for x in row] for row in m]
     return m, _eliminate(m, p)
 
 
@@ -144,14 +185,14 @@ def rref(rows, field: Field, ncols: int | None = None) -> tuple[list[list[Scalar
     m, pivots = _echelon(rows, field, ncols)
     p = field.p
     # Back-substitute over the echelon rows, bottom row first: scale each
-    # pivot row to a leading 1, then clear its pivot column in the rows above.
+    # pivot row to a leading 1 (mod p it already has one), then clear its
+    # pivot column in the rows above.
     for k in range(len(pivots) - 1, -1, -1):
         c = pivots[k]
-        inv = field.inv(m[k][c])
+        row = m[k]
         if p is None:
-            row = m[k] = [x * inv for x in m[k]]
-        else:
-            row = m[k] = [x * inv % p for x in m[k]]
+            inv = field.inv(row[c])
+            row = m[k] = [x * inv for x in row]
         for i in range(k):
             factor = m[i][c]
             if factor:

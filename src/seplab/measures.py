@@ -66,7 +66,8 @@ class ExactMatrix:
 
 
 def rank_exact(m: ExactMatrix) -> int:
-    """Exact rank (Bareiss over the rationals, Gaussian elimination mod p)."""
+    """Exact rank (``linalg.rank``: Bareiss with deferred scaling over the
+    rationals, elimination against monic pivot rows mod p)."""
     return linalg.rank(m.entries, m.field, ncols=m.cols)
 
 

@@ -129,6 +129,55 @@ def test_rref_fuzz_against_sympy(case):
     assert rref(m, field, ncols) == oracle_rref(m, p)
 
 
+@st.composite
+def banded_matrices(draw):
+    """(matrix, column count, p): sparse banded rows, as in shifted partials.
+
+    Each row is nonzero only in a short band at a random offset, so a row
+    whose band starts further right is skipped by several pivot steps before
+    one hits it.  Entries avoid 1 so pivots are rarely units, and some rows
+    are combinations of others so the rank drops.
+    """
+    p = draw(st.sampled_from([None, 2, 3, 7, 1000003, 2**31 - 1]))
+    nr, nc = draw(st.integers(1, 12)), draw(st.integers(1, 14))
+    band = draw(st.integers(1, 4))
+    cell = st.sampled_from([2, -2, 3, -3, 5, 6, -7, 9])
+    if p is None:
+        cell = st.one_of(cell, st.sampled_from([Fraction(3, 2), Fraction(-5, 4)]))
+    cell = st.one_of(st.just(0), cell, cell)
+    m = []
+    for _ in range(nr):
+        start = draw(st.integers(0, nc - 1))
+        m.append([draw(cell) if start <= j < start + band else 0 for j in range(nc)])
+    for _ in range(draw(st.integers(0, 2))):
+        i, j = draw(st.integers(0, nr - 1)), draw(st.integers(0, nr - 1))
+        s, t = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        m.insert(draw(st.integers(0, len(m))), [s * x + t * y for x, y in zip(m[i], m[j])])
+    return m, nc, p
+
+
+@settings(max_examples=250, deadline=None, derandomize=True, database=None)
+@given(banded_matrices())
+# Over Q row 3 is skipped by the first pivot step and row 1 becomes the zero
+# row that swaps places with row 2.  Elimination goes wrong here if a stale
+# row is not caught up with d[k] // d[s], if a row's pivot-column entry is
+# read before its catch-up, or if row stamps do not move with the rows.
+@example(([[0, 3, 5, 2, 0], [0, 3, 5, 2, 0], [0, -1, -1, 3, 0], [0, 0, -1, -2, 2]], 5, None))
+def test_sparse_elimination_against_sympy(case):
+    m, nc, p = case
+    field = RATIONALS if p is None else prime_field(p)
+    assert rank(m, field, nc) == oracle_rank(m, p)
+    reduced, pivots = rref(m, field, nc)
+    assert (reduced, pivots) == oracle_rref(m, p)
+    basis = right_kernel(m, field, nc)
+    assert len(basis) == nc - len(pivots)
+    for v in basis:
+        for row in m:
+            dot = sum(Fraction(x) * y for x, y in zip(row, v))
+            assert (dot if p is None else dot % p) == 0
+    assert oracle_rref(basis, p)[0] == basis
+
+
 def test_rref_is_canonical_and_idempotent():
     rng = random.Random(7)
     for _ in range(30):
@@ -176,6 +225,26 @@ def test_right_kernel_of_empty_matrix_is_full_space():
     basis = right_kernel([], RATIONALS, 3)
     assert len(basis) == 3
     assert rank(basis, RATIONALS) == 3
+
+
+def test_fraction_entries_over_prime_fields_are_coerced():
+    """1/2 is 4 in F_7, so this matrix has determinant 4 - 4 = 0 there."""
+    F7 = prime_field(7)
+    m = [[Fraction(1, 2), 2], [2, 1]]
+    assert rank(m, F7) == 1
+    assert not is_invertible(m, F7)
+    assert rref(m, F7) == ([[1, 4]], [0])
+    assert right_kernel(m, F7, 2) == [[1, 5]]
+    # a denominator that vanishes mod p has no value in F_p
+    bad = [[Fraction(1, 7), 1], [0, 1]]
+    for call in (
+        lambda: rank(bad, F7),
+        lambda: is_invertible(bad, F7),
+        lambda: rref(bad, F7),
+        lambda: right_kernel(bad, F7, 2),
+    ):
+        with pytest.raises(ZeroDivisionError):
+            call()
 
 
 def test_identity_and_invertibility():

@@ -168,6 +168,16 @@ def test_shifted_partials_equals_full_matrix_rank():
                 )
 
 
+def test_shifted_partials_at_benchmark_scale():
+    """esym(4,7) with k=l=2 has the rank stored in bench/reference.json over
+    both fields, and on esym(4,6) the pruned block ranks agree with the rank
+    of the full matrix, where most rows skip several pivot steps."""
+    for field in (RATIONALS, prime_field(1000003)):
+        assert shifted_partials_rank(elementary_symmetric(4, 7, field), 2, 2) == 301
+    f = elementary_symmetric(4, 6)
+    assert shifted_partials_rank(f, 2, 2) == rank_exact(shifted_partials_matrix(f, 2, 2))
+
+
 def test_shifted_partials_matches_independent_oracle():
     rng = random.Random(21)
     for _ in range(6):
