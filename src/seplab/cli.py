@@ -316,6 +316,7 @@ def cmd_rs_distance(args) -> int:
         raise ValueError("pass exactly one of --fn and --table")
     if args.fn:
         f = functions.from_spec(args.fn, prime_field(2), args.mod3_residue)
+        f2lab.low_degree_code_size(f.n, args.bound)  # refuse before the 2^n table
         t = f2lab.multilinear_to_truth_table(f2lab.reduce_pointwise(f))
         source = {"fn": args.fn}
     else:

@@ -26,6 +26,7 @@ from .poly import Poly, grlex_key
 
 _DISTANCE_CODE_BITS = 24
 _DISTANCE_MAX_VARS = 16
+_PACK_BITS = 1 << 16
 _GK_MAX_CELLS = 500_000
 
 # The independent ways ``intersect_all`` can intersect subspaces.
@@ -176,50 +177,151 @@ class AgreementReport:
         }
 
 
+def low_degree_code_size(n: int, d: int) -> int:
+    """Number M of multilinear monomials of degree <= d on n variables.
+
+    This is the guard of ``distance_to_degree``, which walks all 2^M words of
+    the code: a negative d raises ``ValueError``, and more than 16 variables
+    or more than 2^24 words raise ``InfeasibleError``.  It needs only n and
+    d, so callers run it before they build a 2^n-entry table.
+    """
+    if d < 0:
+        raise ValueError("degree bound must be nonnegative")
+    if n > _DISTANCE_MAX_VARS:
+        raise InfeasibleError(
+            f"table on {n} > {_DISTANCE_MAX_VARS} variables is out of desk range"
+        )
+    d = min(d, n)
+    m_count = sum(comb(n, i) for i in range(d + 1))
+    if m_count > _DISTANCE_CODE_BITS:
+        raise InfeasibleError(
+            f"degree-{d} code over {n} variables has 2^{m_count} words; "
+            f"the enumeration budget is 2^{_DISTANCE_CODE_BITS}"
+        )
+    return m_count
+
+
 def distance_to_degree(t: TruthTable, d: int) -> AgreementReport:
     """Minimum Hamming distance from the table to any degree-<=d function.
 
     Walks all 2^M codewords (M = number of multilinear monomials of degree
-    <= d) in Gray-code order, flipping one monomial table per step, so each
-    candidate costs one XOR and one popcount.  First codeword achieving the
-    minimum is the reported witness.
+    <= d, the constant first in grlex order) in Gray-code order, many per
+    big-integer pass, and reports as witness the first codeword in Gray
+    order at the minimum distance.
+
+    - Lanes.  Gray step 2P + c holds the constant iff c differs from the low
+      bit of P; its other monomials are those of the Gray word of P.  The low
+      b bits of P form an inner block whose 2^b words, each XOR the target,
+      sit in one integer of at most 2^16 bits, one max(8, 2^n)-bit lane per
+      word.  The high bits of P take one Gray step per pass, XORing one
+      monomial table into every lane.  After an odd outer step the inner
+      block runs backwards (the Gray code reflects), so a reversed copy of
+      the lanes serves those steps.
+    - Counts.  A masked shift-add tree (popcounts of 1-, 2-, 4-, ... bit
+      fields) leaves each lane's distance c to the target in the lane.
+    - Complement pairs.  Steps 2P and 2P + 1 differ only by the constant, so
+      one lane stands for both c and 2^n - c.  Two masked subtractions test
+      every lane at once for min(c, 2^n - c) below the best so far.
+
+    Only a strict improvement reads the lanes out, so a tie never replaces
+    the best.  The first lane whose pair reaches the new minimum gives P, and
+    the witness is the pair member at that distance; when both are
+    (c = 2^n - c), the earlier step 2P, which holds the constant iff P is
+    odd.  The walk stops early at distance 0; ``candidates`` is 2^M always.
     """
-    if d < 0:
-        raise ValueError("degree bound must be nonnegative")
-    if t.n > _DISTANCE_MAX_VARS:
-        raise InfeasibleError(
-            f"table on {t.n} > {_DISTANCE_MAX_VARS} variables is out of desk range"
-        )
+    m_count = low_degree_code_size(t.n, d)
     d = min(d, t.n)
-    m_count = sum(comb(t.n, i) for i in range(d + 1))
-    if m_count > _DISTANCE_CODE_BITS:
-        raise InfeasibleError(
-            f"degree-{d} code over {t.n} variables has 2^{m_count} words; "
-            f"the enumeration budget is 2^{_DISTANCE_CODE_BITS}"
-        )
     monomials = function_monomials(t.n, 2, d)
-    masks = [point_index(e, t.n) for e in monomials]
-    tables = [sum(1 << idx for idx in range(1 << t.n) if idx & m == m) for m in masks]
-
-    target = t.as_int()
-    best_dist = target.bit_count()
-    best_mask = 0
-    word = 0
-    for k in range(1, 1 << m_count):
-        flip = (k & -k).bit_length() - 1
-        word ^= tables[flip]
-        dist = (word ^ target).bit_count()
-        if dist < best_dist:
-            best_dist = dist
-            best_mask = k ^ (k >> 1)
-            if best_dist == 0:
-                break
-
-    witness_terms = {
-        monomials[i]: 1 for i in range(m_count) if (best_mask >> i) & 1
-    }
+    tables = _monomial_tables(t.n, monomials)
+    dist, word = _nearest_codeword(t.n, tables, t.as_int())
+    witness_terms = {monomials[i]: 1 for i in range(m_count) if (word >> i) & 1}
     witness = Poly(t.n, F2, witness_terms)
-    return AgreementReport(t.n, d, best_dist, witness, 1 << m_count)
+    return AgreementReport(t.n, d, dist, witness, 1 << m_count)
+
+
+def _repeat(pattern: int, period: int, width: int) -> int:
+    # pattern copied every `period` bits across `width` bits (period | width)
+    return pattern * (((1 << width) - 1) // ((1 << period) - 1))
+
+
+def _monomial_tables(n: int, monomials: Sequence[tuple[int, ...]]) -> list[int]:
+    """Packed truth table (bit i = value at point index i) of each monomial:
+    the AND of its variables' tables, all ones for the constant."""
+    size = 1 << n
+    full = (1 << size) - 1
+    var_tables = []
+    for i in range(n):
+        half = 1 << (n - 1 - i)
+        var_tables.append(_repeat(((1 << half) - 1) << half, 2 * half, size))
+    tables = []
+    for e in monomials:
+        table = full
+        for i, v in enumerate(e):
+            if v:
+                table &= var_tables[i]
+        tables.append(table)
+    return tables
+
+
+def _nearest_codeword(n: int, tables: Sequence[int], target: int) -> tuple[int, int]:
+    """(distance, Gray word) of the first codeword in Gray order nearest target.
+
+    Bit i of the word selects ``tables[i]``; ``tables[0]`` is all ones.  The
+    lanes and pairs are described in ``distance_to_degree``.
+    """
+    size = 1 << n
+    lane = max(8, size)
+    inner = min(len(tables) - 1, (_PACK_BITS // lane).bit_length() - 1)
+    total = lane << inner
+
+    def pack(words: list[int]) -> int:
+        return int.from_bytes(
+            b"".join(w.to_bytes(lane // 8, "little") for w in words), "little"
+        )
+
+    words = [target]
+    for j in range(1, 1 << inner):
+        words.append(words[-1] ^ tables[(j & -j).bit_length()])
+    forward, backward = pack(words), pack(words[::-1])
+    rep = _repeat(1, lane, total)
+    outer_tables = [table * rep for table in tables[1 + inner:]]
+    steps = []
+    shift = 1
+    while shift < lane:
+        steps.append((shift, _repeat((1 << shift) - 1, 2 * shift, total)))
+        shift *= 2
+    # a lane's count is at most 2^n < 2^(lane-1), so its top bit is free to
+    # absorb the borrows of the two threshold subtractions
+    high = rep << (lane - 1)
+
+    best, best_word = size // 2 + 1, 0  # above every pair minimum
+    under, over = best * rep, (size - best) * rep | high
+    outer = 0
+    for k in range(1 << (len(tables) - 1 - inner)):
+        if k:
+            outer ^= outer_tables[(k & -k).bit_length() - 1]
+        v = (backward if k & 1 else forward) ^ outer
+        for shift, mask in steps:
+            v = (v & mask) + ((v >> shift) & mask)
+        # every lane keeps its top bit iff c >= best and 2^n - c >= best
+        if ((v | high) - under) & (over - v) & high == high:
+            continue
+        data = v.to_bytes(total // 8, "little")
+        counts = [
+            int.from_bytes(data[i : i + lane // 8], "little")
+            for i in range(0, total // 8, lane // 8)
+        ]
+        pair_min = [min(c, size - c) for c in counts]
+        best = min(pair_min)
+        j = pair_min.index(best)
+        pair = k << inner | j
+        best_word = (pair ^ pair >> 1) << 1 | (pair & 1)  # Gray word of step 2P
+        if (size - counts[j] if pair & 1 else counts[j]) != best:
+            best_word ^= 1
+        if best == 0:
+            break
+        under, over = best * rep, (size - best) * rep | high
+    return best, best_word
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,8 @@
 
 Everything here deliberately avoids the package's own elimination and
 derivative code: ranks go through sympy, determinants through recursive
-Laplace expansion, distances through a literal double loop.  Tests compare
-package results against these.
+Laplace expansion, distances through a literal double loop or a plain
+Gray walk.  Tests compare package results against these.
 """
 
 from fractions import Fraction
@@ -221,6 +221,36 @@ def naive_distance(bits, n, d):
                 dist += 1
         best = min(best, dist)
     return best
+
+
+def gray_walk_distance(bits, n, d):
+    """(distance, witness) against the degree-<=d code by a plain Gray walk.
+
+    One XOR and one popcount per codeword, in the Gray order of the
+    grlex-sorted monomials (constant first); the witness is the set of
+    exponent tuples of the first codeword that reaches the minimum.
+    """
+    monomials = sorted(
+        (e for e in itertools.product((0, 1), repeat=n) if sum(e) <= d),
+        key=lambda e: (sum(e), e),
+    )
+    masks = [sum(1 << (n - 1 - i) for i, v in enumerate(e) if v) for e in monomials]
+    tables = [sum(1 << idx for idx in range(1 << n) if idx & m == m) for m in masks]
+    target = sum(1 << idx for idx, b in enumerate(bits) if b)
+    best_dist = target.bit_count()
+    best_mask = 0
+    word = 0
+    for k in range(1, 1 << len(monomials)):
+        flip = (k & -k).bit_length() - 1
+        word ^= tables[flip]
+        dist = (word ^ target).bit_count()
+        if dist < best_dist:
+            best_dist = dist
+            best_mask = k ^ (k >> 1)
+            if best_dist == 0:
+                break
+    witness = {e for i, e in enumerate(monomials) if (best_mask >> i) & 1}
+    return best_dist, witness
 
 
 def exponent_orbit_dim(exponent, n):

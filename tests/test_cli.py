@@ -317,6 +317,17 @@ def test_rs_distance_infeasible_scale(capsys):
     assert main(["rs-distance", "--fn", "mod3:16", "--bound", "2"]) == 3
 
 
+def test_rs_distance_refuses_wide_functions_before_tabulating(capsys):
+    """A 2^40-entry table is never built: the variable count is checked on
+    the polynomial, so the refusal is immediate."""
+    start = time.perf_counter()
+    code = main(["rs-distance", "--fn", "esym:2,40", "--bound", "0"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "40 > 16 variables" in captured.err
+
+
 def test_gk_check_whole_group(capsys):
     code, data = run_json(capsys, ["gk-check", "--fn", "det:2", "--r", "1"])
     assert code == 0

@@ -2,10 +2,13 @@
 
 import itertools
 import random
+from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import naive_distance
+from oracles import gray_walk_distance, naive_distance
 from seplab import (
     InfeasibleError,
     Poly,
@@ -165,6 +168,74 @@ def test_distance_matches_naive_oracle():
                 assert rep.witness.degree <= d
                 hamming = sum(a != b for a, b in zip(w.bits, t.bits))
                 assert hamming == rep.distance
+
+
+def assert_matches_gray_walk(t, d):
+    rep = distance_to_degree(t, d)
+    dist, witness = gray_walk_distance(t.bits, t.n, d)
+    assert (rep.distance, set(rep.witness.terms)) == (dist, witness), (t.n, d)
+    assert rep.candidates == 1 << sum(comb(t.n, i) for i in range(min(d, t.n) + 1))
+
+
+@st.composite
+def tables_near_codes(draw):
+    """(table, d) with n <= 10 and at most 2^16 codewords: a random table, or
+    a random codeword with a few bits flipped (so small distances, ties
+    between far-apart codewords and the early exit at 0 all occur)."""
+    n = draw(st.integers(0, 10))
+    sizes = [sum(comb(n, i) for i in range(d + 1)) for d in range(n + 1)]
+    d = draw(st.sampled_from([d for d in range(n + 1) if sizes[d] <= 16]))
+    size = 1 << n
+    if draw(st.booleans()):
+        return table_from_int(n, draw(st.integers(0, (1 << size) - 1))), d
+    chosen = draw(st.sets(st.sampled_from(function_monomials(n, 2, d))))
+    word = multilinear_to_truth_table(Poly(n, F2, {e: 1 for e in chosen})).as_int()
+    for idx in draw(st.lists(st.integers(0, size - 1), max_size=3)):
+        word ^= 1 << idx
+    return table_from_int(n, word), d
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(tables_near_codes())
+def test_distance_and_witness_match_gray_walk(case):
+    assert_matches_gray_walk(*case)
+
+
+def test_distance_and_witness_match_gray_walk_at_every_size():
+    """One table for every n <= 10 and d with at most 2^16 codewords; more at
+    n=5, 6 and d=2 (many lanes and outer steps); n=16 at d <= 1 (one
+    2^16-bit lane per pass)."""
+    rng = random.Random(19)
+    cases = [
+        (n, d, 1)
+        for n in range(11)
+        for d in range(n + 1)
+        if sum(comb(n, i) for i in range(d + 1)) <= 16
+    ]
+    cases += [(5, 2, 3), (6, 2, 2), (16, 0, 1), (16, 1, 1)]
+    for n, d, count in cases:
+        for _ in range(count):
+            assert_matches_gray_walk(rand_table(n, rng), d)
+
+
+@pytest.mark.parametrize(
+    "n,d", [(0, 0), (1, 0), (3, 0), (3, 1), (4, 2), (6, 1), (8, 1), (16, 0)]
+)
+def test_distance_and_witness_on_edge_tables(n, d):
+    """Zero, all-ones and parity; a balanced table, whose pair of constants
+    ties at c = 2^n/2 when d = 0; and a codeword (early exit at 0)."""
+    size = 1 << n
+    codeword = multilinear_to_truth_table(
+        Poly(n, F2, {e: 1 for e in function_monomials(n, 2, d)[1::2]})
+    )
+    for t in (
+        table_from_int(n, 0),
+        table_from_int(n, (1 << size) - 1),
+        truth_table(n, lambda pt: sum(pt) % 2),
+        table_from_int(n, (1 << (size // 2)) - 1),
+        codeword,
+    ):
+        assert_matches_gray_walk(t, d)
 
 
 def test_distance_guards():
