@@ -13,7 +13,6 @@ the invertible-matrix locus.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from math import comb, prod
 from typing import Callable, Sequence
@@ -22,7 +21,11 @@ from . import groups, linalg, measures
 from . import poly as polyops
 from .errors import InfeasibleError
 from .field import Field, prime_field
-from .poly import Poly, grlex_key
+from .poly import Poly, monomials_exact
+
+# bytes of 0/1 values <-> the ASCII digits that int(..., 2) and format() use
+_TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+_FROM_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 
 _DISTANCE_CODE_BITS = 24
 _DISTANCE_MAX_VARS = 16
@@ -59,7 +62,7 @@ class TruthTable:
                 f"table for {self.n} variables needs {1 << self.n} entries, "
                 f"got {len(self.bits)}"
             )
-        if any(b not in (0, 1) for b in self.bits):
+        if not set(self.bits) <= {0, 1}:
             raise ValueError("table entries must be 0 or 1")
 
     def weight(self) -> int:
@@ -67,11 +70,7 @@ class TruthTable:
 
     def as_int(self) -> int:
         """The table packed into an integer, bit i = value at point index i."""
-        word = 0
-        for idx, b in enumerate(self.bits):
-            if b:
-                word |= 1 << idx
-        return word
+        return int(bytes(self.bits[::-1]).translate(_TO_DIGITS), 2)
 
 
 def point_index(point: Sequence[int], n: int) -> int:
@@ -90,8 +89,15 @@ def truth_table(n: int, predicate: Callable[[tuple[int, ...]], object]) -> Truth
     return TruthTable(n, bits)
 
 
+def _bits(word: int, n: int) -> tuple[int, ...]:
+    """Bits 0 .. 2^n - 1 of word, lowest first (inverse of ``as_int``)."""
+    size = 1 << n
+    digits = format(word & ((1 << size) - 1), f"0{size}b")
+    return tuple(digits[::-1].encode().translate(_FROM_DIGITS))
+
+
 def table_from_int(n: int, word: int) -> TruthTable:
-    return TruthTable(n, tuple((word >> idx) & 1 for idx in range(1 << n)))
+    return TruthTable(n, _bits(word, n))
 
 
 def format_table(t: TruthTable) -> str:
@@ -113,20 +119,23 @@ def parse_table(text: str) -> TruthTable:
 # ---------------------------------------------------------------------------
 
 
-def _xor_subset_transform(values: list[int], n: int) -> list[int]:
-    # Self-inverse over F_2: out[m] = XOR of in[m'] over submasks m' of m.
-    arr = list(values)
+def _xor_subset_transform(word: int, n: int) -> int:
+    """Binary Moebius transform of a packed 2^n-entry table (bit m = entry m).
+
+    Self-inverse over F_2: bit m of the result is the XOR of the bits at the
+    submasks of m.  Step j XORs, in one masked shift, every bit whose index
+    has bit j clear into the bit 2^j above it.
+    """
+    size = 1 << n
     for j in range(n):
         step = 1 << j
-        for m in range(len(arr)):
-            if m & step:
-                arr[m] ^= arr[m ^ step]
-    return arr
+        word ^= (word & _repeat((1 << step) - 1, 2 * step, size)) << step
+    return word
 
 
 def truth_table_to_multilinear(t: TruthTable) -> Poly:
     """The unique multilinear polynomial over F_2 computing the table."""
-    coeffs = _xor_subset_transform(list(t.bits), t.n)
+    coeffs = _bits(_xor_subset_transform(t.as_int(), t.n), t.n)
     terms = {
         index_point(mask, t.n): 1
         for mask, c in enumerate(coeffs)
@@ -139,13 +148,13 @@ def multilinear_to_truth_table(f: Poly) -> TruthTable:
     """Tabulate a multilinear polynomial over F_2 (inverse of the above)."""
     if f.field != F2:
         raise ValueError("expected a polynomial over F2")
-    coeffs = [0] * (1 << f.n)
+    coeffs = 0
     for e, c in f.terms.items():
         if any(v > 1 for v in e):
             raise ValueError(f"not multilinear: exponent {e}")
         if c:
-            coeffs[point_index(e, f.n)] ^= 1
-    return TruthTable(f.n, tuple(_xor_subset_transform(coeffs, f.n)))
+            coeffs ^= 1 << point_index(e, f.n)
+    return table_from_int(f.n, _xor_subset_transform(coeffs, f.n))
 
 
 # ---------------------------------------------------------------------------
@@ -342,14 +351,12 @@ def reduce_pointwise(f: Poly) -> Poly:
 
 
 def function_monomials(m: int, q: int, max_degree: int) -> list[tuple[int, ...]]:
-    """Grlex-ordered reduced monomials: each exponent < q, total degree capped."""
-    out = [
-        e
-        for e in itertools.product(range(q), repeat=m)
-        if sum(e) <= max_degree
-    ]
-    out.sort(key=grlex_key)
-    return out
+    """Grlex-ordered reduced monomials: each exponent < q, total degree capped.
+
+    Only those tuples are generated, never all q^m of them.
+    """
+    top = min(max_degree, m * (q - 1))
+    return [e for k in range(top + 1) for e in monomials_exact(m, k, q - 1)]
 
 
 def vanishing_ideal_basis(

@@ -1,10 +1,17 @@
 """Exact coefficient fields: the rationals and prime fields F_p.
 
-Scalars are plain values, not wrapper objects: ``fractions.Fraction`` over the
-rationals, Python ints in ``[0, p)`` over F_p.  A :class:`Field` value tags a
-polynomial or matrix with the arithmetic to use and provides the scalar
-helpers (coercion, inversion, parsing, exact formatting).  Hot loops branch on
-``field.p`` directly and inline the modular reduction.
+Scalars are plain values, not wrapper objects.  Over the rationals an
+integral value is an ``int`` (never a ``bool``) and only a value whose
+denominator exceeds 1 is a ``fractions.Fraction``: most inputs are integral,
+and int arithmetic is several times cheaper.  ``coerce`` turns an integral
+Fraction back into an int.  The two types compare, hash and print alike, and
+the only scalar division, in ``inv``, divides a Fraction, so no value becomes
+a float.  Over F_p scalars are ints in ``[0, p)``.
+
+A :class:`Field` value tags a polynomial or matrix with the arithmetic to use
+and provides the scalar helpers (coercion, inversion, parsing, exact
+formatting).  Hot loops branch on ``field.p`` directly and inline the modular
+reduction.
 """
 
 from __future__ import annotations
@@ -67,23 +74,25 @@ class Field:
         return self.name
 
     def zero(self) -> Scalar:
-        return Fraction(0) if self.p is None else 0
+        return 0
 
     def one(self) -> Scalar:
-        return Fraction(1) if self.p is None else 1
+        return 1
 
     def coerce(self, value) -> Scalar:
         """Bring an int, Fraction, or string into canonical scalar form.
 
-        Over F_p a Fraction is accepted when its denominator is a unit mod p.
+        Over the rationals that is an ``int`` when the value is integral and
+        a ``Fraction`` otherwise.  Over F_p a Fraction is accepted when its
+        denominator is a unit mod p.
         """
         if isinstance(value, str):
             value = Fraction(value)
         if self.p is None:
-            if isinstance(value, Fraction):
-                return value
             if isinstance(value, int):
-                return Fraction(value)
+                return int(value)
+            if isinstance(value, Fraction):
+                return value if value.denominator != 1 else value.numerator
         else:
             if isinstance(value, int):
                 return value % self.p

@@ -2,10 +2,19 @@
 
 A polynomial is a map from exponent tuples to nonzero coefficients, tagged
 with its variable count and coefficient field.  Everything here is pure and
-exact: rational coefficients stay reduced fractions, prime-field coefficients
-stay ints in ``[0, p)``.  The canonical monomial order used for iteration and
-matrix column indexing everywhere in this package is graded lexicographic:
-lower total degree first, ties broken by tuple comparison of the exponents.
+exact: rational coefficients are ints when integral and reduced fractions
+otherwise (see ``field``), prime-field coefficients stay ints in ``[0, p)``.
+The canonical monomial order used for iteration and matrix column indexing
+everywhere in this package is graded lexicographic: lower total degree first,
+ties broken by tuple comparison of the exponents.
+
+``multiply``, ``power`` and ``substitute`` share one product kernel on packed
+exponents: each exponent tuple (e_1, .., e_n) becomes the single integer
+sum e_i * B^(n-i), so a monomial product is one integer addition.  The base B
+must exceed every per-variable exponent of the result, so that no digit
+carries: deg f + deg g + 1 for a product, k * deg f + 1 for a k-th power,
+and sum_i need_i * deg(image_i) + 1 for a substitution, where need_i is the
+highest power of variable i in f.  Results are unpacked once, at the end.
 """
 
 from __future__ import annotations
@@ -13,7 +22,6 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 from operator import sub
 from typing import Iterable, Mapping, Sequence
@@ -28,19 +36,24 @@ def grlex_key(e: Exponent):
     return (sum(e), e)
 
 
-def monomials_exact(n: int, degree: int) -> list[Exponent]:
-    """All exponent tuples of total degree exactly ``degree``, grlex-sorted."""
-    if degree < 0:
+def monomials_exact(n: int, degree: int, max_exponent: int | None = None) -> list[Exponent]:
+    """All exponent tuples of total degree exactly ``degree``, grlex-sorted.
+
+    With ``max_exponent`` set, only tuples whose every entry is at most that.
+    """
+    cap = degree if max_exponent is None else max_exponent
+    if degree < 0 or degree > n * cap:
         return []
     if n == 0:
-        return [()] if degree == 0 else []
+        return [()]
     out: list[Exponent] = []
 
     def rec(prefix: Exponent, remaining: int, slots: int):
         if slots == 1:
             out.append(prefix + (remaining,))
             return
-        for i in range(remaining + 1):
+        # leave no more than the other slots can hold
+        for i in range(max(0, remaining - (slots - 1) * cap), min(remaining, cap) + 1):
             rec(prefix + (i,), remaining - i, slots - 1)
 
     rec((), degree, n)
@@ -159,36 +172,67 @@ def scalar_multiply(c, f: Poly) -> Poly:
     return Poly(f.n, f.field, {e: c * v for e, v in f.terms.items()})
 
 
-def _dict_mul(a: dict, b: dict, p: int | None) -> dict:
-    """Raw term-map product; reduces mod p and drops zeros."""
+def _pack(terms: Mapping[Exponent, Scalar], base: int) -> dict[int, Scalar]:
+    """Term map keyed by exponent tuples read as base-``base`` digits."""
+    out = {}
+    for e, c in terms.items():
+        k = 0
+        for x in e:
+            k = k * base + x
+        out[k] = c
+    return out
+
+
+def _unpack(packed: Mapping[int, Scalar], n: int, base: int) -> dict[Exponent, Scalar]:
+    """Inverse of ``_pack`` for n variables."""
+    out = {}
+    for k, c in packed.items():
+        e = [0] * n
+        for i in range(n - 1, -1, -1):
+            k, e[i] = divmod(k, base)
+        out[tuple(e)] = c
+    return out
+
+
+def _packed_mul(a: Mapping[int, Scalar], b: Mapping[int, Scalar], p: int | None) -> dict:
+    """Product of packed term maps; reduces mod p and drops zeros.
+
+    Exponents add digit by digit with no carry as long as the base exceeds
+    every per-variable exponent of the product, which callers guarantee.
+    """
     out: dict = {}
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            e = tuple(x + y for x, y in zip(e1, e2))
-            prev = out.get(e)
-            out[e] = c1 * c2 if prev is None else prev + c1 * c2
+    get = out.get
+    b_items = list(b.items())
+    for k1, c1 in a.items():
+        for k2, c2 in b_items:
+            k = k1 + k2
+            out[k] = get(k, 0) + c1 * c2
     if p is None:
-        return {e: v for e, v in out.items() if v}
-    return {e: vp for e, v in out.items() if (vp := v % p)}
+        return {k: v for k, v in out.items() if v}
+    return {k: vp for k, v in out.items() if (vp := v % p)}
 
 
 def multiply(f: Poly, g: Poly) -> Poly:
     _check_ring(f, g)
-    return Poly(f.n, f.field, _dict_mul(f.terms, g.terms, f.field.p))
+    # no exponent of the product exceeds its total degree
+    base = max(f.degree, 0) + max(g.degree, 0) + 1
+    product = _packed_mul(_pack(f.terms, base), _pack(g.terms, base), f.field.p)
+    return Poly(f.n, f.field, _unpack(product, f.n, base))
 
 
 def power(f: Poly, k: int) -> Poly:
     if k < 0:
         raise ValueError("negative power")
-    result = constant(f.n, 1, f.field)
-    base = f
+    base = k * max(f.degree, 0) + 1
+    p = f.field.p
+    result, square = {0: 1}, _pack(f.terms, base)
     while k:
         if k & 1:
-            result = multiply(result, base)
+            result = _packed_mul(result, square, p)
         k >>= 1
         if k:
-            base = multiply(base, base)
-    return result
+            square = _packed_mul(square, square, p)
+    return Poly(f.n, f.field, _unpack(result, f.n, base))
 
 
 def partial_derivative(f: Poly, i: int) -> Poly:
@@ -241,7 +285,7 @@ def evaluate(f: Poly, point: Sequence) -> Scalar:
             if ei:
                 term = term * (pow(v, ei, p) if p is not None else v**ei)
         total = total + term
-    return total % p if p is not None else total
+    return fld.coerce(total)
 
 
 def substitute(f: Poly, images: Sequence[Poly]) -> Poly:
@@ -268,24 +312,26 @@ def substitute(f: Poly, images: Sequence[Poly]) -> Poly:
         for i, v in enumerate(e):
             if v > need[i]:
                 need[i] = v
-    one = {(0,) * n_out: fld.one()}
+    # an output exponent is at most sum_i e_i * deg(images[i]) for some term e
+    base = sum(k * max(img.degree, 0) for k, img in zip(need, images)) + 1
+    one = {0: 1}
     powers: list[list[dict]] = []
     for i, img in enumerate(images):
+        packed = _pack(img.terms, base)
         cache = [one]
         for _ in range(need[i]):
-            cache.append(_dict_mul(cache[-1], img.terms, p))
+            cache.append(_packed_mul(cache[-1], packed, p))
         powers.append(cache)
 
     acc: dict = {}
     for e, c in f.terms.items():
-        cur = {(0,) * n_out: c}
+        cur = {0: c}
         for i, ei in enumerate(e):
             if ei:
-                cur = _dict_mul(cur, powers[i][ei], p)
+                cur = _packed_mul(cur, powers[i][ei], p)
         for k, v in cur.items():
-            prev = acc.get(k)
-            acc[k] = v if prev is None else prev + v
-    return Poly(n_out, fld, acc)
+            acc[k] = acc.get(k, 0) + v
+    return Poly(n_out, fld, _unpack(acc, n_out, base))
 
 
 def linear_form(coeffs: Sequence, field: Field) -> Poly:

@@ -1,11 +1,13 @@
 """End-to-end tests for the batch command line."""
 
 import csv
+import hashlib
 import io
 import json
 import time
 from contextlib import redirect_stderr, redirect_stdout
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -523,3 +525,44 @@ def test_cli_fuzz_exits_with_a_documented_code_and_no_traceback(argv):
         code = main(argv)
     assert code in (0, 1, 2, 3), (argv, code)
     assert "Traceback" not in err.getvalue(), argv
+
+
+# stdout sha256 of each argv, recorded before ℚ scalars became ints and
+# before the packed product kernel; both changes must leave every byte alone
+GOLDEN_STDOUT = [
+    ("measure --fn rand:3,3,5 --measure hessian_rank --point 1/2,3,-2/3",
+     "e311c2941dfaeafcd7c6e2d456e45b695bbd43f74ae9bfff158ccf43ca126050"),
+    ("measure --fn esym:3,5 --measure shifted --k 1 --l 1",
+     "1fe45c3fba622cfce4cf8962322866d14425062c1ec17ab170d07604ae8af52c"),
+    ("invariance --fn rand:3,3,2 --measure dim_partials --trials 6 --seed 1",
+     "09d03e6112a8045411a495bc611b43471702161f878ffd6c10960dad087082d6"),
+    ("invariance --fn rand:3,3,2 --measure shifted --k 1 --l 1 --trials 4 --seed 2 --field Fp:7",
+     "a1fbc9fc292480d68fb68be599847e329c9e6c13b19a93720e0cbe6d21289bb7"),
+    ("invariance --fn esym:2,3 --measure hessian_rank --point 1/2,-3,2/5 --trials 4 --seed 3",
+     "054a052ac208a7efb90b34de3a6a8923d0be366d9f335081aa1f112134f3a883"),
+    ("separate --module minors:dim_partials:16 --easy depth3:8,3,1 --hard esym:4,8 --trials 2 --seed 3",
+     "f439017faa648631dc2a82ceda681d8e110f39b17c1da9d8c8362d47e0d2c33f"),
+    ("separate --module minors:dim_partials:16 --easy depth3:8,3,1 --hard esym:4,8 --trials 2 --seed 3 --format csv",
+     "669ffaaf0002be2ef601e5a7080d06ac2a00a1e8cdba2d8e8ccdcc9b07e806b5"),
+    ("table",
+     "473020013727787483166493fe9287883145a61db5a6b7fe27a72806db875b46"),
+    ("gk-check --fn det:2 --field Fp:3",
+     "5fa4ac6747ac54628106dfd153c6bb18aa6c39efcee9c8717c6dfd59296f7939"),
+    ("rs-distance --fn esym:2,16 --bound 0",
+     "a6359d3cd6e394d058cfe36a8656578f3d5efb306927ebeb1d33522d2a96196e"),
+    ("rs-distance --fn mod3:6 --bound 2",
+     "ef2f36d313e985f456d1d5221a7b9b6d957aa0f9067fd28bd59e03f1caa11f28"),
+    ("invariance --fn rand:3,2,4 --measure dim_partials --exhaustive --field Fp:2",
+     "f2d8e13e776dff82b056242da63306f503f1d2bc7bd1798b7f799d1de90ce782"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, digest", GOLDEN_STDOUT, ids=[f"{i}-{a.split()[0]}" for i, (a, _) in enumerate(GOLDEN_STDOUT)]
+)
+def test_stdout_bytes_match_the_recorded_digest(argv, digest):
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = main(argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest

@@ -18,6 +18,7 @@ from seplab import (
     format_table,
     function_monomials,
     gk_intersection_test,
+    grlex_key,
     gl_points,
     identity_element,
     intersect_all,
@@ -99,6 +100,30 @@ def test_moebius_transform_round_trips():
     for _ in range(50):
         t = rand_table(6, rng)
         assert multilinear_to_truth_table(truth_table_to_multilinear(t)) == t
+
+
+def _list_subset_transform(values, n):
+    """Reference Moebius transform: out[m] = XOR of values[m'] over submasks m'."""
+    arr = list(values)
+    for j in range(n):
+        step = 1 << j
+        for m in range(len(arr)):
+            if m & step:
+                arr[m] ^= arr[m ^ step]
+    return arr
+
+
+def test_packed_moebius_transform_matches_list_version_and_is_an_involution():
+    rng = random.Random(16)
+    for n in range(13):
+        size = 1 << n
+        words = [0, (1 << size) - 1, 1, 1 << (size - 1)] + [rng.getrandbits(size) for _ in range(3)]
+        for word in words:
+            bits = table_from_int(n, word).bits
+            assert table_from_int(n, word).as_int() == word
+            moved = f2lab._xor_subset_transform(word, n)
+            assert table_from_int(n, moved).bits == tuple(_list_subset_transform(bits, n))
+            assert f2lab._xor_subset_transform(moved, n) == word
 
 
 def test_multilinear_polynomial_computes_its_table():
@@ -275,6 +300,18 @@ def test_reduce_pointwise_preserves_values_randomly():
         assert all(v <= 2 for e in red.terms for v in e)
         for pt in itertools.product(range(3), repeat=2):
             assert evaluate(f, list(pt)) == evaluate(red, list(pt))
+
+
+def test_function_monomials_equal_the_filtered_product():
+    """Generating only the wanted tuples gives exactly the old filter of all
+    q^m tuples, for every (m, q, d) with q^m <= 4096."""
+    for q in (2, 3, 5, 7, 11, 13, 17, 31, 61):
+        m = 0
+        while q**m <= 4096:
+            every = sorted(itertools.product(range(q), repeat=m), key=grlex_key)
+            for d in range(-1, m * (q - 1) + 2):
+                assert function_monomials(m, q, d) == [e for e in every if sum(e) <= d]
+            m += 1
 
 
 def test_function_monomials_counts():

@@ -322,3 +322,129 @@ def test_str_is_readable():
     s = str(f)
     assert "x0^2" in s and "x1" in s
     assert str(zero(2)) == "0"
+
+
+# ---------------------------------------------------------------------------
+# the packed product kernel behind substitute, multiply and power
+# ---------------------------------------------------------------------------
+
+KERNEL_FIELDS = [RATIONALS, prime_field(2), F7, prime_field(2**31 - 1)]
+
+
+def _sym(c):
+    """An int or Fraction as a sympy rational (F_p values lift to Z)."""
+    return sympy.Rational(c.numerator, c.denominator)
+
+
+def _lift(f, xs):
+    return sympy.expand(
+        sum(_sym(c) * sympy.prod([x**k for x, k in zip(xs, e)]) for e, c in f.terms.items())
+    )
+
+
+def _reduced_terms(expr, xs, field):
+    """Term map of a sympy expression with its coefficients brought into field."""
+    expr = sympy.expand(expr)
+    items = sympy.Poly(expr, *xs).terms() if xs else [((), expr)]
+    out = {}
+    for e, v in items:
+        v = field.coerce(Fraction(int(v.p), int(v.q)))
+        if v:
+            out[tuple(e)] = v
+    return out
+
+
+def _check_kernel(f, g, images, matrix, shift, k):
+    """substitute, substitute_affine, multiply and power equal sympy expand."""
+    fld = f.field
+    xs = sympy.symbols(f"x0:{f.n}")
+    ys = sympy.symbols(f"y0:{images[0].n}")
+    lf = _lift(f, xs)
+    composed = lf.subs({x: _lift(img, ys) for x, img in zip(xs, images)}, simultaneous=True)
+    assert substitute(f, images).terms == _reduced_terms(composed, ys, fld)
+    moved = [
+        sum(_sym(a) * x for a, x in zip(row, xs)) + _sym(b) for row, b in zip(matrix, shift)
+    ]
+    affine = lf.subs(dict(zip(xs, moved)), simultaneous=True)
+    assert substitute_affine(f, matrix, shift).terms == _reduced_terms(affine, xs, fld)
+    assert multiply(f, g).terms == _reduced_terms(lf * _lift(g, xs), xs, fld)
+    assert power(f, k).terms == _reduced_terms(lf**k, xs, fld)
+
+
+def _scalars(field):
+    if field.p is None:
+        return st.fractions(min_value=-5, max_value=5, max_denominator=4)
+    return st.integers(-(2**40), 2**40)
+
+
+@st.composite
+def kernel_cases(draw):
+    """A polynomial, a second factor, images into 0-3 variables (zero,
+    constant and non-homogeneous ones included), an affine map and a power."""
+    field = draw(st.sampled_from(KERNEL_FIELDS))
+    n = draw(st.integers(1, 3))
+    n_out = draw(st.integers(0, 3))
+    scalars = _scalars(field)
+
+    def poly_in(nv, top, size):
+        exps = st.tuples(*[st.integers(0, top)] * nv)
+        return Poly(nv, field, draw(st.dictionaries(exps, scalars, max_size=size)))
+
+    f, g = poly_in(n, 3, 6), poly_in(n, 2, 4)
+    images = [poly_in(n_out, 2, 4) for _ in range(n)]
+    matrix = [[draw(scalars) for _ in range(n)] for _ in range(n)]
+    shift = [draw(scalars) for _ in range(n)]
+    return f, g, images, matrix, shift, draw(st.integers(0, 3))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(kernel_cases())
+def test_product_kernel_matches_sympy_expand(case):
+    _check_kernel(*case)
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=lambda fl: fl.name.replace(":", ""))
+def test_product_kernel_edge_cases_match_sympy_expand(field):
+    """The zero polynomial, zero images, constant images into a 0-variable
+    ring, and non-homogeneous images with exponents past the field size."""
+    half = Fraction(1, 2) if field.p is None else 3
+    f = Poly(2, field, {(3, 0): 2, (1, 2): half, (0, 0): -1})
+    nonhom = Poly(2, field, {(2, 1): 1, (1, 0): half, (0, 0): 5})
+    cases = [
+        (zero(2, field), f, [nonhom, nonhom], 2),
+        (f, zero(2, field), [zero(2, field), nonhom], 0),
+        (f, f, [constant(0, half, field), constant(0, 4, field)], 3),
+        (f, nonhom, [nonhom, variable(0, 2, field)], 3),
+    ]
+    for f1, g, images, k in cases:
+        _check_kernel(f1, g, images, [[half, 1], [0, -2]], [half, 0], k)
+
+
+def _assert_canonical(f):
+    for c in f.terms.values():
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1), repr(c)
+
+
+def test_rational_coefficients_are_ints_exactly_when_integral():
+    """Over Q a stored coefficient is an int iff it is integral: never a
+    bool and never an integral Fraction, whichever operation produced it."""
+    q = RATIONALS
+    f = Poly(2, q, {(1, 0): True, (0, 1): Fraction(4, 2), (1, 1): "6/3", (2, 0): Fraction(1, 2)})
+    assert [type(f.coefficient(e)) for e in ((1, 0), (0, 1), (1, 1), (2, 0))] == [
+        int, int, int, Fraction
+    ]
+    assert f.coefficient((1, 0)) == 1 and f.coefficient((0, 0)) == 0
+    assert type(q.parse("8/4")) is int and type(q.parse("0.5")) is Fraction
+    assert type(q.zero()) is int and type(q.one()) is int
+    loaded = poly_from_json(poly_to_json(Poly(1, q, {(1,): Fraction(6, 3), (0,): "-1/3"})))
+    derived = derivative(f, (2, 0))  # (1/2 x0^2)'' = 1
+    halves = Poly(2, q, {(1, 0): Fraction(1, 2), (0, 1): Fraction(3, 2)})
+    doubled = multiply(halves, constant(2, 2))
+    moved = substitute_linear(f, [[2, 0], [0, Fraction(1, 2)]])  # 1/2 * 2^2 = 2, ...
+    for g in (f, loaded, derived, doubled, moved, power(halves, 2)):
+        _assert_canonical(g)
+    assert derived == constant(2, 1) and doubled == Poly(2, q, {(1, 0): 1, (0, 1): 3})
+    assert moved == Poly(2, q, {(2, 0): 2, (1, 0): 2, (0, 1): 1, (1, 1): 2})
+    for value in (evaluate(halves, [2, 2]), evaluate(halves, [1, 0])):
+        assert type(value) is (int if value.denominator == 1 else Fraction)
+    assert evaluate(halves, [2, 2]) == 4
