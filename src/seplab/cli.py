@@ -15,6 +15,7 @@ import csv
 import io
 import json
 import sys
+from functools import lru_cache
 from math import comb, isqrt
 
 from . import circuits, f2lab, functions, groups, measures, sepmod
@@ -98,7 +99,10 @@ def _module_from_spec(spec: str, ambient: sepmod.Ambient, args) -> sepmod.TestMo
     )
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it as it
+    was, and every parse fills a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="seplab",
         description="exact separating-module laboratory",

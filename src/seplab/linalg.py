@@ -33,9 +33,13 @@ from .poly import grlex_key
 
 
 def _integer_rows(rows: list[list]) -> list[list[int]]:
-    # ints and Fractions both carry numerator and denominator
+    # ints and Fractions both carry numerator and denominator; a row of
+    # ints is kept as it is
     out = []
     for r in rows:
+        if set(map(type, r)) <= {int}:
+            out.append(r)
+            continue
         den = lcm(*(x.denominator for x in r))
         out.append([x.numerator * (den // x.denominator) for x in r])
     return out
@@ -200,7 +204,11 @@ def rref(rows, field: Field, ncols: int | None = None) -> tuple[list[list[Scalar
                     m[i] = [a - factor * b for a, b in zip(m[i], row)]
                 else:
                     m[i] = [(a - factor * b) % p for a, b in zip(m[i], row)]
-    return m[: len(pivots)], pivots
+    m = m[: len(pivots)]
+    if p is None:
+        # pivot inverses are Fractions; integral values become ints again
+        m = [[x.numerator if x.denominator == 1 else x for x in row] for row in m]
+    return m, pivots
 
 
 def right_kernel(rows, field: Field, ncols: int) -> list[list[Scalar]]:

@@ -11,7 +11,10 @@ Three measures are computed from a polynomial f:
 
 Every derivative measure is the rank of rows m * d^c f (a shift monomial
 times a derivative of f), and ``derivative_rows`` is the one generator of
-those rows; ``linalg.span_rank`` ranks them.  ``partial_deriv_matrix`` /
+those rows; ``linalg.span_rank`` ranks them.  It asks ``poly.derivative``
+once per operator, which serves each from the levels of derivatives it
+keeps on f: order by order, each operator made once from the order below,
+and returned without a second validation pass.  ``partial_deriv_matrix`` /
 ``shifted_partials_matrix`` densify the same rows into full matrices with
 graded-lex row/column labels.  The rank entry points use rank-preserving
 reductions (only operators below some term of f, zero rows skipped, only
@@ -112,8 +115,9 @@ def derivative_rows(
     """Sparse rows m * d^c f as term maps, shift-major (for m, for c).
 
     Without ``shifts`` the rows are the derivatives themselves (m = 1).  Each
-    operator is applied once; zero derivatives give empty rows, so row i
-    always belongs to the i-th (shift, operator) pair.
+    operator is applied once, by one ``derivative`` call; zero derivatives
+    give empty rows, so row i always belongs to the i-th (shift, operator)
+    pair.
     """
     derivs = [derivative(f, c).terms for c in ops]
     if shifts is None:

@@ -15,15 +15,19 @@ must exceed every per-variable exponent of the result, so that no digit
 carries: deg f + deg g + 1 for a product, k * deg f + 1 for a k-th power,
 and sum_i need_i * deg(image_i) + 1 for a substitution, where need_i is the
 highest power of variable i in f.  Results are unpacked once, at the end.
+
+``derivative`` keeps the nonzero derivatives of f on f as levels by order:
+level k+1 comes from level k alone, since d^(c+u_i) f = d_i d^c f, and each
+operator is made once, from c minus its last unit vector.  Level entries are
+canonical when built (reduced mod p, zeros dropped, integral rationals as
+ints), so ``derivative`` returns them through a trusted constructor that
+skips ``Poly``'s validation, over a copy of the entry.
 """
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
-from itertools import product
-from operator import sub
 from typing import Iterable, Mapping, Sequence
 
 from .field import Field, RATIONALS, Scalar
@@ -70,7 +74,8 @@ class Poly:
     """Sparse polynomial: ``terms`` maps exponent tuples to nonzero scalars.
 
     Construction canonicalizes: coefficients are coerced into ``field``, zero
-    terms are dropped, exponents are validated against ``n``.  Instances are
+    terms are dropped, exponents are validated against ``n`` (only
+    ``derivative``, whose term maps are canonical already, skips this).  Instances are
     treated as immutable; all operations return new values.  The zero
     polynomial is the empty term map and has degree -1.
     """
@@ -242,33 +247,68 @@ def partial_derivative(f: Poly, i: int) -> Poly:
     return derivative(f, tuple(int(j == i) for j in range(f.n)))
 
 
+def _trusted(n: int, field: Field, terms: dict[Exponent, Scalar]) -> Poly:
+    """A ``Poly`` over a term map that is already canonical, built without
+    ``__post_init__``'s validation and coercion pass."""
+    f = object.__new__(Poly)
+    f.__dict__.update(n=n, field=field, terms=terms)
+    return f
+
+
+def _next_level(level: dict[Exponent, dict], n: int, field: Field) -> dict[Exponent, dict]:
+    """Every nonzero derivative of order k+1 from those of order k.
+
+    d_i applies to d^c f only for i at or after the last nonzero entry of c.
+    Exponents stay distinct under d_i, so each output entry is one multiply
+    and one insert, in the term order of the map it came from.
+    """
+    p = field.p
+    coerce = field.coerce
+    out: dict[Exponent, dict] = {}
+    for c, g in level.items():
+        last = max((i for i, v in enumerate(c) if v), default=0)
+        for i in range(last, n):
+            terms = {}
+            for e, v in g.items():
+                ei = e[i]
+                if ei:
+                    w = v * ei
+                    if p is not None:
+                        w %= p
+                        if not w:
+                            continue
+                    elif type(w) is not int:
+                        w = coerce(w)  # 1/2 * 2 is the int 1
+                    terms[e[:i] + (ei - 1,) + e[i + 1 :]] = w
+            if terms:
+                out[c[:i] + (c[i] + 1,) + c[i + 1 :]] = terms
+    return out
+
+
 def derivative(f: Poly, orders: Exponent) -> Poly:
     """Iterated formal derivative: differentiate ``orders[i]`` times in x_i.
 
     Coefficients pick up the falling-factorial multipliers, reduced mod p over
-    a prime field (so high-order derivatives can vanish there).  The first
-    request for an order k builds, in one pass over the terms, a table of
-    every order-k derivative of f; it is kept on f (outside its fields, so
-    equality and repr are unaffected) and freed with it.
+    a prime field (so high-order derivatives can vanish there).  The levels
+    of nonzero derivatives (module docstring) are kept on f, outside its
+    fields so that equality and repr are unaffected, and freed with it.
+    Level k+1 is built from level k the first time an order past the last
+    level is asked for.  The result is a trusted ``Poly`` over a copy of its
+    level entry, so callers cannot change the cache.
     """
-    orders = tuple(int(v) for v in orders)
-    if len(orders) != f.n or any(v < 0 for v in orders):
+    orders = tuple(map(int, orders))
+    if len(orders) != f.n or min(orders, default=0) < 0:
         raise ValueError(f"bad derivative orders {orders} for n={f.n}")
     k = sum(orders)
-    # one table per order: callers that ask for a single order (hessian,
-    # shifted partials) never pay for the others
-    tables = f.__dict__.setdefault("_derivative_tables", {})
-    if k not in tables:
-        table: dict[Exponent, dict] = {}
-        for e, v in f.terms.items():
-            for c in product(*(range(min(ei, k) + 1) for ei in e)):
-                if sum(c) == k:
-                    mult = math.prod(map(math.perm, e, c))
-                    table.setdefault(c, {})[tuple(map(sub, e, c))] = (
-                        v if mult == 1 else v * mult
-                    )
-        tables[k] = table
-    return Poly(f.n, f.field, tables[k].get(orders, {}))
+    levels = f.__dict__.get("_derivative_levels")
+    if levels is None:
+        level0 = {(0,) * f.n: f.terms} if f.terms else {}
+        levels = f.__dict__["_derivative_levels"] = [level0]
+    # a level with no nonzero derivative ends the list: all above it are 0
+    while len(levels) <= k and levels[-1]:
+        levels.append(_next_level(levels[-1], f.n, f.field))
+    terms = levels[k].get(orders) if k < len(levels) else None
+    return _trusted(f.n, f.field, dict(terms) if terms else {})
 
 
 def evaluate(f: Poly, point: Sequence) -> Scalar:

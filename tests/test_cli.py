@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from seplab import format_table, prime_field, truth_table
 from seplab.measures import MEASURES
-from seplab.cli import main
+from seplab.cli import build_parser, main
 
 
 def run_json(capsys, argv):
@@ -366,6 +366,36 @@ def test_gk_check_guard_counts_matrix_cells_and_refuses_fast(capsys):
 
 def test_gk_check_rejects_rationals(capsys):
     assert main(["gk-check", "--fn", "det:2", "--field", "Q"]) == 2
+
+
+def test_one_parser_serves_every_op_of_a_process():
+    """The parser is built once, and reusing it changes no exit code or
+    stdout byte: gk-check (default Fp:2), measure (default Q), a parse
+    error, then gk-check again give what fresh parsers give."""
+    argvs = [
+        ["gk-check", "--fn", "det:2", "--trials", "2", "--seed", "1"],
+        ["measure", "--fn", "esym:3,4", "--measure", "dim_partials"],
+        ["measure", "--fn", "esym:3,4", "--measure", "no-such-measure"],
+        ["gk-check", "--fn", "det:2", "--trials", "2", "--seed", "1"],
+    ]
+
+    def run(argv):
+        out = io.StringIO()
+        with redirect_stdout(out), redirect_stderr(io.StringIO()):
+            code = main(argv)
+        return code, out.getvalue()
+
+    fresh = []
+    for argv in argvs:
+        build_parser.cache_clear()
+        fresh.append(run(argv))
+    build_parser.cache_clear()
+    reused = [run(argv) for argv in argvs]
+    assert reused == fresh
+    assert build_parser() is build_parser()
+    assert [code for code, _ in reused] == [0, 0, 2, 0]
+    fields = [json.loads(text)["config"]["field"] for _, text in reused if text]
+    assert fields == ["Fp:2", "Q", "Fp:2"]
 
 
 def test_usage_errors_exit_2(capsys):

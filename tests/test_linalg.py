@@ -346,6 +346,38 @@ def test_subspace_span_and_intersection_against_sympy(case):
     assert a.annihilator().dim == nc - a.dim
 
 
+def _canonical_q(rows):
+    """Every entry is an int exactly when it is integral, as in ``Poly``."""
+    for row in rows:
+        for x in row:
+            assert type(x) is (int if x.denominator == 1 else Fraction), repr(x)
+
+
+def test_rational_rref_kernel_and_basis_hold_ints_when_integral():
+    basis = span([{(1, 0): 2, (0, 1): 4}, {(1, 0): 1, (0, 1): 3}], RATIONALS).basis
+    kernel = right_kernel([[1, 2, 3]], RATIONALS, 3)
+    assert basis == ((1, 0), (0, 1))
+    assert kernel == [[1, 0, Fraction(-1, 3)], [0, 1, Fraction(-2, 3)]]
+    _canonical_q(basis)
+    _canonical_q(kernel)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(subspace_pairs().filter(lambda case: case[3] is None))
+def test_rational_linear_algebra_keeps_scalars_canonical(case):
+    a_rows, b_rows, nc, _ = case
+    cols = [(j,) for j in range(nc)]
+    a, b = (
+        span([{c: x for c, x in zip(cols, r) if x} for r in m], RATIONALS, cols)
+        for m in (a_rows, b_rows)
+    )
+    for m in (a_rows, b_rows, a_rows + b_rows):
+        _canonical_q(rref(m, RATIONALS, nc)[0] if m else [])
+        _canonical_q(right_kernel(m, RATIONALS, nc))
+    for sub in (a, b, a.intersect(b), a.annihilator()):
+        _canonical_q(sub.basis)
+
+
 def test_subspace_term_maps_round_trip_through_span():
     cols = [(0, 0), (0, 1), (1, 0)]
     sub = span([{(1, 0): 2, (0, 1): 4}, {(0, 0): 1}], F5, cols)

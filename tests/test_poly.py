@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import poly_to_sympy
@@ -196,6 +196,60 @@ def test_derivative_matches_sympy_on_one_poly_queried_out_of_order(case):
     assert f == Poly(f.n, f.field, dict(f.terms))
     assert repr(f) == before
     assert [fl.name for fl in fields(Poly)] == ["n", "field", "terms"]
+
+
+@st.composite
+def derivative_cases(draw):
+    """A polynomial in 0-3 variables (zero allowed; ℚ coefficients may be
+    fractions) and derivative operators of orders reaching past its degree."""
+    field = draw(st.sampled_from([RATIONALS, prime_field(2), prime_field(3), F7]))
+    n = draw(st.integers(0, 3))
+    if field.p is None:
+        coeffs = st.fractions(max_denominator=6, min_value=-9, max_value=9)
+    else:
+        coeffs = st.integers(-9, 9)
+    terms = draw(st.dictionaries(st.tuples(*[st.integers(0, 7)] * n), coeffs, max_size=8))
+    ops = draw(st.lists(st.tuples(*[st.integers(0, 9)] * n), min_size=1, max_size=8))
+    return Poly(n, field, terms), ops
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(derivative_cases())
+@example((zero(2, prime_field(2)), [(0, 0), (1, 0), (3, 4)]))
+@example((zero(0), [()]))
+@example((Poly(0, F7, {(): 3}), [(), ()]))
+@example((Poly(2, prime_field(2), {(2, 3): 1, (0, 1): 1}), [(1, 0), (0, 2), (0, 1)]))
+def test_derivative_returns_canonical_private_copies(case):
+    """Each result equals the falling-factorial formula and is what the
+    validating constructor would build, coefficient types included; editing
+    it leaves the cache alone; orders past deg f give 0; and over F_2 an
+    operator whose derivative vanishes has only vanishing ones above it."""
+    f, ops = case
+    p = f.field.p
+    for c in ops:
+        g = derivative(f, c)
+        rebuilt = Poly(f.n, f.field, dict(g.terms))
+        assert g == rebuilt
+        assert list(g.terms) == list(rebuilt.terms)
+        assert [type(v) for v in g.terms.values()] == [type(v) for v in rebuilt.terms.values()]
+        formula = {
+            tuple(a - b for a, b in zip(e, c)): v * math.prod(map(math.perm, e, c))
+            for e, v in f.terms.items()
+            if all(a >= b for a, b in zip(e, c))
+        }
+        assert g == Poly(f.n, f.field, formula)
+        if sum(c) > f.degree:
+            assert g.is_zero
+        if p == 2 and g.is_zero:
+            ups = [c[:i] + (c[i] + 1,) + c[i + 1 :] for i in range(f.n)]
+            assert all(derivative(f, up).is_zero for up in ups)
+        kept = dict(g.terms)
+        g.terms.clear()
+        g.terms[(9,) * f.n] = 1
+        assert derivative(f, c).terms == kept
+    before = dict(f.terms)
+    derivative(f, (0,) * f.n).terms.clear()
+    assert f.terms == before and derivative(f, (0,) * f.n) == f
 
 
 def test_evaluate_matches_sympy_substitution():
