@@ -54,8 +54,6 @@ from .measures import (
     dim_partials,
     hessian,
     hessian_rank_at,
-    partial_deriv_matrix,
-    shifted_partials_matrix,
     shifted_partials_rank,
 )
 from .groups import (

@@ -63,10 +63,6 @@ class Field:
                 raise ValueError(f"modulus is not prime: {self.p}")
 
     @property
-    def is_rational(self) -> bool:
-        return self.p is None
-
-    @property
     def name(self) -> str:
         return "Q" if self.p is None else f"Fp:{self.p}"
 

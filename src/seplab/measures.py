@@ -1,4 +1,4 @@
-"""Rank-based complexity measures as exact labeled matrices.
+"""Rank-based complexity measures of polynomials, computed exactly.
 
 Three measures are computed from a polynomial f:
 
@@ -11,67 +11,33 @@ Three measures are computed from a polynomial f:
 
 Every derivative measure is the rank of rows m * d^c f (a shift monomial
 times a derivative of f), and ``derivative_rows`` is the one generator of
-those rows; ``linalg.span_rank`` ranks them.  It asks ``poly.derivative``
-once per operator, which serves each from the levels of derivatives it
-keeps on f: order by order, each operator made once from the order below,
-and returned without a second validation pass.  ``partial_deriv_matrix`` /
-``shifted_partials_matrix`` densify the same rows into full matrices with
-graded-lex row/column labels.  The rank entry points use rank-preserving
-reductions (only operators below some term of f, zero rows skipped, only
-columns that are hit, and per-degree block ranks for homogeneous f).
+those rows; ``linalg.span_rank`` ranks them.  The operators c come from
+``poly.derivative_operators``, which lists, order by order, exactly those
+with a nonzero derivative, and ``derivative`` then serves each row from the
+same levels.  Zero rows are never built, only columns that are hit are
+ranked, and homogeneous f is ranked block by block; the row and column
+counts reported are those of the full matrix over all operators, shifts and
+monomials, counted with ``poly.monomial_count``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as iter_product
 from typing import Sequence
 
 from . import linalg
-from .field import Field, Scalar
+from .field import Scalar
 from .poly import (
     Exponent,
     Poly,
     derivative,
+    derivative_operators,
     evaluate,
-    grlex_key,
-    monomials_exact,
+    monomial_count,
     monomials_upto,
 )
 
 MEASURES = ("dim_partials", "shifted", "hessian_rank", "term_count")
-
-
-@dataclass(frozen=True)
-class ExactMatrix:
-    """Dense exact matrix with row and column labels."""
-
-    field: Field
-    entries: tuple[tuple[Scalar, ...], ...]
-    row_labels: tuple
-    col_labels: tuple
-
-    def __post_init__(self):
-        if len(self.entries) != len(self.row_labels):
-            raise ValueError("row labels inconsistent with entries")
-        if self.entries and any(
-            len(r) != len(self.col_labels) for r in self.entries
-        ):
-            raise ValueError("column labels inconsistent with entries")
-
-    @property
-    def rows(self) -> int:
-        return len(self.row_labels)
-
-    @property
-    def cols(self) -> int:
-        return len(self.col_labels)
-
-
-def rank_exact(m: ExactMatrix) -> int:
-    """Exact rank (``linalg.rank``: Bareiss with deferred scaling over the
-    rationals, elimination against monic pivot rows mod p)."""
-    return linalg.rank(m.entries, m.field, ncols=m.cols)
 
 
 @dataclass(frozen=True)
@@ -99,14 +65,6 @@ class MeasureReport:
 # ---------------------------------------------------------------------------
 # derivative spans
 # ---------------------------------------------------------------------------
-
-
-def _derivative_operators(f: Poly) -> list[Exponent]:
-    """Operator exponents c that can act nontrivially: c <= some term of f."""
-    cands: set[Exponent] = set()
-    for e in f.terms:
-        cands.update(iter_product(*(range(v + 1) for v in e)))
-    return sorted(cands, key=grlex_key)
 
 
 def derivative_rows(
@@ -144,40 +102,15 @@ def _rows_rank(f: Poly, rows: list[dict]) -> int:
     return sum(linalg.span_rank(b, f.field) for b in blocks.values())
 
 
-def _labeled_matrix(f: Poly, rows: list[dict], row_labels, cols) -> ExactMatrix:
-    _, entries = linalg.densify(rows, f.field, cols)
-    return ExactMatrix(
-        f.field, tuple(map(tuple, entries)), tuple(row_labels), tuple(cols)
-    )
-
-
-def partial_deriv_matrix(f: Poly, include_order_zero: bool = True) -> ExactMatrix:
-    """Full dense derivative matrix of f.
-
-    Rows are indexed by every derivative operator of order 0..deg f (grlex
-    order; the order-0 row is f itself and can be excluded), columns by every
-    monomial of degree <= deg f; the entry is the coefficient of the column
-    monomial in the row derivative.  Raises on the zero polynomial, whose
-    derivative span is degenerate (rank 0 by convention).
-    """
-    if f.is_zero:
-        raise ValueError("zero polynomial: derivative matrix is degenerate (rank 0)")
-    cols = monomials_upto(f.n, f.degree)
-    ops = cols if include_order_zero else cols[1:]
-    return _labeled_matrix(f, derivative_rows(f, ops), ops, cols)
-
-
 def dim_partials(f: Poly, include_order_zero: bool = True) -> int:
-    """Dimension of the span of all iterated partial derivatives of f.
-
-    Equals the rank of ``partial_deriv_matrix(f)``; computed here without
-    materializing zero rows or untouched columns, and block-by-block for
-    homogeneous f.
-    """
-    if f.is_zero:
-        return 0
-    ops = _derivative_operators(f)  # ops[0] is the order-0 operator
-    return _rows_rank(f, derivative_rows(f, ops if include_order_zero else ops[1:]))
+    """Dimension of the span of all iterated partial derivatives of f
+    (f itself included unless ``include_order_zero`` is False)."""
+    ops = [
+        c
+        for k in range(0 if include_order_zero else 1, f.degree + 1)
+        for c in derivative_operators(f, k)
+    ]
+    return _rows_rank(f, derivative_rows(f, ops))
 
 
 def _check_shifted(f: Poly, k: int, l: int) -> None:
@@ -187,26 +120,12 @@ def _check_shifted(f: Poly, k: int, l: int) -> None:
         raise ValueError("negative shift degree")
 
 
-def shifted_partials_matrix(f: Poly, k: int, l: int) -> ExactMatrix:
-    """Full dense matrix of order-k derivatives shifted by degree-<=l monomials.
-
-    Rows are labeled by (shift monomial, derivative operator) pairs, columns
-    by monomials of degree <= deg f - k + l; the row content is the shift
-    monomial times the order-k derivative.
-    """
+def shifted_partials_rank(f: Poly, k: int, l: int) -> int:
+    """Rank of the order-k derivatives of f times all monomials of degree
+    <= l."""
     _check_shifted(f, k, l)
     shifts = monomials_upto(f.n, l)
-    ops = monomials_exact(f.n, k)
-    labels = [(m, c) for m in shifts for c in ops]
-    cols = monomials_upto(f.n, f.degree - k + l)
-    return _labeled_matrix(f, derivative_rows(f, ops, shifts), labels, cols)
-
-
-def shifted_partials_rank(f: Poly, k: int, l: int) -> int:
-    """Rank of ``shifted_partials_matrix(f, k, l)`` via pruned block ranks."""
-    _check_shifted(f, k, l)
-    ops = [c for c in _derivative_operators(f) if sum(c) == k]
-    return _rows_rank(f, derivative_rows(f, ops, monomials_upto(f.n, l)))
+    return _rows_rank(f, derivative_rows(f, derivative_operators(f, k), shifts))
 
 
 # ---------------------------------------------------------------------------
@@ -256,15 +175,15 @@ def compute_measure(name: str, f: Poly, params: dict | None = None) -> MeasureRe
     if name == "dim_partials":
         include = bool(params.get("include_order_zero", True))
         rank_val = dim_partials(f, include_order_zero=include)
-        m = 0 if f.is_zero else len(monomials_upto(f.n, f.degree))
+        m = monomial_count(f.n + 1, f.degree)
         rows = m if include or m == 0 else m - 1
         return MeasureReport(name, params, rank_val, rows, m)
     if name == "shifted":
         k = int(params.setdefault("k", 1))
         l = int(params.setdefault("l", 1))
         rank_val = shifted_partials_rank(f, k, l)
-        rows = len(monomials_upto(f.n, l)) * len(monomials_exact(f.n, k))
-        cols = len(monomials_upto(f.n, f.degree - k + l))
+        rows = monomial_count(f.n + 1, l) * monomial_count(f.n, k)
+        cols = monomial_count(f.n + 1, f.degree - k + l)
         return MeasureReport(name, params, rank_val, rows, cols)
     if name == "hessian_rank":
         if "point" not in params:

@@ -21,13 +21,16 @@ level k+1 comes from level k alone, since d^(c+u_i) f = d_i d^c f, and each
 operator is made once, from c minus its last unit vector.  Level entries are
 canonical when built (reduced mod p, zeros dropped, integral rationals as
 ints), so ``derivative`` returns them through a trusted constructor that
-skips ``Poly``'s validation, over a copy of the entry.
+skips ``Poly``'s validation, over a copy of the entry.  The keys of level
+k, listed by ``derivative_operators``, are the one source of the operators
+that rank code differentiates by.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from math import comb
 from typing import Iterable, Mapping, Sequence
 
 from .field import Field, RATIONALS, Scalar
@@ -62,6 +65,14 @@ def monomials_exact(n: int, degree: int, max_exponent: int | None = None) -> lis
 
     rec((), degree, n)
     return out
+
+
+def monomial_count(n: int, degree: int) -> int:
+    """``len(monomials_exact(n, degree))``; the count of monomials of degree
+    at most d is ``monomial_count(n + 1, d)``."""
+    if n == 0 or degree < 0:
+        return int(degree == 0)
+    return comb(n + degree - 1, degree)
 
 
 def monomials_upto(n: int, degree: int) -> list[Exponent]:
@@ -285,21 +296,13 @@ def _next_level(level: dict[Exponent, dict], n: int, field: Field) -> dict[Expon
     return out
 
 
-def derivative(f: Poly, orders: Exponent) -> Poly:
-    """Iterated formal derivative: differentiate ``orders[i]`` times in x_i.
+def _level(f: Poly, k: int) -> dict[Exponent, dict]:
+    """Level k of f's nonzero derivatives, {} past deg f.
 
-    Coefficients pick up the falling-factorial multipliers, reduced mod p over
-    a prime field (so high-order derivatives can vanish there).  The levels
-    of nonzero derivatives (module docstring) are kept on f, outside its
-    fields so that equality and repr are unaffected, and freed with it.
-    Level k+1 is built from level k the first time an order past the last
-    level is asked for.  The result is a trusted ``Poly`` over a copy of its
-    level entry, so callers cannot change the cache.
+    The levels are kept on f, outside its fields so that equality and repr
+    are unaffected, and freed with it.  Level k+1 is built from level k the
+    first time an order past the last level is asked for.
     """
-    orders = tuple(map(int, orders))
-    if len(orders) != f.n or min(orders, default=0) < 0:
-        raise ValueError(f"bad derivative orders {orders} for n={f.n}")
-    k = sum(orders)
     levels = f.__dict__.get("_derivative_levels")
     if levels is None:
         level0 = {(0,) * f.n: f.terms} if f.terms else {}
@@ -307,7 +310,28 @@ def derivative(f: Poly, orders: Exponent) -> Poly:
     # a level with no nonzero derivative ends the list: all above it are 0
     while len(levels) <= k and levels[-1]:
         levels.append(_next_level(levels[-1], f.n, f.field))
-    terms = levels[k].get(orders) if k < len(levels) else None
+    return levels[k] if 0 <= k < len(levels) else {}
+
+
+def derivative_operators(f: Poly, k: int) -> list[Exponent]:
+    """The order-k operators c with d^c f nonzero, in grlex order."""
+    # all keys share total degree k, so tuple order is grlex order
+    return sorted(_level(f, k))
+
+
+def derivative(f: Poly, orders: Exponent) -> Poly:
+    """Iterated formal derivative: differentiate ``orders[i]`` times in x_i.
+
+    Coefficients pick up the falling-factorial multipliers, reduced mod p over
+    a prime field (so high-order derivatives can vanish there).  The entry is
+    read from the levels of nonzero derivatives (module docstring) and
+    returned as a trusted ``Poly`` over a copy, so callers cannot change the
+    cache.
+    """
+    orders = tuple(map(int, orders))
+    if len(orders) != f.n or min(orders, default=0) < 0:
+        raise ValueError(f"bad derivative orders {orders} for n={f.n}")
+    terms = _level(f, sum(orders)).get(orders)
     return _trusted(f.n, f.field, dict(terms) if terms else {})
 
 

@@ -22,7 +22,7 @@ from . import poly as polyops
 from .errors import InfeasibleError
 from .field import Field, Scalar
 from .functions import determinant_poly
-from .poly import Poly, monomials_exact, monomials_upto
+from .poly import Poly, monomial_count, monomials_exact, monomials_upto
 from .seeding import SEED_STRIDE, derive_seed, trial_rng
 
 MINOR_CAP = 6
@@ -58,7 +58,9 @@ class Ambient:
 
     @property
     def N(self) -> int:
-        return len(self.coeff_exponents())
+        if self.homogeneous:
+            return monomial_count(self.n, self.d)
+        return monomial_count(self.n + 1, self.d)
 
     def accepts(self, f: Poly) -> bool:
         if f.n != self.n or f.field != self.field or f.degree > self.d:

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from dense_matrices import dense_rank, partials_matrix, shifted_matrix
 from oracles import sympy_dim_partials, sympy_shifted_rank
 from seplab import (
     Poly,
@@ -17,16 +18,13 @@ from seplab import (
     monomial,
     monomials_exact,
     monomials_upto,
-    partial_deriv_matrix,
     permanent_poly,
     prime_field,
     determinant_poly,
-    shifted_partials_matrix,
     shifted_partials_rank,
     zero,
 )
 from seplab import measures
-from seplab.measures import rank_exact
 
 F7 = prime_field(7)
 
@@ -54,9 +52,9 @@ def test_dim_partials_equals_full_matrix_rank():
         f = rand_poly(3, 3, rng)
         if f.is_zero:
             continue
-        assert dim_partials(f) == rank_exact(partial_deriv_matrix(f))
-        assert dim_partials(f, include_order_zero=False) == rank_exact(
-            partial_deriv_matrix(f, include_order_zero=False)
+        assert dim_partials(f) == dense_rank(f, partials_matrix(f))
+        assert dim_partials(f, include_order_zero=False) == dense_rank(
+            f, partials_matrix(f, include_order_zero=False)
         )
 
 
@@ -124,6 +122,25 @@ def test_derivative_rows_calls_derivative_once_per_operator(monkeypatch):
     assert shifted == plain + [{}, {(1, 1): 1}, {}, {(3, 0): 1, (2, 0): 1}]
 
 
+def test_dim_partials_calls_derivative_once_per_nonzero_derivative(monkeypatch):
+    """Over F_2 the operators whose derivative vanishes are never asked for,
+    although they lie below a term of f."""
+    calls = []
+    real = measures.derivative
+    monkeypatch.setattr(
+        measures, "derivative", lambda f, c: calls.append(c) or real(f, c)
+    )
+    # d^2/dx^2 kills x^2 y + x y over F_2, and with it d^2/dx^2 d/dy
+    f = Poly(2, prime_field(2), {(2, 1): 1, (1, 1): 1})
+    assert dim_partials(f) == 4  # f, y, x^2 + x, 1
+    assert calls == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    calls.clear()
+    g = rand_poly(3, 4, random.Random(26), prime_field(2), sparsity=0.5)
+    dim_partials(g, include_order_zero=False)
+    nonzero = [c for c in monomials_upto(3, g.degree)[1:] if not real(g, c).is_zero]
+    assert calls == nonzero
+
+
 def test_order_zero_row_adds_one_for_homogeneous_inputs():
     """For homogeneous f the top-degree row is independent of all derivatives."""
     rng = random.Random(19)
@@ -136,17 +153,15 @@ def test_order_zero_row_adds_one_for_homogeneous_inputs():
 
 def test_zero_polynomial_conventions():
     assert dim_partials(zero(3)) == 0
-    with pytest.raises(ValueError):
-        partial_deriv_matrix(zero(3))
     rep = compute_measure("dim_partials", zero(3))
     assert rep.rank == 0 and rep.rows == 0 and rep.cols == 0
 
 
 def test_partial_deriv_matrix_small_case_by_hand():
-    m = partial_deriv_matrix(monomial((2,), 1))
-    assert m.row_labels == ((0,), (1,), (2,))
-    assert m.col_labels == ((0,), (1,), (2,))
-    assert m.entries == ((0, 0, 1), (0, 2, 0), (2, 0, 0))
+    row_labels, col_labels, entries = partials_matrix(monomial((2,), 1))
+    assert row_labels == [(0,), (1,), (2,)]
+    assert col_labels == [(0,), (1,), (2,)]
+    assert entries == [[0, 0, 1], [0, 2, 0], [2, 0, 0]]
 
 
 def test_shifted_partials_frozen_example():
@@ -163,8 +178,8 @@ def test_shifted_partials_equals_full_matrix_rank():
             continue
         for k in range(0, f.degree + 1):
             for l in (0, 1, 2):
-                assert shifted_partials_rank(f, k, l) == rank_exact(
-                    shifted_partials_matrix(f, k, l)
+                assert shifted_partials_rank(f, k, l) == dense_rank(
+                    f, shifted_matrix(f, k, l)
                 )
 
 
@@ -175,7 +190,7 @@ def test_shifted_partials_at_benchmark_scale():
     for field in (RATIONALS, prime_field(1000003)):
         assert shifted_partials_rank(elementary_symmetric(4, 7, field), 2, 2) == 301
     f = elementary_symmetric(4, 6)
-    assert shifted_partials_rank(f, 2, 2) == rank_exact(shifted_partials_matrix(f, 2, 2))
+    assert shifted_partials_rank(f, 2, 2) == dense_rank(f, shifted_matrix(f, 2, 2))
 
 
 def test_shifted_partials_matches_independent_oracle():
@@ -237,6 +252,26 @@ def test_compute_measure_fills_defaults_and_shapes():
     assert rep2.rank == 4 and rep2.rows == rep2.cols == 6
     data = rep2.to_json()
     assert set(data) == {"measure", "params", "rank", "rows", "cols"}
+
+
+def test_compute_measure_shapes_are_the_full_dense_shapes():
+    """rows and cols are counted, not built, and match the unpruned matrices,
+    also with no order-0 row, at k = 0, for the zero polynomial and with no
+    variables at all."""
+    rng = random.Random(27)
+    polys = [zero(3), zero(0, F7), Poly(0, RATIONALS, {(): 5}), monomial((2,), 1)]
+    for n, field in ((1, RATIONALS), (2, prime_field(2)), (3, F7), (4, RATIONALS)):
+        polys += [rand_poly(n, d, rng, field) for d in (1, 2, 3)]
+    for f in polys:
+        for include in (True, False):
+            rep = compute_measure("dim_partials", f, {"include_order_zero": include})
+            _, cols, rows = partials_matrix(f, include)
+            assert (rep.rows, rep.cols) == (len(rows), len(cols))
+        for k in range(f.degree + 1):
+            for l in range(3):
+                rep = compute_measure("shifted", f, {"k": k, "l": l})
+                _, cols, rows = shifted_matrix(f, k, l)
+                assert (rep.rows, rep.cols) == (len(rows), len(cols))
 
 
 def test_compute_measure_hessian_and_term_count():

@@ -40,6 +40,7 @@ from seplab import (
     zero,
 )
 from seplab.linalg import mat_mul
+from seplab.poly import derivative_operators, monomial_count
 
 F7 = prime_field(7)
 
@@ -71,6 +72,14 @@ def test_bad_exponents_rejected():
         Poly(2, RATIONALS, {(1,): 1})
     with pytest.raises(ValueError):
         Poly(2, RATIONALS, {(-1, 0): 1})
+
+
+def test_monomial_count_is_the_length_of_the_enumeration():
+    for n in range(7):
+        for d in range(9):
+            assert monomial_count(n, d) == len(monomials_exact(n, d))
+            assert monomial_count(n + 1, d) == len(monomials_upto(n, d))
+        assert monomial_count(n, -1) == 0 == len(monomials_exact(n, -1))
 
 
 def test_monomial_enumeration_counts_and_order():
@@ -250,6 +259,33 @@ def test_derivative_returns_canonical_private_copies(case):
     before = dict(f.terms)
     derivative(f, (0,) * f.n).terms.clear()
     assert f.terms == before and derivative(f, (0,) * f.n) == f
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(derivative_cases(), st.integers(0, 10))
+@example((zero(2, prime_field(2)), [(0, 0)]), 0)
+@example((zero(0), [()]), 0)
+@example((Poly(0, F7, {(): 3}), [()]), 0)
+@example((Poly(0, F7, {(): 3}), [()]), 1)
+@example((Poly(2, RATIONALS, {(2, 1): Fraction(1, 3)}), [(0, 0)]), 4)
+@example((Poly(2, prime_field(2), {(2, 1): 1, (1, 1): 1}), [(0, 0)]), 2)
+def test_derivative_operators_are_the_nonzero_derivatives_in_grlex_order(case, k):
+    """Brute force over all order-k operators, nonzero by the falling-factorial
+    formula (so independent of the levels); orders past deg f give []."""
+    f, _ = case
+
+    def nonzero(c):
+        formula = {
+            tuple(a - b for a, b in zip(e, c)): v * math.prod(map(math.perm, e, c))
+            for e, v in f.terms.items()
+            if all(a >= b for a, b in zip(e, c))
+        }
+        return not Poly(f.n, f.field, formula).is_zero
+
+    want = [c for c in monomials_exact(f.n, k) if nonzero(c)]
+    assert derivative_operators(f, k) == want
+    if k > f.degree:
+        assert want == []
 
 
 def test_evaluate_matches_sympy_substitution():

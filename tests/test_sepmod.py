@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from dense_matrices import partials_matrix
 from oracles import laplace_det
 from seplab import (
     Ambient,
@@ -24,7 +25,6 @@ from seplab import (
     module_product,
     monomials_upto,
     multiply,
-    partial_deriv_matrix,
     poly_det,
     poly_matrix_minors,
     prime_field,
@@ -64,6 +64,14 @@ def test_ambient_coefficient_indexing():
     full = Ambient(2, 2, RATIONALS)
     assert full.N == 6
     assert full.coeff_vector(zero(2)) == [0] * 6
+
+
+def test_ambient_dimension_counts_the_coefficient_slots():
+    for n in range(1, 6):
+        for d in range(6):
+            for homogeneous in (False, True):
+                amb = Ambient(n, d, RATIONALS, homogeneous=homogeneous)
+                assert amb.N == len(amb.coeff_exponents())
 
 
 def test_ambient_membership_checks():
@@ -250,12 +258,12 @@ def test_symbolic_derivative_matrix_instantiates_to_the_numeric_one():
                 if amb.homogeneous:
                     f = Poly(n, fld, {e: v for e, v in f.terms.items() if sum(e) == d})
             vec = amb.coeff_vector(f)
-            numeric = partial_deriv_matrix(f)
-            assert sym.row_labels == numeric.row_labels
-            assert sym.col_labels == numeric.col_labels
+            row_labels, col_labels, numeric = partials_matrix(f)
+            assert sym.row_labels == tuple(row_labels)
+            assert sym.col_labels == tuple(col_labels)
             for i in range(len(sym.row_labels)):
                 for j in range(len(sym.col_labels)):
-                    assert evaluate(sym.entries[i][j], vec) == numeric.entries[i][j]
+                    assert evaluate(sym.entries[i][j], vec) == numeric[i][j]
 
 
 def test_explicit_minors_agree_with_rank_thresholding():
