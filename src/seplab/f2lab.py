@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 from . import groups, linalg, measures
 from . import poly as polyops
 from .errors import InfeasibleError
-from .field import Field, prime_field
+from .field import prime_field
 from .poly import Poly, derivative_operators, monomials_exact
 
 # bytes of 0/1 values <-> the ASCII digits that int(..., 2) and format() use

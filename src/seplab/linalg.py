@@ -10,6 +10,17 @@ are reduced mod p and eliminated against a monic pivot row.  Rank is the
 number of pivots it finds, RREF back-substitutes over the echelon rows it
 leaves, and kernels and invertibility sit on those two.
 
+A ℚ rank of a matrix with at least ``_CERT_MIN_DIM`` rows and columns is
+certified from one elimination mod a prime p below 2**30 instead.  A minor
+that is nonzero mod p is nonzero over ℤ, so the rank r mod p is a lower bound,
+and it is the rank when it fills the smaller side.  Otherwise the smaller
+kernel mod p is lifted to ℚ by rational reconstruction and checked exactly
+over ℤ; its vectors are independent, so if all pass the rank is at most r.
+Vectors that fail are redone modulo a product of two primes by CRT, and if
+that fails too, or an unlucky prime (rank mod p below the ℚ rank) makes the
+pivots disagree, Bareiss decides.  Smaller matrices, RREF and kernels always
+use Bareiss.
+
 Sparse rows are maps from column keys (exponent tuples) to scalars, such as
 polynomial term maps; ``densify`` is the one place they are laid out as dense
 rows.  Its columns are the grlex-sorted union of the row supports, or a given
@@ -24,9 +35,11 @@ intersects with another subspace and gives its annihilator, over either field.
 
 from __future__ import annotations
 
+from bisect import bisect
 from dataclasses import dataclass
-from math import lcm
-from typing import Mapping, Sequence
+from math import isqrt, lcm
+from operator import mul
+from typing import Callable, Mapping, Sequence
 
 from .field import Field, Scalar
 from .poly import grlex_key
@@ -123,8 +136,8 @@ def _eliminate(m: list[list[int]], p: int | None) -> list[int]:
     return pivots
 
 
-def _echelon(rows, field: Field, ncols: int | None) -> tuple[list[list[int]], list[int]]:
-    """Check the matrix shape, then eliminate a copy: (rows, pivot columns)."""
+def _matrix(rows, field: Field, ncols: int | None) -> list[list[int]]:
+    """Check the matrix shape; return a copy as rows ready to eliminate."""
     m = [list(r) for r in rows]
     if m:
         width = len(m[0])
@@ -136,17 +149,133 @@ def _echelon(rows, field: Field, ncols: int | None) -> tuple[list[list[int]], li
         raise ValueError("empty matrix needs an explicit column count")
     p = field.p
     if p is None:
-        m = _integer_rows(m)
-    else:
-        # a Fraction stays a Fraction under % p, so it goes through coerce
-        coerce = field.coerce
-        m = [[x % p if type(x) is int else coerce(x) for x in row] for row in m]
-    return m, _eliminate(m, p)
+        return _integer_rows(m)
+    # a Fraction stays a Fraction under % p, so it goes through coerce
+    coerce = field.coerce
+    return [[x % p if type(x) is int else coerce(x) for x in row] for row in m]
+
+
+# Over ℚ a matrix with at least this many rows and columns is ranked mod a
+# prime and certified (see ``rank``).  Below it a kernel that fails to lift
+# costs more than the Bareiss run it was meant to save.
+_CERT_MIN_DIM = 48
+# A residue below 2**30 is one CPython digit.  The second prime serves only
+# kernels that do not lift from the first.
+_CERT_PRIMES = (1073741789, 1073741783)
+
+
+def _mod_kernel(m, p: int) -> tuple[list[int], Callable[[int], dict[int, int]]]:
+    """Eliminate integer rows mod p: (pivot columns, kernel vector maker).
+
+    The maker takes a free column f and returns, as {column: residue}, the
+    kernel vector that is 1 at f and 0 at every other free column, found by
+    back-substitution over the nonzeros of the echelon rows whose pivot lies
+    left of f.
+    """
+    e = [[x % p for x in row] for row in m]
+    pivots = _eliminate(e, p)
+    width = len(e[0])
+    nz = []
+    for row, c in zip(e, pivots):
+        js = [j for j in range(c + 1, width) if row[j]]
+        nz.append((js, [row[j] for j in js]))
+
+    def vector(f: int) -> dict[int, int]:
+        v = [0] * width
+        v[f] = 1
+        for k in range(bisect(pivots, f) - 1, -1, -1):
+            js, xs = nz[k]
+            v[pivots[k]] = -sum(map(mul, xs, map(v.__getitem__, js))) % p
+        return {j: x for j, x in enumerate(v) if x}
+
+    return pivots, vector
+
+
+def _lift(v: dict[int, int], m: int) -> dict[int, int] | None:
+    """An integer multiple of the rational vector that is v mod m, or None.
+
+    Each entry times the common denominator so far is reconstructed (Wang)
+    with numerator and denominator at most sqrt(m/2).
+    """
+    bound = isqrt(m >> 1)
+    den = 1
+    parts = []
+    for j, a in v.items():
+        r0, r1, t0, t1 = m, a * den % m, 0, 1
+        while r1 > bound:
+            q = r0 // r1
+            r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+        if t1 < 0:
+            r1, t1 = -r1, -t1
+        den *= t1
+        if den > bound:
+            return None
+        parts.append((j, r1, den))
+    return {j: n * (den // d) for j, n, d in parts}
+
+
+def _certified_rank(a: list[list[int]]) -> int | None:
+    """The ℚ rank of integer rows certified mod _CERT_PRIMES, or None.
+
+    M is a, or its transpose if that has fewer columns, so that the kernel
+    lifted is the smaller one.  Each kernel vector mod p1 is 1 at its own
+    free column and 0 at the others, so the lifted vectors are independent.
+    """
+    tall = len(a[0]) <= len(a)
+    mrows = a if tall else list(zip(*a))
+    p1, p2 = _CERT_PRIMES
+    pivots, vector1 = _mod_kernel(mrows, p1)
+    width = len(mrows[0])
+    if len(pivots) == width:
+        return width
+    cols = [[(i, x) for i, x in enumerate(col) if x] for col in (zip(*a) if tall else a)]
+
+    def verified(v: dict[int, int], m: int) -> bool:
+        w = _lift(v, m)
+        if w is None:
+            return False
+        acc = [0] * len(mrows)
+        for j, x in w.items():
+            for i, y in cols[j]:
+                acc[i] += x * y
+        return not any(acc)
+
+    pivot_set = set(pivots)
+    kernel1 = {f: vector1(f) for f in range(width) if f not in pivot_set}
+    failed = [f for f, v in kernel1.items() if not verified(v, p1)]
+    if failed:
+        pivots2, vector2 = _mod_kernel(mrows, p2)
+        if pivots2 != pivots:
+            return None
+        # x mod p1 and y mod p2 are x·e1 + y·e2 mod p1·p2
+        e1, e2 = p2 * pow(p2, -1, p1), p1 * pow(p1, -1, p2)
+        for f in failed:
+            v1, v2 = kernel1[f], vector2(f)
+            v = {
+                j: (v1.get(j, 0) * e1 + v2.get(j, 0) * e2) % (p1 * p2)
+                for j in v1.keys() | v2.keys()
+            }
+            if not verified(v, p1 * p2):
+                return None
+    return len(pivots)
 
 
 def rank(rows, field: Field, ncols: int | None = None) -> int:
-    """Exact rank of a matrix over the given field."""
-    return len(_echelon(rows, field, ncols)[1])
+    """Exact rank of a matrix over the given field.
+
+    Over ℚ a matrix with at least _CERT_MIN_DIM rows and columns is ranked
+    mod a prime below 2**30 first.  That rank r is a lower bound, and it is
+    returned when it fills the smaller side, or when the smaller kernel mod p
+    lifts to ℚ and passes an exact check over ℤ, which bounds the rank by r
+    from above.  Otherwise, and for every smaller matrix, fraction-free
+    Bareiss gives the rank.
+    """
+    m = _matrix(rows, field, ncols)
+    if field.p is None and m and min(len(m), len(m[0])) >= _CERT_MIN_DIM:
+        r = _certified_rank(m)
+        if r is not None:
+            return r
+    return len(_eliminate(m, field.p))
 
 
 def densify(
@@ -186,8 +315,9 @@ def rref(rows, field: Field, ncols: int | None = None) -> tuple[list[list[Scalar
     is the canonical RREF, so two row spaces are equal iff their RREFs are
     equal as lists.
     """
-    m, pivots = _echelon(rows, field, ncols)
+    m = _matrix(rows, field, ncols)
     p = field.p
+    pivots = _eliminate(m, p)
     # Back-substitute over the echelon rows, bottom row first: scale each
     # pivot row to a leading 1 (mod p it already has one), then clear its
     # pivot column in the rows above.

@@ -31,7 +31,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from math import comb
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .field import Field, RATIONALS, Scalar
 

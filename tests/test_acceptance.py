@@ -35,7 +35,6 @@ from seplab import (
     invariance_check,
     mat_mul,
     module_product,
-    monomial,
     multiply,
     permanent_poly,
     poly_matrix_minors,

@@ -1,6 +1,7 @@
 """Tests for exact linear algebra (rank, rref, kernels, subspaces)."""
 
 import random
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
@@ -8,8 +9,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import modular_rank, oracle_rank, oracle_rref, rational_rank
-from seplab import RATIONALS, intersect_all, prime_field
+from seplab import RATIONALS, intersect_all, linalg, prime_field
 from seplab.linalg import (
+    _CERT_MIN_DIM,
+    _CERT_PRIMES,
+    _eliminate,
+    _integer_rows,
     densify,
     identity_matrix,
     is_invertible,
@@ -88,6 +93,92 @@ def test_rank_fuzz_against_sympy_mod_p():
 def test_rank_sparse_pivot_pattern():
     m = SPARSE_PIVOT_PATTERN
     assert rank(m, RATIONALS) == rational_rank(m) == 2
+
+
+def bareiss_rank(m):
+    return len(_eliminate(_integer_rows([list(r) for r in m]), None))
+
+
+@contextmanager
+def recorded_eliminations():
+    """The moduli ``_eliminate`` is called with, None for Bareiss, in order."""
+    seen = []
+    inner = linalg._eliminate
+
+    def recording(m, p):
+        seen.append(p)
+        return inner(m, p)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "_eliminate", recording)
+        yield seen
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(
+    st.one_of(st.integers(1, 8), st.integers(40, 64)),
+    st.booleans(),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+def test_certified_rank_of_planted_products_matches_bareiss(k, wide, fractions, seed):
+    """U·V of rank at most k, short side on both sides of the gate, either
+    orientation.  A small k gives a kernel of small height, which lifts; a k
+    just below the short side gives one too tall to lift, so Bareiss decides;
+    k at or past the short side gives full rank."""
+    rng = random.Random(seed)
+    short, long = rng.randint(_CERT_MIN_DIM - 2, 56), rng.randint(_CERT_MIN_DIM, 64)
+    nr, nc = (short, long) if wide else (long, short)
+    u = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(nr)]
+    v = rand_matrix(k, nc, rng, fractions)
+    m = mat_mul(u, v, RATIONALS)
+    with recorded_eliminations() as seen:
+        r = rank(m, RATIONALS)
+    assert r == bareiss_rank(m)
+    if short < _CERT_MIN_DIM:
+        assert seen == [None]
+    elif r == short:
+        assert seen == [_CERT_PRIMES[0]]
+    else:
+        assert seen[0] == _CERT_PRIMES[0]
+
+
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([20, 40]), st.integers(0, 2**32 - 1))
+def test_tall_kernels_take_the_second_prime_then_bareiss(bits, seed):
+    """[I48 | w] plus one row Σ(2^20 + i)·row_i: the kernel vector (-w, 1)
+    lifts mod p1·p2 when |w| < 2^21, and not at all when |w| ~ 2^40."""
+    rng = random.Random(seed)
+    w = [rng.choice((-1, 1)) * rng.randint(2**bits, 2 ** (bits + 1)) for _ in range(48)]
+    top = [[int(i == j) for j in range(48)] + [w[i]] for i in range(48)]
+    m = top + [[sum((2**20 + i) * row[j] for i, row in enumerate(top)) for j in range(49)]]
+    with recorded_eliminations() as seen:
+        assert rank(m, RATIONALS) == 48
+    assert seen == list(_CERT_PRIMES) + ([None] if bits == 40 else [])
+    assert rational_rank(m) == 48
+
+
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 47))
+def test_an_unlucky_prime_falls_back_to_bareiss(i):
+    """With primes 7 and 11, I48 with a 7 on the diagonal has rank 47 mod 7;
+    its kernel vector fails the check over Z and 11 finds other pivots."""
+    m = identity_matrix(48, RATIONALS)
+    m[i][i] = 7
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "_CERT_PRIMES", (7, 11))
+        with recorded_eliminations() as seen:
+            assert rank(m, RATIONALS) == 48
+    assert seen == [7, 11, None]
+    assert rational_rank(m) == 48
+
+
+def test_shape_errors_above_the_gate():
+    m = identity_matrix(_CERT_MIN_DIM, RATIONALS)
+    with pytest.raises(ValueError, match="ragged matrix"):
+        rank(m[:-1] + [m[-1][:-1]], RATIONALS)
+    with pytest.raises(ValueError, match="ncols=49 disagrees with row width 48"):
+        rank(m, RATIONALS, ncols=49)
 
 
 @st.composite
