@@ -253,13 +253,12 @@ def sampler_from_spec(spec: str, field: Field = RATIONALS) -> EasySampler:
 
 def circuit_to_json(circuit: Depth3Circuit | Depth4Circuit) -> dict:
     if isinstance(circuit, Depth3Circuit):
-        fmt = circuit.field.fmt
         return {
             "kind": "depth3",
             "n": circuit.n,
             "field": circuit.field.name,
             "products": [
-                [[fmt(c) for c in form] for form in prod]
+                [[str(c) for c in form] for form in prod]
                 for prod in circuit.products
             ],
         }

@@ -54,13 +54,6 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _require_json(fmt: str) -> None:
-    if fmt != "json":
-        raise ValueError(
-            "csv output is only available for the table and separate commands"
-        )
-
-
 # ---------------------------------------------------------------------------
 # shared argument parsing
 # ---------------------------------------------------------------------------
@@ -92,7 +85,11 @@ def _module_from_spec(spec: str, ambient: sepmod.Ambient, args) -> sepmod.TestMo
             r = int(parts[2])
         except ValueError as exc:
             raise ValueError(f"bad rank threshold in module spec {spec!r}") from exc
-        params = _shift_params(args) if name == "shifted" else {}
+        params = _shift_params(args)
+        if name == "shifted":
+            params = {**measures.SHIFT_DEFAULTS, **params}
+        elif params:
+            raise ValueError("--k/--l apply only to a minors:shifted:<r> module")
         return sepmod.MinorsOfMeasure(ambient, name, r, params)
     raise ValueError(
         f"unrecognized module spec {spec!r} (format: \"minors:<measure>:<r>\")"
@@ -109,10 +106,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, seeded=True):
+    def field(p):
         p.add_argument("--field", default="Q", help='coefficient field: "Q" or "Fp:<p>"')
+
+    def out(p):
         p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--format", default=None, choices=["json", "csv"])
+
+    def common(p, seeded=True):
+        field(p)
+        out(p)
         p.add_argument("--mod3-residue", type=int, default=0, dest="mod3_residue")
         if seeded:
             p.add_argument("--seed", type=int, default=0)
@@ -142,6 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--l", type=int, default=None)
     p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--format", default="json", choices=["json", "csv"])
     common(p)
 
     p = sub.add_parser("table", help="derivative-span dimensions on a grid")
@@ -149,13 +152,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, default=10, dest="n_max")
     p.add_argument("--d-min", type=int, default=1, dest="d_min")
     p.add_argument("--d-max", type=int, default=3, dest="d_max")
-    common(p, seeded=False)
+    p.add_argument("--format", default="csv", choices=["json", "csv"])
+    field(p)
+    out(p)
 
     p = sub.add_parser("rs-distance", help="distance to the low-degree code")
     p.add_argument("--fn", default=None)
     p.add_argument("--table", default=None, help="path to a truth-table file")
     p.add_argument("--bound", type=int, required=True, help="degree bound d")
-    common(p, seeded=False)
+    p.add_argument("--mod3-residue", type=int, default=0, dest="mod3_residue")
+    out(p)
 
     p = sub.add_parser("gk-check", help="twisted-derivative intersection test")
     p.add_argument("--fn", required=True)
@@ -174,8 +180,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_measure(args) -> int:
-    fmt = args.format or "json"
-    _require_json(fmt)
     fld = field_from_name(args.field)
     f = functions.from_spec(args.fn, fld, args.mod3_residue)
     params = _measure_params(args, f.field)
@@ -193,8 +197,6 @@ def cmd_measure(args) -> int:
 
 
 def cmd_invariance(args) -> int:
-    fmt = args.format or "json"
-    _require_json(fmt)
     fld = field_from_name(args.field)
     f = functions.from_spec(args.fn, fld, args.mod3_residue)
     params = _measure_params(args, f.field)
@@ -223,7 +225,6 @@ def cmd_invariance(args) -> int:
 
 
 def cmd_separate(args) -> int:
-    fmt = args.format or "json"
     fld = field_from_name(args.field)
     sampler = circuits.sampler_from_spec(args.easy, fld)
     f_hard = functions.from_spec(args.hard, fld, args.mod3_residue)
@@ -246,7 +247,9 @@ def cmd_separate(args) -> int:
         "seed": args.seed,
         "mod3_residue": args.mod3_residue,
     }
-    if fmt == "json":
+    if module.params:  # the k and l of a shifted module
+        config["params"] = module.params
+    if args.format == "json":
         _emit(_json_text(config, report.to_json()), args.out)
     else:
         summary = [
@@ -260,7 +263,6 @@ def cmd_separate(args) -> int:
 
 
 def cmd_table(args) -> int:
-    fmt = args.format or "csv"
     fld = field_from_name(args.field)
     if not (1 <= args.d_min <= args.d_max and 1 <= args.n_min <= args.n_max):
         raise ValueError("empty or inverted grid ranges")
@@ -305,7 +307,7 @@ def cmd_table(args) -> int:
         "field": fld.name,
         "measure": "dim_partials",
     }
-    if fmt == "csv":
+    if args.format == "csv":
         _emit(_csv_text(config, [header] + rows), args.out)
     else:
         result = [dict(zip(header, row)) for row in rows]
@@ -314,8 +316,6 @@ def cmd_table(args) -> int:
 
 
 def cmd_rs_distance(args) -> int:
-    fmt = args.format or "json"
-    _require_json(fmt)
     if bool(args.fn) == bool(args.table):
         raise ValueError("pass exactly one of --fn and --table")
     if args.fn:
@@ -339,8 +339,6 @@ def cmd_rs_distance(args) -> int:
 
 
 def cmd_gk_check(args) -> int:
-    fmt = args.format or "json"
-    _require_json(fmt)
     fld = field_from_name(args.field)
     if fld.p is None:
         raise ValueError("gk-check runs over a prime field (use --field Fp:<q>)")

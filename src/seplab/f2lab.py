@@ -14,7 +14,7 @@ the invertible-matrix locus.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, prod
+from math import comb, isqrt, prod
 from typing import Callable, Sequence
 
 from . import groups, linalg, measures
@@ -490,7 +490,7 @@ def gk_intersection_test(
     if not sigmas:
         raise ValueError("need at least one matrix to twist by")
     m = f.n
-    n = int(round(m ** 0.5))
+    n = isqrt(m)
     if n * n != m:
         raise ValueError(f"{m} variables do not form a square matrix")
     if r < 0:

@@ -69,12 +69,6 @@ class Field:
     def __str__(self) -> str:
         return self.name
 
-    def zero(self) -> Scalar:
-        return 0
-
-    def one(self) -> Scalar:
-        return 1
-
     def coerce(self, value) -> Scalar:
         """Bring an int, Fraction, or string into canonical scalar form.
 
@@ -117,10 +111,6 @@ class Field:
     def parse(self, text: str) -> Scalar:
         """Parse an exact scalar from a string such as "3", "-2/5", "0.25"."""
         return self.coerce(Fraction(text.strip()))
-
-    def fmt(self, a: Scalar) -> str:
-        """Exact string form: integers plain, non-integers as p/q."""
-        return str(a)
 
 
 RATIONALS = Field()

@@ -23,6 +23,7 @@ from .poly import Poly, monomial, monomials_exact, monomials_upto
 from . import poly as polyops
 
 _ENUMERATION_LIMIT = 10_000
+_COEFF_BOUND = 3  # entries of sampled matrices over Q lie in [-3, 3]
 
 
 @dataclass(frozen=True)
@@ -80,7 +81,7 @@ def permutation_element(perm: Sequence[int]) -> GroupElement:
 
 
 def identity_element(n: int, field: Field = RATIONALS) -> GroupElement:
-    return linear_element(linalg.identity_matrix(n, field), field)
+    return linear_element(linalg.identity_matrix(n), field)
 
 
 def apply(g: GroupElement, f: Poly) -> Poly:
@@ -102,11 +103,10 @@ def apply(g: GroupElement, f: Poly) -> Poly:
     return polyops.substitute_affine(f, g.matrix, g.shift)
 
 
-def _as_matrix(g: GroupElement, field: Field) -> tuple:
+def _as_matrix(g: GroupElement) -> tuple:
     if g.kind == "perm":
-        one, nil = field.one(), field.zero()
         return tuple(
-            tuple(one if j == g.perm[i] else nil for j in range(g.n))
+            tuple(int(j == g.perm[i]) for j in range(g.n))
             for i in range(g.n)
         )
     return g.matrix
@@ -126,13 +126,13 @@ def compose(g: GroupElement, h: GroupElement) -> GroupElement:
     field = g.field or h.field
     if g.field is not None and h.field is not None and g.field != h.field:
         raise ValueError("field mismatch")
-    a_g = _as_matrix(g, field)
-    a_h = _as_matrix(h, field)
+    a_g = _as_matrix(g)
+    a_h = _as_matrix(h)
     m = linalg.mat_mul(a_h, a_g, field)
     if g.kind != "affine" and h.kind != "affine":
         return linear_element(m, field)
-    b_g = g.shift if g.kind == "affine" else (field.zero(),) * g.n
-    b_h = h.shift if h.kind == "affine" else (field.zero(),) * h.n
+    b_g = g.shift if g.kind == "affine" else (0,) * g.n
+    b_h = h.shift if h.kind == "affine" else (0,) * h.n
     b = [x + y for x, y in zip(linalg.mat_vec(a_h, b_g, field), b_h)]
     return affine_element(m, b, field)
 
@@ -142,16 +142,14 @@ def compose(g: GroupElement, h: GroupElement) -> GroupElement:
 # ---------------------------------------------------------------------------
 
 
-def random_invertible(
-    n: int, field: Field, rng: random.Random, coeff_bound: int = 3
-) -> GroupElement:
+def random_invertible(n: int, field: Field, rng: random.Random) -> GroupElement:
     """Uniform small-entry matrix, resampled until the determinant is nonzero."""
-    if field.p is None and coeff_bound < 1:
-        raise ValueError("coeff_bound must be at least 1 over the rationals")
+    if n < 1:
+        raise ValueError("an invertible matrix needs n >= 1")
     while True:
         if field.p is None:
             rows = [
-                [rng.randint(-coeff_bound, coeff_bound) for _ in range(n)]
+                [rng.randint(-_COEFF_BOUND, _COEFF_BOUND) for _ in range(n)]
                 for _ in range(n)
             ]
         else:
@@ -172,14 +170,12 @@ def enumerate_permutations(n: int) -> list[GroupElement]:
     return [permutation_element(p) for p in itertools.permutations(range(n))]
 
 
-def enumerate_invertible(
-    n: int, field: Field, limit: int = _ENUMERATION_LIMIT
-) -> list[GroupElement]:
+def enumerate_invertible(n: int, field: Field) -> list[GroupElement]:
     """All invertible n x n matrices over a tiny prime field, in a fixed order."""
     if field.p is None:
         raise InfeasibleError("cannot enumerate an infinite matrix group")
     candidates = field.p ** (n * n)
-    if candidates > 20 * limit:
+    if candidates > 20 * _ENUMERATION_LIMIT:
         raise InfeasibleError(
             f"{candidates} candidate matrices exceeds the enumeration budget"
         )
@@ -188,8 +184,8 @@ def enumerate_invertible(
         rows = [list(flat[i * n : (i + 1) * n]) for i in range(n)]
         with contextlib.suppress(ValueError):  # singular matrices are skipped
             out.append(linear_element(rows, field))
-            if len(out) > limit:
-                raise InfeasibleError(f"group larger than {limit} elements")
+            if len(out) > _ENUMERATION_LIMIT:
+                raise InfeasibleError(f"group larger than {_ENUMERATION_LIMIT} elements")
     return out
 
 
@@ -240,7 +236,7 @@ def induced_coeff_map(
     )
     images = [apply(g, monomial(e, 1, fld)).terms for e in basis]
     try:
-        _, cols = linalg.densify(images, fld, basis)
+        _, cols = linalg.densify(images, basis)
     except ValueError as exc:
         raise ValueError(
             "element does not preserve the chosen coefficient space; "
@@ -283,7 +279,6 @@ def invariance_check(
     trials: int,
     rng: random.Random,
     params: dict | None = None,
-    coeff_bound: int = 3,
     exhaustive: bool = False,
 ) -> InvarianceReport:
     """Compare measure(f) with measure(f after substitution).
@@ -300,10 +295,7 @@ def invariance_check(
     if exhaustive:
         elements = enumerate_invertible(f.n, f.field)
     else:
-        elements = [
-            random_invertible(f.n, f.field, rng, coeff_bound)
-            for _ in range(trials)
-        ]
+        elements = [random_invertible(f.n, f.field, rng) for _ in range(trials)]
     values = tuple(
         measures.compute_measure(measure, apply(g, f), base_report.params).rank
         for g in elements

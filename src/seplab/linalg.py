@@ -279,7 +279,7 @@ def rank(rows, field: Field, ncols: int | None = None) -> int:
 
 
 def densify(
-    rows: Sequence[Mapping], field: Field, cols: Sequence | None = None
+    rows: Sequence[Mapping], cols: Sequence | None = None
 ) -> tuple[list, list[list[Scalar]]]:
     """Dense form of sparse rows: (column keys, one list per row).
 
@@ -290,10 +290,9 @@ def densify(
     if cols is None:
         cols = sorted({e for r in rows for e in r}, key=grlex_key)
     index = {e: i for i, e in enumerate(cols)}
-    zero = field.zero()
     dense = []
     for r in rows:
-        row = [zero] * len(cols)
+        row = [0] * len(cols)
         for e, c in r.items():
             if e not in index:
                 raise ValueError(f"key {e} outside the given columns")
@@ -304,7 +303,7 @@ def densify(
 
 def span_rank(rows: Sequence[Mapping], field: Field) -> int:
     """Rank of the span of sparse rows (zero rows are skipped)."""
-    cols, dense = densify([r for r in rows if r], field)
+    cols, dense = densify([r for r in rows if r])
     return rank(dense, field, ncols=len(cols)) if cols else 0
 
 
@@ -348,8 +347,8 @@ def right_kernel(rows, field: Field, ncols: int) -> list[list[Scalar]]:
     free = [c for c in range(ncols) if c not in pivot_set]
     basis = []
     for fc in free:
-        v = [field.zero()] * ncols
-        v[fc] = field.one()
+        v = [0] * ncols
+        v[fc] = 1
         for r_idx, pc in enumerate(pivots):
             v[pc] = field.neg(reduced[r_idx][fc])
         basis.append(v)
@@ -407,7 +406,7 @@ def _reduced(rows, field: Field, cols: Sequence) -> Subspace:
 
 def span(rows: Sequence[Mapping], field: Field, cols: Sequence | None = None) -> Subspace:
     """Span of sparse rows, laid out over ``cols`` as ``densify`` does."""
-    cols, dense = densify(rows, field, cols)
+    cols, dense = densify(rows, cols)
     return _reduced(dense, field, cols)
 
 
@@ -438,11 +437,8 @@ def mat_vec(a, v, field: Field) -> list[Scalar]:
     return [col[0] for col in mat_mul(a, [[x] for x in v], field)]
 
 
-def identity_matrix(n: int, field: Field) -> list[list[Scalar]]:
-    return [
-        [field.one() if i == j else field.zero() for j in range(n)]
-        for i in range(n)
-    ]
+def identity_matrix(n: int) -> list[list[Scalar]]:
+    return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
 def is_invertible(matrix: Sequence[Sequence], field: Field) -> bool:

@@ -38,6 +38,7 @@ from .poly import (
 )
 
 MEASURES = ("dim_partials", "shifted", "hessian_rank", "term_count")
+SHIFT_DEFAULTS = {"k": 1, "l": 1}
 
 
 @dataclass(frozen=True)
@@ -179,8 +180,8 @@ def compute_measure(name: str, f: Poly, params: dict | None = None) -> MeasureRe
         rows = m if include or m == 0 else m - 1
         return MeasureReport(name, params, rank_val, rows, m)
     if name == "shifted":
-        k = int(params.setdefault("k", 1))
-        l = int(params.setdefault("l", 1))
+        params = {**SHIFT_DEFAULTS, **params}
+        k, l = int(params["k"]), int(params["l"])
         rank_val = shifted_partials_rank(f, k, l)
         rows = monomial_count(f.n + 1, l) * monomial_count(f.n, k)
         cols = monomial_count(f.n + 1, f.degree - k + l)
@@ -189,7 +190,7 @@ def compute_measure(name: str, f: Poly, params: dict | None = None) -> MeasureRe
         if "point" not in params:
             raise ValueError("hessian_rank needs a point parameter")
         point = tuple(f.field.coerce(v) for v in params["point"])
-        params["point"] = [f.field.fmt(v) for v in point]
+        params["point"] = [str(v) for v in point]
         return MeasureReport(name, params, hessian_rank_at(f, point), f.n, f.n)
     if name == "term_count":
         count = len(f.terms)

@@ -126,7 +126,7 @@ class Poly:
         return sorted(self.terms.items(), key=lambda t: grlex_key(t[0]))
 
     def coefficient(self, e: Exponent) -> Scalar:
-        return self.terms.get(tuple(e), self.field.zero())
+        return self.terms.get(tuple(e), 0)
 
     def __str__(self) -> str:
         if self.is_zero:
@@ -136,7 +136,7 @@ class Poly:
             mono = "*".join(
                 f"x{i}" if v == 1 else f"x{i}^{v}" for i, v in enumerate(e) if v
             )
-            parts.append(f"{self.field.fmt(c)}" + (f"*{mono}" if mono else ""))
+            parts.append(str(c) + (f"*{mono}" if mono else ""))
         return " + ".join(parts)
 
 
@@ -342,7 +342,7 @@ def evaluate(f: Poly, point: Sequence) -> Scalar:
     fld = f.field
     vals = [fld.coerce(v) for v in point]
     p = fld.p
-    total = fld.zero()
+    total = 0
     for e, c in f.terms.items():
         term = c
         for v, ei in zip(vals, e):
@@ -524,7 +524,7 @@ def poly_to_json(f: Poly) -> dict:
         "n": f.n,
         "field": f.field.name,
         "terms": [
-            {"e": list(e), "c": f.field.fmt(c)} for e, c in f.sorted_terms()
+            {"e": list(e), "c": str(c)} for e, c in f.sorted_terms()
         ],
     }
 

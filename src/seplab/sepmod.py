@@ -26,6 +26,10 @@ from .poly import Poly, monomial_count, monomials_exact, monomials_upto
 from .seeding import SEED_STRIDE, derive_seed, trial_rng
 
 MINOR_CAP = 6
+# the sampled GL closure stops after this many samples in a row that do not
+# grow the span, or after this many samples in all
+_STABLE_ROUNDS = 10
+_MAX_SAMPLES = 500
 
 
 # ---------------------------------------------------------------------------
@@ -286,25 +290,20 @@ class SymbolicMatrix:
         return len(self.row_labels), len(self.col_labels)
 
 
-def symbolic_partial_deriv_matrix(
-    ambient: Ambient, max_order: int | None = None
-) -> SymbolicMatrix:
+def symbolic_partial_deriv_matrix(ambient: Ambient) -> SymbolicMatrix:
     """Derivative matrix of a generic input polynomial of the ambient space.
 
-    Row c (a derivative operator of order |c| <= max_order, order 0
-    included), column e (a monomial): the entry is mu * a_{e+c} where mu is
-    the falling-factorial multiplier, or zero when e+c leaves the space.
+    Row c (a derivative operator of order |c| <= d, order 0 included),
+    column e (a monomial): the entry is mu * a_{e+c} where mu is the
+    falling-factorial multiplier, or zero when e+c leaves the space.
     The multipliers are read off the derivative rows of the generic
     polynomial with every coefficient 1, since d^c x^(e+c) = mu * x^e.
     """
-    if max_order is None:
-        max_order = ambient.d
     exponents = ambient.coeff_exponents()
     index = {e: i for i, e in enumerate(exponents)}
     nvars = len(exponents)
     fld = ambient.field
-    row_labels = tuple(monomials_upto(ambient.n, max_order))
-    col_labels = tuple(monomials_upto(ambient.n, ambient.d))
+    row_labels = col_labels = tuple(monomials_upto(ambient.n, ambient.d))
     generic = Poly(ambient.n, fld, dict.fromkeys(exponents, 1))
     zero = polyops.zero(nvars, fld)
 
@@ -333,17 +332,16 @@ def poly_det(entries: Sequence[Sequence[Poly]]) -> Poly:
     return polyops.substitute(det, [t for row in entries for t in row])
 
 
-def poly_matrix_minors(
-    entries: Sequence[Sequence[Poly]], size: int, cap: int = MINOR_CAP
-) -> list[Poly]:
+def poly_matrix_minors(entries: Sequence[Sequence[Poly]], size: int) -> list[Poly]:
     """All size x size minor determinants of a polynomial matrix."""
     nrows = len(entries)
     ncols = len(entries[0]) if nrows else 0
     if any(len(row) != ncols for row in entries):
         raise ValueError("ragged matrix")
-    if nrows > cap or ncols > cap:
+    if nrows > MINOR_CAP or ncols > MINOR_CAP:
         raise InfeasibleError(
-            f"{nrows}x{ncols} matrix exceeds the explicit-minor cap {cap}x{cap}"
+            f"{nrows}x{ncols} matrix exceeds the explicit-minor cap "
+            f"{MINOR_CAP}x{MINOR_CAP}"
         )
     if size < 1 or size > min(nrows, ncols):
         return []
@@ -358,15 +356,14 @@ def minors_explicit(
     matrix: SymbolicMatrix | Sequence[Sequence[Poly]],
     r: int,
     ambient: Ambient,
-    cap: int = MINOR_CAP,
 ) -> ExplicitSpan:
     """Explicit span of all (r+1) x (r+1) minors, reduced to a basis.
 
-    Only for tiny matrices (guarded by ``cap``); ranks above min(rows, cols)
-    leave no minors, giving the empty span that vanishes everywhere.
+    Only for tiny matrices (at most ``MINOR_CAP`` rows and columns); ranks
+    above min(rows, cols) leave no minors, giving the empty span that vanishes everywhere.
     """
     entries = matrix.entries if isinstance(matrix, SymbolicMatrix) else matrix
-    minors = poly_matrix_minors(entries, r + 1, cap)
+    minors = poly_matrix_minors(entries, r + 1)
     nonzero = [m for m in minors if not m.is_zero]
     return ExplicitSpan(ambient, tuple(nonzero))
 
@@ -399,15 +396,14 @@ def group_closure(
     span: ExplicitSpan,
     group: str,
     rng: random.Random | None = None,
-    stable_rounds: int = 10,
-    max_samples: int = 500,
 ) -> ClosureReport:
     """Close an explicit span under a variable group acting on coefficients.
 
     group="sym": exhaustive over all n! permutations (n <= 8); the result is
     genuinely invariant.  group="gl": random invertible substitutions are
-    added until the span dimension survives ``stable_rounds`` consecutive
-    samples — reported as mode "sampled", which is evidence, not proof.
+    added until the span dimension survives ``_STABLE_ROUNDS`` consecutive
+    samples, or ``_MAX_SAMPLES`` are drawn — reported as mode "sampled",
+    which is evidence, not proof.
     """
     amb = span.ambient
     if group == "sym":
@@ -428,7 +424,7 @@ def group_closure(
         current = span
         streak = 0
         samples = 0
-        while streak < stable_rounds and samples < max_samples:
+        while streak < _STABLE_ROUNDS and samples < _MAX_SAMPLES:
             g = groups.random_invertible(amb.n, amb.field, rng)
             cm = groups.induced_coeff_map(
                 g, amb.d, homogeneous=amb.homogeneous

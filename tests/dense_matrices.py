@@ -10,7 +10,7 @@ from seplab import derivative_rows, linalg, monomials_exact, monomials_upto
 
 
 def _dense(f, ops, cols, shifts=None):
-    return linalg.densify(derivative_rows(f, ops, shifts), f.field, cols)[1]
+    return linalg.densify(derivative_rows(f, ops, shifts), cols)[1]
 
 
 def partials_matrix(f, include_order_zero=True):

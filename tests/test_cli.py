@@ -1,5 +1,6 @@
 """End-to-end tests for the batch command line."""
 
+import argparse
 import csv
 import hashlib
 import io
@@ -74,6 +75,23 @@ def test_measure_rejects_csv(capsys):
         )
         == 2
     )
+
+
+def test_flags_a_command_does_not_read_are_refused(capsys):
+    """Only table and separate print csv, rs-distance is always over F_2, and
+    table reads no residue: these flags are parse errors, not ignored."""
+    for argv in (
+        ["measure", "--fn", "esym:2,4", "--measure", "dim_partials", "--format", "json"],
+        ["invariance", "--fn", "esym:2,4", "--measure", "dim_partials", "--format", "json"],
+        ["gk-check", "--fn", "det:2", "--format", "json"],
+        ["rs-distance", "--fn", "mod3:3", "--bound", "1", "--format", "json"],
+        ["rs-distance", "--fn", "mod3:3", "--bound", "1", "--field", "Q"],
+        ["table", "--mod3-residue", "1"],
+    ):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert "unrecognized arguments" in captured.err
 
 
 def test_invariance_passes_for_rank_measure(capsys):
@@ -165,6 +183,29 @@ def test_separate_csv_layout(tmp_path):
     json.loads(rows[0][0][len("config=") :])  # the embedded config is valid JSON
     assert rows[1] == ["trial", "seed", "rank", "bound", "vanished"]
     assert ["separating", "1"] in rows
+
+
+def test_separate_records_the_shift_of_a_shifted_module(capsys):
+    """--k/--l change a shifted module's ranks, so the config carries them,
+    defaults filled in; any other module refuses them."""
+    base = [
+        "separate", "--module", "minors:shifted:3", "--easy", "depth3:3,2,1",
+        "--hard", "esym:2,3", "--trials", "1", "--l", "1",
+    ]
+    runs = [run_json(capsys, base + ["--k", k]) for k in ("1", "2")]
+    assert [code for code, _ in runs] == [0, 0]
+    assert [d["config"]["params"] for _, d in runs] == [{"k": 1, "l": 1}, {"k": 2, "l": 1}]
+    assert [d["result"]["hard_value"] for _, d in runs] == [9, 4]
+    code, data = run_json(capsys, base[:-2])
+    assert data["config"]["params"] == {"k": 1, "l": 1}
+    minors = ["separate", "--module", "minors:dim_partials:4", "--easy", "depth3:4,2,1",
+              "--hard", "esym:2,4", "--trials", "1"]
+    code, data = run_json(capsys, minors)
+    assert code == 0 and "params" not in data["config"]
+    for flag in ("--k", "--l"):
+        assert main(minors + [flag, "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "minors:shifted" in captured.err
 
 
 def test_separate_refuses_mismatched_arity(capsys):
@@ -484,6 +525,22 @@ def test_field_argument_reaches_the_ring(capsys):
     assert prime_field(7).name == "Fp:7"
 
 
+def _declared_options() -> dict[str, tuple[str, ...]]:
+    """Each command's options as the parser declares them, --out aside."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        command: tuple(
+            a.option_strings[0]
+            for a in p._actions
+            if a.option_strings and a.dest not in ("help", "out")
+        )
+        for command, p in sub.choices.items()
+    }
+
+
+_DECLARED = _declared_options()
+
+
 # A small argv grammar for the fuzz test below.  Functions have at most two
 # variables (or one, for gk-check's square-matrix check to pass) and every
 # size stays tiny: no cost guard refuses large work yet.  Each option draws
@@ -518,15 +575,11 @@ _REQUIRED = {
     "rs-distance": ("--fn", "--bound"),
     "gk-check": ("--fn",),
 }
+# every declared option the grammar does not (nearly) always pass
 _OPTIONAL = {
-    "measure": ("--k", "--l", "--point"),
-    "invariance": ("--k", "--l", "--point", "--trials", "--seed", "--exhaustive"),
-    "separate": ("--k", "--l", "--trials", "--seed"),
-    "table": ("--n-min", "--n-max", "--d-min", "--d-max"),
-    "rs-distance": (),
-    "gk-check": ("--r", "--max-degree", "--trials", "--seed"),
+    command: tuple(o for o in options if o not in _REQUIRED[command])
+    for command, options in _DECLARED.items()
 }
-_COMMON = ("--field", "--format", "--mod3-residue")
 
 
 @st.composite
@@ -535,7 +588,7 @@ def cli_argvs(draw):
     # each required option is left out one time in eight
     opts = [o for o in _REQUIRED[command] if draw(st.integers(0, 7)) < 7]
     opts += draw(
-        st.lists(st.sampled_from(_OPTIONAL[command] + _COMMON), unique=True, max_size=4)
+        st.lists(st.sampled_from(_OPTIONAL[command]), unique=True, max_size=4)
     )
     # the default table grid runs to n = 10, so the grammar caps it first
     argv = [command] + (["--n-max", "3"] if command == "table" else [])
@@ -555,6 +608,74 @@ def test_cli_fuzz_exits_with_a_documented_code_and_no_traceback(argv):
         code = main(argv)
     assert code in (0, 1, 2, 3), (argv, code)
     assert "Traceback" not in err.getvalue(), argv
+
+
+# For every declared option but --out: an argv that reads it and a second
+# valid value.  An option missing from the argv starts at its default, and a
+# value of None switches a flag on.
+_CONTRACT = [
+    ("measure --fn rand:2,2,5 --measure shifted",
+     {"--fn": "rand:2,2,6", "--measure": "dim_partials", "--k": "2", "--l": "2",
+      "--field": "Fp:7", "--mod3-residue": "1"}),
+    ("measure --fn rand:2,2,5 --measure hessian_rank --point 1,2", {"--point": "3,4"}),
+    ("invariance --fn esym:2,2 --measure shifted --trials 2 --field Fp:2",
+     {"--fn": "esym:1,2", "--measure": "dim_partials", "--k": "2", "--l": "2",
+      "--trials": "3", "--seed": "1", "--exhaustive": None, "--field": "Fp:3",
+      "--mod3-residue": "1"}),
+    ("invariance --fn det:2 --measure hessian_rank --point 1,0,0,0 --trials 1",
+     {"--point": "1,0,0,1"}),
+    ("separate --module minors:dim_partials:4 --easy depth3:4,2,1 --hard esym:2,4 --trials 1",
+     {"--module": "minors:dim_partials:5", "--easy": "depth3:4,2,2", "--hard": "esym:1,4",
+      "--trials": "2", "--seed": "1", "--field": "Fp:7", "--format": "csv",
+      "--mod3-residue": "1"}),
+    ("separate --module minors:shifted:3 --easy depth3:3,2,1 --hard esym:2,3 --trials 1",
+     {"--k": "2", "--l": "2"}),
+    ("table --n-min 4 --n-max 4 --d-min 1 --d-max 2",
+     {"--n-min": "3", "--n-max": "5", "--d-min": "2", "--d-max": "1", "--field": "Fp:7",
+      "--format": "json"}),
+    ("rs-distance --fn mod3:3 --bound 1", {"--fn": "mod3:4", "--bound": "2", "--mod3-residue": "1"}),
+    ("rs-distance --table {tmp}/a.tt --bound 1", {"--table": "{tmp}/b.tt"}),
+    ("gk-check --fn det:2 --trials 1",
+     {"--fn": "rand:4,2,1", "--r": "0", "--max-degree": "3", "--trials": "2", "--seed": "1",
+      "--field": "Fp:3", "--mod3-residue": "1"}),
+]
+
+
+def _printed_config_and_format(argv):
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        assert main(argv) == 0, argv
+    text = out.getvalue()
+    first = next(csv.reader(io.StringIO(text)))[0]
+    if first.startswith("config="):
+        return json.loads(first[len("config="):]), "csv"
+    return json.loads(text)["config"], "json"
+
+
+@pytest.mark.parametrize("command", sorted(_DECLARED))
+def test_every_option_changes_the_printed_config(command, tmp_path):
+    """The printed config fixes the output, so every option a command takes
+    must show in it: a second valid value changes the config (or, for
+    --format, the format)."""
+    for name in ("a.tt", "b.tt"):
+        (tmp_path / name).write_text(format_table(truth_table(2, lambda pt: pt[0])))
+    covered = []
+    for base, alternatives in _CONTRACT:
+        base = base.format(tmp=tmp_path).split()
+        if base[0] != command:
+            continue
+        config, fmt = _printed_config_and_format(base)
+        for opt, value in alternatives.items():
+            covered.append(opt)
+            argv = list(base)
+            value = None if value is None else value.format(tmp=tmp_path)
+            if opt in argv:
+                argv[argv.index(opt) + 1] = value
+            else:
+                argv += [opt] if value is None else [opt, value]
+            changed = _printed_config_and_format(argv)
+            assert changed[1] != fmt if opt == "--format" else changed[0] != config, argv
+    assert sorted(covered) == sorted(_DECLARED[command])
 
 
 # stdout sha256 of each argv, recorded before ℚ scalars became ints and

@@ -69,6 +69,6 @@ def test_field_from_name_round_trip():
 def test_fmt_and_parse_are_inverse():
     q = RATIONALS
     for s in ("0", "-3", "5/9"):
-        assert q.fmt(q.coerce(s)) == s
+        assert str(q.coerce(s)) == s
     f7 = prime_field(7)
-    assert f7.fmt(f7.coerce(13)) == "6"
+    assert str(f7.coerce(13)) == "6"

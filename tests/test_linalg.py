@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import modular_rank, oracle_rank, oracle_rref, rational_rank
+from oracles import modular_rank, oracle_rank, oracle_rref, qq_rank, rational_rank
 from seplab import RATIONALS, intersect_all, linalg, prime_field
 from seplab.linalg import (
     _CERT_MIN_DIM,
@@ -78,7 +78,7 @@ def test_rank_fuzz_against_sympy_rationals():
                 m = [[0] * nc for _ in range(nr)]
             else:
                 m = mat_mul(a, b, RATIONALS)
-        assert rank(m, RATIONALS) == rational_rank(m)
+        assert rank(m, RATIONALS) == rational_rank(m) == qq_rank(m)
 
 
 def test_rank_fuzz_against_sympy_mod_p():
@@ -125,7 +125,8 @@ def test_certified_rank_of_planted_products_matches_bareiss(k, wide, fractions, 
     """U·V of rank at most k, short side on both sides of the gate, either
     orientation.  A small k gives a kernel of small height, which lifts; a k
     just below the short side gives one too tall to lift, so Bareiss decides;
-    k at or past the short side gives full rank."""
+    k at or past the short side gives full rank.  Bareiss and sympy's QQ
+    domain matrices both confirm the rank."""
     rng = random.Random(seed)
     short, long = rng.randint(_CERT_MIN_DIM - 2, 56), rng.randint(_CERT_MIN_DIM, 64)
     nr, nc = (short, long) if wide else (long, short)
@@ -134,7 +135,7 @@ def test_certified_rank_of_planted_products_matches_bareiss(k, wide, fractions, 
     m = mat_mul(u, v, RATIONALS)
     with recorded_eliminations() as seen:
         r = rank(m, RATIONALS)
-    assert r == bareiss_rank(m)
+    assert r == bareiss_rank(m) == qq_rank(m)
     if short < _CERT_MIN_DIM:
         assert seen == [None]
     elif r == short:
@@ -163,7 +164,7 @@ def test_tall_kernels_take_the_second_prime_then_bareiss(bits, seed):
 def test_an_unlucky_prime_falls_back_to_bareiss(i):
     """With primes 7 and 11, I48 with a 7 on the diagonal has rank 47 mod 7;
     its kernel vector fails the check over Z and 11 finds other pivots."""
-    m = identity_matrix(48, RATIONALS)
+    m = identity_matrix(48)
     m[i][i] = 7
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(linalg, "_CERT_PRIMES", (7, 11))
@@ -174,7 +175,7 @@ def test_an_unlucky_prime_falls_back_to_bareiss(i):
 
 
 def test_shape_errors_above_the_gate():
-    m = identity_matrix(_CERT_MIN_DIM, RATIONALS)
+    m = identity_matrix(_CERT_MIN_DIM)
     with pytest.raises(ValueError, match="ragged matrix"):
         rank(m[:-1] + [m[-1][:-1]], RATIONALS)
     with pytest.raises(ValueError, match="ncols=49 disagrees with row width 48"):
@@ -339,7 +340,7 @@ def test_fraction_entries_over_prime_fields_are_coerced():
 
 
 def test_identity_and_invertibility():
-    assert is_invertible(identity_matrix(4, RATIONALS), RATIONALS)
+    assert is_invertible(identity_matrix(4), RATIONALS)
     assert not is_invertible([[1, 2], [2, 4]], RATIONALS)
     assert not is_invertible([[1, 2], [2, 4]], F5)
     assert is_invertible([[1, 2], [3, 4]], RATIONALS)
@@ -363,16 +364,16 @@ def test_mat_mul_and_mat_vec_agree_with_direct_sums():
 
 def test_densify_lays_sparse_rows_over_the_grlex_support():
     rows = [{(1, 0): 2}, {}, {(0, 0): 1, (0, 1): 3}]
-    cols, dense = densify(rows, RATIONALS)
+    cols, dense = densify(rows)
     assert cols == [(0, 0), (0, 1), (1, 0)]
     assert dense == [[0, 0, 2], [0, 0, 0], [1, 3, 0]]
-    cols, dense = densify(rows, F5, cols=[(1, 0), (0, 1), (0, 0)])
+    cols, dense = densify(rows, cols=[(1, 0), (0, 1), (0, 0)])
     assert cols == [(1, 0), (0, 1), (0, 0)]
     assert dense == [[2, 0, 0], [0, 0, 0], [0, 3, 1]]
     # a key outside explicit columns is refused, not dropped
     with pytest.raises(ValueError):
-        densify(rows, F5, cols=[(1, 0), (0, 0)])
-    assert densify([], F5) == ([], [])
+        densify(rows, cols=[(1, 0), (0, 0)])
+    assert densify([]) == ([], [])
 
 
 def test_span_rank_of_sparse_rows_against_sympy():
