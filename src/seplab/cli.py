@@ -69,7 +69,11 @@ def _shift_params(args) -> dict:
 
 
 def _measure_params(args, fld: Field) -> dict:
-    params = _shift_params(args) if args.measure == "shifted" else {}
+    params = _shift_params(args)
+    if params and args.measure != "shifted":
+        raise ValueError("--k/--l apply only to --measure shifted")
+    if args.point is not None and args.measure != "hessian_rank":
+        raise ValueError("--point applies only to --measure hessian_rank")
     if args.measure == "hessian_rank":
         if not args.point:
             raise ValueError("hessian_rank needs --point")

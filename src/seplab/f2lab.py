@@ -13,7 +13,7 @@ the invertible-matrix locus.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from math import comb, isqrt, prod
 from typing import Callable, Sequence
 
@@ -433,17 +433,7 @@ class GKReport:
     property_holds: bool
 
     def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "q": self.q,
-            "r": self.r,
-            "max_degree": self.max_degree,
-            "sigma_count": self.sigma_count,
-            "strategy": self.strategy,
-            "lambda_dim": self.lambda_dim,
-            "intersection_dim": self.intersection_dim,
-            "property_holds": self.property_holds,
-        }
+        return asdict(self)
 
 
 def gl_points(n: int, q: int) -> list[tuple[int, ...]]:
@@ -513,7 +503,7 @@ def gk_intersection_test(
     monomials = function_monomials(m, q, max_degree)
 
     for s in sigmas:
-        if s.kind != "linear" or s.n != n or s.field != f.field:
+        if s.shift is not None or s.n != n or s.field != f.field:
             raise ValueError(
                 "twists must be invertible linear elements on the matrix side"
             )

@@ -1,10 +1,11 @@
 """Group elements acting on polynomials and on coefficient space.
 
-Three kinds of element act on a polynomial ring: invertible linear maps
-(substitute x by A·x), invertible affine maps (x by A·x + b), and variable
-permutations.  ``induced_coeff_map`` turns an element into the matrix of its
-action on the coefficient vectors of fixed-degree polynomials, which is how
-test polynomials are transported.  ``invariance_check`` measures a polynomial
+Every element is an invertible matrix A over a field, with an optional shift
+b: it substitutes x by A·x, or by A·x + b when the shift is present.  A
+variable permutation is the 0/1 matrix that sends x_i to x_perm[i].
+``induced_coeff_map`` turns an element into the matrix of its action on the
+coefficient vectors of fixed-degree polynomials, which is how test
+polynomials are transported.  ``invariance_check`` measures a polynomial
 before and after random (or exhaustively enumerated) substitutions.
 """
 
@@ -28,56 +29,51 @@ _COEFF_BOUND = 3  # entries of sampled matrices over Q lie in [-3, 3]
 
 @dataclass(frozen=True)
 class GroupElement:
-    """A linear / affine / permutation symmetry of the ambient variables.
+    """An invertible linear (``shift`` None) or affine map of the variables.
 
-    ``matrix`` rows are tuples of field scalars (linear & affine kinds),
-    ``shift`` is the affine translation, ``perm`` is a one-line permutation
-    array (perm[i] is where variable i goes).  Use the factory functions;
-    they validate invertibility by exact rank.
+    ``matrix`` rows are tuples of field scalars and ``shift`` is the affine
+    translation.  Use the factory functions: the linear and affine ones
+    validate invertibility by exact rank, and a permutation matrix is
+    invertible by construction.
     """
 
-    kind: str
-    n: int
-    field: Field | None = None
-    matrix: tuple[tuple[Scalar, ...], ...] | None = None
+    field: Field
+    matrix: tuple[tuple[Scalar, ...], ...]
     shift: tuple[Scalar, ...] | None = None
-    perm: tuple[int, ...] | None = None
 
-    def describe(self) -> str:
-        if self.kind == "perm":
-            return f"perm{list(self.perm)}"
-        tag = "linear" if self.kind == "linear" else "affine"
-        return f"{tag}({self.n}x{self.n} over {self.field})"
+    @property
+    def n(self) -> int:
+        return len(self.matrix)
 
 
-def linear_element(matrix: Sequence[Sequence], field: Field = RATIONALS) -> GroupElement:
+def _invertible_rows(matrix: Sequence[Sequence], field: Field) -> tuple:
     rows = tuple(tuple(field.coerce(v) for v in row) for row in matrix)
-    n = len(rows)
-    if any(len(r) != n for r in rows):
+    if any(len(r) != len(rows) for r in rows):
         raise ValueError("matrix must be square")
     if not linalg.is_invertible(rows, field):
         raise ValueError("matrix is singular")
-    return GroupElement("linear", n, field, rows)
+    return rows
+
+
+def linear_element(matrix: Sequence[Sequence], field: Field = RATIONALS) -> GroupElement:
+    return GroupElement(field, _invertible_rows(matrix, field))
 
 
 def affine_element(
     matrix: Sequence[Sequence], shift: Sequence, field: Field = RATIONALS
 ) -> GroupElement:
-    rows = tuple(tuple(field.coerce(v) for v in row) for row in matrix)
-    n = len(rows)
-    if any(len(r) != n for r in rows) or len(shift) != n:
-        raise ValueError("matrix must be square and match the shift length")
-    if not linalg.is_invertible(rows, field):
-        raise ValueError("matrix is singular")
-    b = tuple(field.coerce(v) for v in shift)
-    return GroupElement("affine", n, field, rows, b)
+    if len(shift) != len(matrix):
+        raise ValueError("the shift length must match the matrix")
+    rows = _invertible_rows(matrix, field)
+    return GroupElement(field, rows, tuple(field.coerce(v) for v in shift))
 
 
-def permutation_element(perm: Sequence[int]) -> GroupElement:
+def permutation_element(perm: Sequence[int], field: Field = RATIONALS) -> GroupElement:
+    """The 0/1 matrix with A[i][perm[i]] = 1: x_i becomes x_perm[i]."""
     p = tuple(int(v) for v in perm)
     if sorted(p) != list(range(len(p))):
         raise ValueError(f"not a permutation: {p}")
-    return GroupElement("perm", len(p), perm=p)
+    return GroupElement(field, tuple(tuple(int(j == t) for j in range(len(p))) for t in p))
 
 
 def identity_element(n: int, field: Field = RATIONALS) -> GroupElement:
@@ -88,53 +84,31 @@ def apply(g: GroupElement, f: Poly) -> Poly:
     """Substitute the element into f (f composed with the variable map)."""
     if g.n != f.n:
         raise ValueError(f"arity mismatch: element on {g.n}, polynomial on {f.n}")
-    if g.kind == "perm":
-        terms = {}
-        for e, c in f.terms.items():
-            e2 = [0] * f.n
-            for i, v in enumerate(e):
-                e2[g.perm[i]] = v
-            terms[tuple(e2)] = c
-        return Poly(f.n, f.field, terms)
     if g.field != f.field:
         raise ValueError(f"field mismatch: {g.field} vs {f.field}")
-    if g.kind == "linear":
+    if g.shift is None:
         return polyops.substitute_linear(f, g.matrix)
     return polyops.substitute_affine(f, g.matrix, g.shift)
-
-
-def _as_matrix(g: GroupElement) -> tuple:
-    if g.kind == "perm":
-        return tuple(
-            tuple(int(j == g.perm[i]) for j in range(g.n))
-            for i in range(g.n)
-        )
-    return g.matrix
 
 
 def compose(g: GroupElement, h: GroupElement) -> GroupElement:
     """Element whose action is "h first, then g" on polynomials.
 
     Substitutions compose right-to-left: apply(compose(g, h), f) equals
-    apply(g, apply(h, f)).  On matrices that is A_h · A_g; on permutations
-    i -> g(h(i)).
+    apply(g, apply(h, f)).  That is x -> A_h·(A_g·x + b_g) + b_h, so the
+    matrix is A_h · A_g, which is invertible as both factors are.
     """
     if g.n != h.n:
         raise ValueError("arity mismatch")
-    if g.kind == "perm" and h.kind == "perm":
-        return permutation_element(tuple(g.perm[h.perm[i]] for i in range(g.n)))
-    field = g.field or h.field
-    if g.field is not None and h.field is not None and g.field != h.field:
+    if g.field != h.field:
         raise ValueError("field mismatch")
-    a_g = _as_matrix(g)
-    a_h = _as_matrix(h)
-    m = linalg.mat_mul(a_h, a_g, field)
-    if g.kind != "affine" and h.kind != "affine":
-        return linear_element(m, field)
-    b_g = g.shift if g.kind == "affine" else (0,) * g.n
-    b_h = h.shift if h.kind == "affine" else (0,) * h.n
-    b = [x + y for x, y in zip(linalg.mat_vec(a_h, b_g, field), b_h)]
-    return affine_element(m, b, field)
+    field = g.field
+    m = tuple(map(tuple, linalg.mat_mul(h.matrix, g.matrix, field)))
+    if g.shift is None and h.shift is None:
+        return GroupElement(field, m)
+    moved = linalg.mat_vec(h.matrix, g.shift or (0,) * g.n, field)
+    b_h = h.shift or (0,) * h.n
+    return GroupElement(field, m, tuple(field.coerce(x + y) for x, y in zip(moved, b_h)))
 
 
 # ---------------------------------------------------------------------------
@@ -158,16 +132,18 @@ def random_invertible(n: int, field: Field, rng: random.Random) -> GroupElement:
             return linear_element(rows, field)
 
 
-def random_permutation(n: int, rng: random.Random) -> GroupElement:
+def random_permutation(
+    n: int, rng: random.Random, field: Field = RATIONALS
+) -> GroupElement:
     order = list(range(n))
     rng.shuffle(order)
-    return permutation_element(order)
+    return permutation_element(order, field)
 
 
-def enumerate_permutations(n: int) -> list[GroupElement]:
+def enumerate_permutations(n: int, field: Field = RATIONALS) -> list[GroupElement]:
     if n > 8:
         raise InfeasibleError(f"refusing to enumerate {n}! permutations (n > 8)")
-    return [permutation_element(p) for p in itertools.permutations(range(n))]
+    return [permutation_element(p, field) for p in itertools.permutations(range(n))]
 
 
 def enumerate_invertible(n: int, field: Field) -> list[GroupElement]:
@@ -212,10 +188,7 @@ class CoeffMap:
 
 
 def induced_coeff_map(
-    g: GroupElement,
-    d: int,
-    field: Field | None = None,
-    homogeneous: bool | None = None,
+    g: GroupElement, d: int, homogeneous: bool | None = None
 ) -> CoeffMap:
     """Coefficient-space matrix of g on degree-d polynomials.
 
@@ -224,17 +197,12 @@ def induced_coeff_map(
     which is required for affine elements with a nonzero shift (they do not
     preserve the homogeneous slice).
     """
-    fld = field or g.field
-    if fld is None:
-        raise ValueError("a field is required for a permutation element")
     if homogeneous is None:
-        homogeneous = not (
-            g.kind == "affine" and any(v != 0 for v in g.shift)
-        )
+        homogeneous = not any(g.shift or ())
     basis = (
         monomials_exact(g.n, d) if homogeneous else monomials_upto(g.n, d)
     )
-    images = [apply(g, monomial(e, 1, fld)).terms for e in basis]
+    images = [apply(g, monomial(e, 1, g.field)).terms for e in basis]
     try:
         _, cols = linalg.densify(images, basis)
     except ValueError as exc:
@@ -243,7 +211,7 @@ def induced_coeff_map(
             "use homogeneous=False"
         ) from exc
     matrix = tuple(zip(*cols))
-    return CoeffMap(g.n, d, fld, homogeneous, tuple(basis), matrix)
+    return CoeffMap(g.n, d, g.field, homogeneous, tuple(basis), matrix)
 
 
 # ---------------------------------------------------------------------------

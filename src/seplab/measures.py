@@ -22,7 +22,7 @@ monomials, counted with ``poly.monomial_count``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 from . import linalg
@@ -54,13 +54,7 @@ class MeasureReport:
             raise ValueError("rank exceeds matrix dimensions")
 
     def to_json(self) -> dict:
-        return {
-            "measure": self.measure,
-            "params": dict(self.params),
-            "rank": self.rank,
-            "rows": self.rows,
-            "cols": self.cols,
-        }
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field
 from typing import Sequence, Union
 
 from . import circuits, groups, linalg, measures
@@ -215,12 +215,7 @@ class ModuleEvaluation:
     detail: dict
 
     def to_json(self) -> dict:
-        return {
-            "vanishes": self.vanishes,
-            "value": self.value,
-            "threshold": self.threshold,
-            "detail": dict(self.detail),
-        }
+        return asdict(self)
 
 
 def evaluate_module(module: TestModule, f: Poly) -> ModuleEvaluation:
@@ -406,15 +401,15 @@ def group_closure(
     which is evidence, not proof.
     """
     amb = span.ambient
+
+    def transported(g: groups.GroupElement) -> tuple:
+        cm = groups.induced_coeff_map(g, amb.d, homogeneous=amb.homogeneous)
+        return tuple(polyops.substitute_linear(t, cm.matrix) for t in span.basis)
+
     if group == "sym":
-        elements = groups.enumerate_permutations(amb.n)
-        images = list(span.basis)
-        for g in elements:
-            cm = groups.induced_coeff_map(
-                g, amb.d, field=amb.field, homogeneous=amb.homogeneous
-            )
-            images.extend(polyops.substitute_linear(t, cm.matrix) for t in span.basis)
-        closed = ExplicitSpan(amb, tuple(images))
+        elements = groups.enumerate_permutations(amb.n, amb.field)
+        images = span.basis + tuple(t for g in elements for t in transported(g))
+        closed = ExplicitSpan(amb, images)
         return ClosureReport(
             closed, "sym", "exhaustive", len(elements), closed.dim
         )
@@ -426,11 +421,7 @@ def group_closure(
         samples = 0
         while streak < _STABLE_ROUNDS and samples < _MAX_SAMPLES:
             g = groups.random_invertible(amb.n, amb.field, rng)
-            cm = groups.induced_coeff_map(
-                g, amb.d, homogeneous=amb.homogeneous
-            )
-            images = [polyops.substitute_linear(t, cm.matrix) for t in span.basis]
-            grown = ExplicitSpan(amb, current.basis + tuple(images))
+            grown = ExplicitSpan(amb, current.basis + transported(g))
             samples += 1
             if grown.dim == current.dim:
                 streak += 1

@@ -335,7 +335,7 @@ def test_criterion_09_permutation_closure_of_coefficient_slots():
         assert closure.dim == exponent_orbit_dim(slot, 3)
         images = []
         for g in perms:
-            cm = induced_coeff_map(g, 2, field=RATIONALS, homogeneous=True)
+            cm = induced_coeff_map(g, 2, homogeneous=True)
             for b in closure.module.basis:
                 assert in_span(closure.module, substitute_linear(b, cm.matrix))
             images.append(substitute_linear(t, cm.matrix))

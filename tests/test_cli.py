@@ -208,6 +208,25 @@ def test_separate_records_the_shift_of_a_shifted_module(capsys):
         assert captured.out == "" and "minors:shifted" in captured.err
 
 
+@pytest.mark.parametrize("command", ["measure", "invariance"])
+def test_measure_options_the_measure_does_not_read_are_refused(capsys, command):
+    """--k/--l belong to shifted and --point to hessian_rank; any other
+    measure refuses them instead of printing the output it prints without."""
+    base = [command, "--fn", "esym:2,4", "--measure", "dim_partials"]
+    assert main(base) == 0
+    capsys.readouterr()
+    for extra, name in ((["--k", "5"], "--k/--l"), (["--l", "1"], "--k/--l"),
+                        (["--point", "1,2"], "--point")):
+        assert main(base + extra) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and name in captured.err
+    shifted = [command, "--fn", "esym:2,4", "--measure", "shifted"]
+    assert main(shifted + ["--point", "1,2,3,4"]) == 2
+    hessian = [command, "--fn", "esym:2,4", "--measure", "hessian_rank", "--point", "1,2,3,4"]
+    assert main(hessian + ["--k", "1"]) == 2
+    assert "--k/--l" in capsys.readouterr().err
+
+
 def test_separate_refuses_mismatched_arity(capsys):
     assert (
         main(

@@ -13,6 +13,7 @@ from seplab import (
     InfeasibleError,
     Poly,
     RATIONALS,
+    affine_element,
     determinant_poly,
     distance_to_degree,
     format_table,
@@ -27,7 +28,6 @@ from seplab import (
     monomials_upto,
     multilinear_to_truth_table,
     parse_table,
-    permutation_element,
     prime_field,
     reduce_pointwise,
     span,
@@ -493,7 +493,8 @@ def test_gk_validation_and_guards():
     with pytest.raises(ValueError):
         gk_intersection_test(det, -1, [identity_element(2, F2)])
     with pytest.raises(ValueError):
-        gk_intersection_test(det, 1, [permutation_element([1, 0])])
+        # invertible and over F_2, but affine: only linear twists are accepted
+        gk_intersection_test(det, 1, [affine_element([[1, 0], [0, 1]], [1, 0], F2)])
     f11 = prime_field(11)
     with pytest.raises(InfeasibleError):
         gk_intersection_test(

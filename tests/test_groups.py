@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seplab import (
     InfeasibleError,
@@ -43,7 +45,7 @@ def rand_poly(n, d, rng, field=RATIONALS):
 def rand_element(n, rng, field=RATIONALS):
     kind = rng.choice(("linear", "affine", "perm"))
     if kind == "perm":
-        return random_permutation(n, rng)
+        return random_permutation(n, rng, field)
     if kind == "linear":
         return random_invertible(n, field, rng)
     base = random_invertible(n, field, rng)
@@ -67,9 +69,37 @@ def test_factories_validate():
 
 def test_permutation_moves_variables():
     """perm[i] names the variable that x_i becomes."""
-    g = permutation_element([1, 2, 0])
+    perm = [1, 2, 0]
+    g = permutation_element(perm)
     for i in range(3):
-        assert apply(g, variable(i, 3)) == variable(g.perm[i], 3)
+        assert apply(g, variable(i, 3)) == variable(perm[i], 3)
+
+
+def relabeled(f, perm):
+    """Independent of the matrix: exponent e becomes e' with e'[perm[i]] = e[i]."""
+    terms = {}
+    for e, c in f.terms.items():
+        moved = [0] * f.n
+        for i, v in enumerate(e):
+            moved[perm[i]] = v
+        terms[tuple(moved)] = c
+    return Poly(f.n, f.field, terms)
+
+
+@st.composite
+def permuted_polys(draw):
+    field = draw(st.sampled_from((RATIONALS, prime_field(2), prime_field(7))))
+    n = draw(st.integers(1, 4))
+    exps = st.tuples(*[st.integers(0, 3)] * n)
+    terms = draw(st.dictionaries(exps, st.integers(-9, 9), max_size=6))
+    return Poly(n, field, terms), draw(st.permutations(range(n)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(permuted_polys())
+def test_permutation_matrix_substitution_relabels_exponents(case):
+    f, perm = case
+    assert apply(permutation_element(perm, f.field), f) == relabeled(f, perm)
 
 
 def test_symmetric_polynomial_is_fixed_by_every_permutation():
@@ -98,11 +128,12 @@ def test_composition_law_all_kind_pairs():
 def test_compose_permutations_stays_a_permutation():
     rng = random.Random(4)
     for _ in range(10):
-        g = random_permutation(4, rng)
-        h = random_permutation(4, rng)
-        gh = compose(g, h)
-        assert gh.kind == "perm"
-        assert tuple(gh.perm) == tuple(g.perm[h.perm[i]] for i in range(4))
+        p, q = list(range(4)), list(range(4))
+        rng.shuffle(p)
+        rng.shuffle(q)
+        gh = compose(permutation_element(p), permutation_element(q))
+        assert gh.shift is None
+        assert gh == permutation_element([p[q[i]] for i in range(4)])
 
 
 def test_random_invertible_is_deterministic_and_invertible():
@@ -128,7 +159,7 @@ def test_no_variables_is_refused_not_redrawn_forever():
 
 def test_enumerate_permutations_counts_and_guard():
     assert len(enumerate_permutations(3)) == 6
-    assert len({g.perm for g in enumerate_permutations(4)}) == 24
+    assert len({g.matrix for g in enumerate_permutations(4)}) == 24
     with pytest.raises(InfeasibleError):
         enumerate_permutations(9)
 
@@ -157,8 +188,8 @@ def test_induced_coeff_map_transports_coefficients():
         for _ in range(10):
             d = rng.choice((2, 3))
             g = rand_element(2, rng, field)
-            homogeneous = not (g.kind == "affine" and any(v != 0 for v in g.shift))
-            cm = induced_coeff_map(g, d, field=field)
+            homogeneous = g.shift is None or not any(v != 0 for v in g.shift)
+            cm = induced_coeff_map(g, d)
             assert cm.homogeneous == homogeneous
             terms = {
                 e: (rng.randint(-3, 3) if field.p is None else rng.randrange(field.p))
@@ -189,14 +220,6 @@ def test_affine_shift_needs_inhomogeneous_basis():
     assert len(cm.basis) == 6  # all monomials of degree <= 2 in two variables
     with pytest.raises(ValueError):
         induced_coeff_map(g, 2, homogeneous=True)
-
-
-def test_permutation_needs_explicit_field():
-    g = permutation_element([1, 0])
-    with pytest.raises(ValueError):
-        induced_coeff_map(g, 2)
-    cm = induced_coeff_map(g, 2, field=RATIONALS)
-    assert cm.field == RATIONALS
 
 
 def test_invariance_check_rank_measures_hold():

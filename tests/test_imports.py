@@ -1,11 +1,12 @@
-"""Every module of the package reads every name it imports."""
+"""Every module of the package, and every test file, reads every name it imports."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "seplab"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "seplab"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -34,7 +35,8 @@ def test_scan_finds_an_unused_import():
 # __init__ imports names to re-export them, not to read them
 @pytest.mark.parametrize(
     "path",
-    sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"),
+    sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+    + sorted(TESTS.glob("*.py")),
     ids=lambda p: p.name,
 )
 def test_module_reads_every_name_it_imports(path):

@@ -1,5 +1,6 @@
 """Tests for test modules: spans, minors, products, closure, separation runs."""
 
+import itertools
 import math
 import random
 
@@ -293,6 +294,19 @@ def test_group_closure_symmetric_orbit_of_one_slot():
         "samples": 2,
         "dim": 2,
     }
+
+
+def test_group_closure_symmetric_orbit_span_over_prime_fields():
+    """Over F_2 and F_5, closing one coefficient slot under S_3 spans exactly
+    the slots of the exponents its permutations reach."""
+    for field, homogeneous in ((prime_field(2), True), (prime_field(5), False)):
+        amb = Ambient(3, 2, field, homogeneous=homogeneous)
+        for slot in amb.coeff_exponents():
+            report = group_closure(explicit_span(amb, [amb.coeff_variable(slot)]), "sym")
+            orbit = set(itertools.permutations(slot))
+            assert report.samples == 6
+            assert report.dim == len(orbit)
+            assert all(in_span(report.module, amb.coeff_variable(e)) for e in orbit)
 
 
 def test_group_closure_discriminant_line_is_stable():
