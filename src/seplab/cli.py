@@ -81,6 +81,12 @@ def _measure_params(args, fld: Field) -> dict:
     return params
 
 
+def _seed(args, reads: bool) -> int:
+    if not reads and args.seed is not None:
+        raise ValueError("--seed applies only to sampled runs, not whole-group ones")
+    return args.seed or 0
+
+
 def _module_from_spec(spec: str, ambient: sepmod.Ambient, args) -> sepmod.TestModule:
     parts = spec.split(":")
     if len(parts) == 3 and parts[0] == "minors":
@@ -121,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
         out(p)
         p.add_argument("--mod3-residue", type=int, default=0, dest="mod3_residue")
         if seeded:
-            p.add_argument("--seed", type=int, default=0)
+            p.add_argument("--seed", type=int, default=None, help="master seed (default 0)")
 
     p = sub.add_parser("measure", help="compute one measure of one function")
     p.add_argument("--fn", required=True)
@@ -204,7 +210,8 @@ def cmd_invariance(args) -> int:
     fld = field_from_name(args.field)
     f = functions.from_spec(args.fn, fld, args.mod3_residue)
     params = _measure_params(args, f.field)
-    rng = trial_rng(args.seed, 0)
+    seed = _seed(args, reads=not args.exhaustive)
+    rng = trial_rng(seed, 0)
     report = groups.invariance_check(
         args.measure,
         f,
@@ -220,7 +227,7 @@ def cmd_invariance(args) -> int:
         "measure": args.measure,
         "params": report.params,
         "trials": args.trials,
-        "seed": args.seed,
+        "seed": seed,
         "exhaustive": args.exhaustive,
         "mod3_residue": args.mod3_residue,
     }
@@ -240,7 +247,7 @@ def cmd_separate(args) -> int:
         sampler.n, max(sampler.d, f_hard.degree), fld, homogeneous=False
     )
     module = _module_from_spec(args.module, ambient, args)
-    report = sepmod.run_separation(module, sampler, f_hard, args.trials, args.seed)
+    report = sepmod.run_separation(module, sampler, f_hard, args.trials, args.seed or 0)
     config = {
         "command": "separate",
         "module": args.module,
@@ -248,7 +255,7 @@ def cmd_separate(args) -> int:
         "hard": args.hard,
         "field": fld.name,
         "trials": args.trials,
-        "seed": args.seed,
+        "seed": args.seed or 0,
         "mod3_residue": args.mod3_residue,
     }
     if module.params:  # the k and l of a shifted module
@@ -352,8 +359,9 @@ def cmd_gk_check(args) -> int:
         raise ValueError(f"{f.n} variables do not form a square matrix")
     if args.trials < 0:
         raise ValueError("--trials must be nonnegative (0 = whole group)")
+    seed = _seed(args, reads=args.trials > 0)
     if args.trials > 0:
-        rng = trial_rng(args.seed, 0)
+        rng = trial_rng(seed, 0)
         sigmas = [
             groups.random_invertible(n, fld, rng) for _ in range(args.trials)
         ]
@@ -373,7 +381,7 @@ def cmd_gk_check(args) -> int:
         "r": args.r,
         "max_degree": pairwise.max_degree,
         "trials": args.trials,
-        "seed": args.seed,
+        "seed": seed,
         "mod3_residue": args.mod3_residue,
     }
     result = {

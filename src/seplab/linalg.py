@@ -19,7 +19,8 @@ over ℤ; its vectors are independent, so if all pass the rank is at most r.
 Vectors that fail are redone modulo a product of two primes by CRT, and if
 that fails too, or an unlucky prime (rank mod p below the ℚ rank) makes the
 pivots disagree, Bareiss decides.  Smaller matrices, RREF and kernels always
-use Bareiss.
+use Bareiss.  Mod p, ranks of that size (over F_p or for a certificate) pack
+each row into one int; RREF, kernels and smaller ranks stay on list rows.
 
 Sparse rows are maps from column keys (exponent tuples) to scalars, such as
 polynomial term maps; ``densify`` is the one place they are laid out as dense
@@ -35,10 +36,12 @@ intersects with another subspace and gives its annihilator, over either field.
 
 from __future__ import annotations
 
+import struct
 from bisect import bisect
 from dataclasses import dataclass
+from itertools import compress
 from math import isqrt, lcm
-from operator import mul
+from operator import mul, or_
 from typing import Callable, Mapping, Sequence
 
 from .field import Field, Scalar
@@ -67,8 +70,8 @@ def _eliminate(m: list[list[int]], p: int | None) -> list[int]:
     and the pivot row are 0.
 
     Mod p (rows already reduced) the pivot row is made monic with one
-    inverse and its nonzero columns past the pivot are listed once; the rows
-    below are updated in those columns only.
+    inverse and its nonzero columns past the pivot are listed once, negated,
+    so the rows below add (faster % p) in those columns only.
 
     With ``p`` None this is fraction-free Bareiss with deferred scaling.  A
     Bareiss step only rescales a row whose pivot-column entry is 0, so that
@@ -101,17 +104,17 @@ def _eliminate(m: list[list[int]], p: int | None) -> list[int]:
         stamp[r], stamp[piv] = stamp[piv], stamp[r]
         row_r = m[r]
         if p is not None:
-            nz = [j for j in range(c + 1, ncols) if row_r[j]]
             inv = pow(row_r[c], -1, p)
+            nz = [(j, -x * inv % p) for j in range(c + 1, ncols) if (x := row_r[j])]
             if inv != 1:
-                for j in nz:
-                    row_r[j] = row_r[j] * inv % p
+                for j, x in nz:
+                    row_r[j] = p - x
                 row_r[c] = 1
             for row_i in m[r + 1 :]:
                 f = row_i[c]
                 if f:
-                    for j in nz:
-                        row_i[j] = (row_i[j] - f * row_r[j]) % p
+                    for j, x in nz:
+                        row_i[j] = (row_i[j] + f * x) % p
                     row_i[c] = 0
         else:
             if stamp[r] != r:
@@ -164,28 +167,75 @@ _CERT_MIN_DIM = 48
 _CERT_PRIMES = (1073741789, 1073741783)
 
 
+def _packed_echelon(rows, p: int, ncols: int) -> tuple[dict[int, int], Callable]:
+    """A monic echelon basis of rows of residues mod p, one int per row: ({leading
+    column: the packed entries past it}, unpack to nonzero (slot, value) pairs).
+
+    Column j is slot ncols-1-j, so a row leads at its highest nonzero slot.  A
+    slot is the smallest of 8 to 128 bits (128: low word, 8 zero bytes) that
+    holds (ncols+1)·p²: a row meets each pivot once at most, gaining at most
+    (p-1)² per slot, so no slot carries.  Rows are read until the rank is full.
+    """
+    w = next(b for b in (8, 16, 32, 64, 128) if (ncols + 1) * p * p < 1 << b)
+    code, wide = {8: "B", 16: "H", 32: "I"}.get(w, "Q"), w > 64  # "<": standard sizes
+    packer = struct.Struct("<" + "Q8x" * ncols if wide else f"<{ncols}{code}")
+    words = struct.Struct(f"<{ncols * (1 + wide)}{code}")
+
+    def unpack(big: int) -> list[tuple[int, int]]:
+        a = words.unpack(big.to_bytes(words.size, "little"))
+        if not wide:
+            return [(s, a[s]) for s in compress(range(ncols), a)]
+        lo, hi = a[::2], a[1::2]
+        return [(s, lo[s] | hi[s] << 64) for s in compress(range(ncols), map(or_, lo, hi))]
+
+    full, table = min(len(rows), ncols), {}
+    for row in rows:
+        big = int.from_bytes(packer.pack(*row[::-1]), "little")
+        while big:
+            s = (big.bit_length() - 1) // w
+            top = big >> s * w
+            big ^= top << s * w  # clears slot s
+            if top := top % p:
+                t = table.get(s)
+                if t is None:
+                    inv, vals = pow(top, -1, p), [0] * ncols
+                    for j, x in unpack(big):
+                        vals[j] = x * inv % p
+                    table[s] = int.from_bytes(packer.pack(*vals), "little")
+                    break
+                big += (p - top) * t
+        if len(table) == full:
+            break
+    return {ncols - 1 - s: t for s, t in table.items()}, unpack
+
+
 def _mod_kernel(m, p: int) -> tuple[list[int], Callable[[int], dict[int, int]]]:
     """Eliminate integer rows mod p: (pivot columns, kernel vector maker).
 
     The maker takes a free column f and returns, as {column: residue}, the
     kernel vector that is 1 at f and 0 at every other free column, found by
-    back-substitution over the nonzeros of the echelon rows whose pivot lies
-    left of f.
+    back-substitution over the echelon rows that meet its nonzeros.
     """
-    e = [[x % p for x in row] for row in m]
-    pivots = _eliminate(e, p)
-    width = len(e[0])
-    nz = []
-    for row, c in zip(e, pivots):
-        js = [j for j in range(c + 1, width) if row[j]]
-        nz.append((js, [row[j] for j in js]))
+    width = len(m[0])
+    table, unpack = _packed_echelon([[x % p for x in row] for row in m], p, width)
+    pivots = sorted(table)
+    nz, rows_at = [], [[] for _ in range(width)]
+    for k, c in enumerate(pivots):
+        row = sorted((width - 1 - s, x) for s, x in unpack(table[c]))
+        nz.append(([j for j, _ in row], [x for _, x in row]))
+        for j, _ in row:
+            rows_at[j].append(k)
 
     def vector(f: int) -> dict[int, int]:
         v = [0] * width
         v[f] = 1
+        todo = set(rows_at[f])
         for k in range(bisect(pivots, f) - 1, -1, -1):
-            js, xs = nz[k]
-            v[pivots[k]] = -sum(map(mul, xs, map(v.__getitem__, js))) % p
+            if k in todo:
+                js, xs = nz[k]
+                if x := -sum(map(mul, xs, map(v.__getitem__, js))) % p:
+                    v[pivots[k]] = x
+                    todo.update(rows_at[pivots[k]])
         return {j: x for j, x in enumerate(v) if x}
 
     return pivots, vector
@@ -268,10 +318,12 @@ def rank(rows, field: Field, ncols: int | None = None) -> int:
     returned when it fills the smaller side, or when the smaller kernel mod p
     lifts to ℚ and passes an exact check over ℤ, which bounds the rank by r
     from above.  Otherwise, and for every smaller matrix, fraction-free
-    Bareiss gives the rank.
+    Bareiss gives the rank.  Over F_p a matrix that size has packed rows.
     """
     m = _matrix(rows, field, ncols)
-    if field.p is None and m and min(len(m), len(m[0])) >= _CERT_MIN_DIM:
+    if m and min(len(m), len(m[0])) >= _CERT_MIN_DIM:
+        if field.p is not None:
+            return len(_packed_echelon(m, field.p, len(m[0]))[0])
         r = _certified_rank(m)
         if r is not None:
             return r

@@ -227,6 +227,26 @@ def test_measure_options_the_measure_does_not_read_are_refused(capsys, command):
     assert "--k/--l" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["invariance", "--fn", "rand:2,2,4", "--measure", "dim_partials", "--exhaustive",
+         "--field", "Fp:2"],
+        ["gk-check", "--fn", "det:1", "--field", "Fp:2", "--trials", "0"],
+    ],
+    ids=["invariance-exhaustive", "gk-check-whole-group"],
+)
+def test_seed_is_refused_where_nothing_is_drawn(capsys, argv):
+    """A whole-group run draws nothing, so an explicit --seed would give two
+    configs for one computation; without it the config shows seed 0."""
+    code, data = run_json(capsys, argv)
+    assert code == 0 and data["config"]["seed"] == 0
+    for seed in ("0", "1"):
+        assert main(argv + ["--seed", seed]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--seed" in captured.err
+
+
 def test_separate_refuses_mismatched_arity(capsys):
     assert (
         main(

@@ -3,6 +3,7 @@
 import random
 from contextlib import contextmanager
 from fractions import Fraction
+from operator import mul
 
 import pytest
 from hypothesis import example, given, settings
@@ -15,6 +16,8 @@ from seplab.linalg import (
     _CERT_PRIMES,
     _eliminate,
     _integer_rows,
+    _mod_kernel,
+    _packed_echelon,
     densify,
     identity_matrix,
     is_invertible,
@@ -101,16 +104,22 @@ def bareiss_rank(m):
 
 @contextmanager
 def recorded_eliminations():
-    """The moduli ``_eliminate`` is called with, None for Bareiss, in order."""
+    """The moduli of the eliminations run, in order: ``_eliminate``'s (None
+    for Bareiss) and the packed kernel's."""
     seen = []
-    inner = linalg._eliminate
+    eliminate, packed = linalg._eliminate, linalg._packed_echelon
 
-    def recording(m, p):
+    def recording_eliminate(m, p):
         seen.append(p)
-        return inner(m, p)
+        return eliminate(m, p)
+
+    def recording_packed(m, p, ncols):
+        seen.append(p)
+        return packed(m, p, ncols)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(linalg, "_eliminate", recording)
+        mp.setattr(linalg, "_eliminate", recording_eliminate)
+        mp.setattr(linalg, "_packed_echelon", recording_packed)
         yield seen
 
 
@@ -172,6 +181,82 @@ def test_an_unlucky_prime_falls_back_to_bareiss(i):
             assert rank(m, RATIONALS) == 48
     assert seen == [7, 11, None]
     assert rational_rank(m) == 48
+
+
+# (p, ncols) on both sides of each slot width the packed kernel can pick:
+# (ncols+1)·p² crosses 2**8 for p = 2, 3, 7, 2**16 for p = 7, and 2**64 for
+# the first certificate prime
+SLOT_EDGES = [(2, 62), (2, 63), (3, 27), (3, 28), (7, 4), (7, 5), (7, 1336), (7, 1337),
+              (_CERT_PRIMES[0], 15), (_CERT_PRIMES[0], 16)]
+
+
+@st.composite
+def packed_cases(draw):
+    """(matrix, p): dense, sparse or low-rank products, with zero and
+    duplicate rows, wide and tall around the size gate, or on a slot edge."""
+    if draw(st.integers(0, 3)) == 0:
+        p, nc = draw(st.sampled_from(SLOT_EDGES))
+        nr = draw(st.integers(1, 6 if nc > 100 else 70))
+    else:
+        p = draw(st.sampled_from([2, 3, 7, 1000003, _CERT_PRIMES[0]]))
+        nr = draw(st.integers(1, 60))
+        nc = draw(st.integers(_CERT_MIN_DIM - 2, 60))
+        if draw(st.booleans()):
+            nr, nc = nc, nr
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    density = draw(st.sampled_from([1, 0.3, 0.05]))
+    cell = lambda: rng.randrange(p) if rng.random() < density else 0
+    kind = draw(st.sampled_from(["plain", "product"]))
+    if kind == "plain":
+        m = [[cell() for _ in range(nc)] for _ in range(nr)]
+    else:
+        k = draw(st.integers(1, max(1, min(nr, nc) - 1)))
+        u = [[cell() for _ in range(k)] for _ in range(nr)]
+        v = [[cell() for _ in range(nc)] for _ in range(k)]
+        m = [[sum(map(mul, row, col)) for col in zip(*v)] for row in u]
+    for _ in range(draw(st.integers(0, 2))):
+        i = rng.randrange(nr)
+        m[i] = list(m[rng.randrange(nr)]) if draw(st.booleans()) else [0] * nc
+    return m, p
+
+
+def _dense_wide_slots():
+    """100 x 110 of rank 95 mod the first certificate prime: its late
+    independent rows meet enough pivots that their 128-bit slots pass 2**64
+    before they become pivots, and the last five must then reduce to 0."""
+    p, rng = _CERT_PRIMES[0], random.Random(0)
+    m = [[rng.randrange(p) for _ in range(110)] for _ in range(95)]
+    for _ in range(5):
+        coeffs = [rng.randrange(p) for _ in m]
+        m.append([sum(map(mul, coeffs, col)) % p for col in zip(*m[:95])])
+    return m, p
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(packed_cases())
+@example(_dense_wide_slots())
+def test_packed_kernel_pivots_and_kernels_match(case):
+    """The packed kernel's pivots are _eliminate's (it stops only at full rank,
+    when all rows were read or every column is a pivot), its rank is sympy's,
+    and each kernel vector _mod_kernel builds from it is 1 at its free column,
+    0 at the others, and killed by every row."""
+    m, p = case
+    nc = len(m[0])
+    reduced = [[x % p for x in r] for r in m]
+    table, _ = _packed_echelon(reduced, p, nc)
+    pivots = _eliminate([list(r) for r in reduced], p)
+    assert sorted(table) == pivots
+    assert len(pivots) == modular_rank(m, p)
+    with recorded_eliminations() as seen:
+        assert rank(m, prime_field(p)) == len(pivots)
+    assert seen == [p]
+    kernel_pivots, vector = _mod_kernel(m, p)
+    assert kernel_pivots == pivots
+    free = [f for f in range(nc) if f not in set(pivots)]
+    for f in free[:8]:
+        v = vector(f)
+        assert all(v.get(g, 0) == (g == f) for g in free)
+        assert all(sum(row[j] * x for j, x in v.items()) % p == 0 for row in m)
 
 
 def test_shape_errors_above_the_gate():
