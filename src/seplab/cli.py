@@ -81,10 +81,11 @@ def _measure_params(args, fld: Field) -> dict:
     return params
 
 
-def _seed(args, reads: bool) -> int:
-    if not reads and args.seed is not None:
-        raise ValueError("--seed applies only to sampled runs, not whole-group ones")
-    return args.seed or 0
+def _sampled(value: int | None, flag: str, reads: bool, default: int) -> int:
+    """An option only sampled runs read: refused by whole-group runs."""
+    if not reads and value is not None:
+        raise ValueError(f"{flag} applies only to sampled runs, not whole-group ones")
+    return default if value is None else value
 
 
 def _module_from_spec(spec: str, ambient: sepmod.Ambient, args) -> sepmod.TestModule:
@@ -143,7 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--l", type=int, default=None)
     p.add_argument("--point", default=None)
-    p.add_argument("--trials", type=int, default=20)
+    p.add_argument("--trials", type=int, default=None)
     p.add_argument("--exhaustive", action="store_true")
     common(p)
 
@@ -210,12 +211,13 @@ def cmd_invariance(args) -> int:
     fld = field_from_name(args.field)
     f = functions.from_spec(args.fn, fld, args.mod3_residue)
     params = _measure_params(args, f.field)
-    seed = _seed(args, reads=not args.exhaustive)
+    seed = _sampled(args.seed, "--seed", not args.exhaustive, 0)
+    trials = _sampled(args.trials, "--trials", not args.exhaustive, 20)
     rng = trial_rng(seed, 0)
     report = groups.invariance_check(
         args.measure,
         f,
-        args.trials,
+        trials,
         rng,
         params=params,
         exhaustive=args.exhaustive,
@@ -226,7 +228,7 @@ def cmd_invariance(args) -> int:
         "field": f.field.name,
         "measure": args.measure,
         "params": report.params,
-        "trials": args.trials,
+        "trials": trials,
         "seed": seed,
         "exhaustive": args.exhaustive,
         "mod3_residue": args.mod3_residue,
@@ -359,7 +361,7 @@ def cmd_gk_check(args) -> int:
         raise ValueError(f"{f.n} variables do not form a square matrix")
     if args.trials < 0:
         raise ValueError("--trials must be nonnegative (0 = whole group)")
-    seed = _seed(args, reads=args.trials > 0)
+    seed = _sampled(args.seed, "--seed", args.trials > 0, 0)
     if args.trials > 0:
         rng = trial_rng(seed, 0)
         sigmas = [

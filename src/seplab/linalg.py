@@ -19,8 +19,10 @@ over ℤ; its vectors are independent, so if all pass the rank is at most r.
 Vectors that fail are redone modulo a product of two primes by CRT, and if
 that fails too, or an unlucky prime (rank mod p below the ℚ rank) makes the
 pivots disagree, Bareiss decides.  Smaller matrices, RREF and kernels always
-use Bareiss.  Mod p, ranks of that size (over F_p or for a certificate) pack
-each row into one int; RREF, kernels and smaller ranks stay on list rows.
+use Bareiss.  A rank of that size, over either field, still takes dense rows
+but reads only their nonzeros, once: mod p (over F_p or for a certificate)
+each sparse row is packed into one int, and a certificate transposes sparse
+rows.  RREF, kernels and smaller ranks stay on list rows.
 
 Sparse rows are maps from column keys (exponent tuples) to scalars, such as
 polynomial term maps; ``densify`` is the one place they are laid out as dense
@@ -46,19 +48,6 @@ from typing import Callable, Mapping, Sequence
 
 from .field import Field, Scalar
 from .poly import grlex_key
-
-
-def _integer_rows(rows: list[list]) -> list[list[int]]:
-    # ints and Fractions both carry numerator and denominator; a row of
-    # ints is kept as it is
-    out = []
-    for r in rows:
-        if set(map(type, r)) <= {int}:
-            out.append(r)
-            continue
-        den = lcm(*(x.denominator for x in r))
-        out.append([x.numerator * (den // x.denominator) for x in r])
-    return out
 
 
 def _eliminate(m: list[list[int]], p: int | None) -> list[int]:
@@ -139,23 +128,36 @@ def _eliminate(m: list[list[int]], p: int | None) -> list[int]:
     return pivots
 
 
-def _matrix(rows, field: Field, ncols: int | None) -> list[list[int]]:
-    """Check the matrix shape; return a copy as rows ready to eliminate."""
-    m = [list(r) for r in rows]
-    if m:
-        width = len(m[0])
-        if any(len(r) != width for r in m):
-            raise ValueError("ragged matrix")
-        if ncols is not None and ncols != width:
-            raise ValueError(f"ncols={ncols} disagrees with row width {width}")
-    elif ncols is None:
+def _width(rows, ncols: int | None) -> int:
+    """Check the matrix shape; return its column count."""
+    width = len(rows[0]) if rows else ncols
+    if width is None:
         raise ValueError("empty matrix needs an explicit column count")
+    if any(len(r) != width for r in rows):
+        raise ValueError("ragged matrix")
+    if ncols is not None and ncols != width:
+        raise ValueError(f"ncols={ncols} disagrees with row width {width}")
+    return width
+
+
+def _field_rows(rows: list[list], field: Field) -> list[list[int]]:
+    """Rows of ints ready to eliminate: residues mod p, or over ℚ each row
+    times the lcm of its denominators (which keeps the row space)."""
     p = field.p
-    if p is None:
-        return _integer_rows(m)
-    # a Fraction stays a Fraction under % p, so it goes through coerce
-    coerce = field.coerce
-    return [[x % p if type(x) is int else coerce(x) for x in row] for row in m]
+    if p is not None:
+        # a Fraction stays a Fraction under % p, so it goes through coerce
+        coerce = field.coerce
+        return [[x % p if type(x) is int else coerce(x) for x in row] for row in rows]
+    out = []
+    for r in rows:
+        # ints and Fractions both carry numerator and denominator; a row of
+        # ints is kept as it is
+        if set(map(type, r)) <= {int}:
+            out.append(r)
+            continue
+        den = lcm(*(x.denominator for x in r))
+        out.append([x.numerator * (den // x.denominator) for x in r])
+    return out
 
 
 # Over ℚ a matrix with at least this many rows and columns is ranked mod a
@@ -168,8 +170,9 @@ _CERT_PRIMES = (1073741789, 1073741783)
 
 
 def _packed_echelon(rows, p: int, ncols: int) -> tuple[dict[int, int], Callable]:
-    """A monic echelon basis of rows of residues mod p, one int per row: ({leading
-    column: the packed entries past it}, unpack to nonzero (slot, value) pairs).
+    """A monic echelon basis of sparse rows of residues mod p, one int per
+    row: ({leading column: the packed entries past it}, unpack to nonzero
+    (slot, value) pairs).
 
     Column j is slot ncols-1-j, so a row leads at its highest nonzero slot.  A
     slot is the smallest of 8 to 128 bits (128: low word, 8 zero bytes) that
@@ -189,7 +192,10 @@ def _packed_echelon(rows, p: int, ncols: int) -> tuple[dict[int, int], Callable]
         return [(s, lo[s] | hi[s] << 64) for s in compress(range(ncols), map(or_, lo, hi))]
 
     full, table = min(len(rows), ncols), {}
-    for row in rows:
+    for js, xs in rows:
+        row = [0] * ncols
+        for j, x in zip(js, xs):
+            row[j] = x
         big = int.from_bytes(packer.pack(*row[::-1]), "little")
         while big:
             s = (big.bit_length() - 1) // w
@@ -209,16 +215,34 @@ def _packed_echelon(rows, p: int, ncols: int) -> tuple[dict[int, int], Callable]
     return {ncols - 1 - s: t for s, t in table.items()}, unpack
 
 
-def _mod_kernel(m, p: int) -> tuple[list[int], Callable[[int], dict[int, int]]]:
-    """Eliminate integer rows mod p: (pivot columns, kernel vector maker).
+def _sparse(rows, field: Field, width: int) -> list[tuple[list[int], list[int]]]:
+    """Each row's nonzeros, read once: (columns, values ready to eliminate)."""
+    values = _field_rows([list(compress(r, r)) for r in rows], field)
+    return list(zip([list(compress(range(width), r)) for r in rows], values))
+
+
+def _transpose(rows, width: int) -> list[tuple[list[int], list]]:
+    """The columns of a matrix of sparse rows, as sparse rows."""
+    cols = [([], []) for _ in range(width)]
+    for i, (js, xs) in enumerate(rows):
+        for j, x in zip(js, xs):
+            cols[j][0].append(i)
+            cols[j][1].append(x)
+    return cols
+
+
+def _mod_kernel(m, p: int, width: int) -> tuple[list[int], Callable[[int], dict[int, int]] | None]:
+    """Eliminate sparse integer rows mod p: (pivot columns, kernel vector maker).
 
     The maker takes a free column f and returns, as {column: residue}, the
     kernel vector that is 1 at f and 0 at every other free column, found by
-    back-substitution over the echelon rows that meet its nonzeros.
+    back-substitution over the echelon rows that meet its nonzeros (None at
+    full rank, where no column is free).
     """
-    width = len(m[0])
-    table, unpack = _packed_echelon([[x % p for x in row] for row in m], p, width)
+    table, unpack = _packed_echelon([(js, [x % p for x in xs]) for js, xs in m], p, width)
     pivots = sorted(table)
+    if len(pivots) == width:
+        return pivots, None
     nz, rows_at = [], [[] for _ in range(width)]
     for k, c in enumerate(pivots):
         row = sorted((width - 1 - s, x) for s, x in unpack(table[c]))
@@ -264,21 +288,20 @@ def _lift(v: dict[int, int], m: int) -> dict[int, int] | None:
     return {j: n * (den // d) for j, n, d in parts}
 
 
-def _certified_rank(a: list[list[int]]) -> int | None:
-    """The ℚ rank of integer rows certified mod _CERT_PRIMES, or None.
+def _certified_rank(a: list, width: int) -> int | None:
+    """The ℚ rank of sparse integer rows certified mod _CERT_PRIMES, or None.
 
     M is a, or its transpose if that has fewer columns, so that the kernel
     lifted is the smaller one.  Each kernel vector mod p1 is 1 at its own
     free column and 0 at the others, so the lifted vectors are independent.
     """
-    tall = len(a[0]) <= len(a)
-    mrows = a if tall else list(zip(*a))
+    tall = width <= len(a)
+    mrows, mwidth = (a, width) if tall else (_transpose(a, width), len(a))
     p1, p2 = _CERT_PRIMES
-    pivots, vector1 = _mod_kernel(mrows, p1)
-    width = len(mrows[0])
-    if len(pivots) == width:
-        return width
-    cols = [[(i, x) for i, x in enumerate(col) if x] for col in (zip(*a) if tall else a)]
+    pivots, vector1 = _mod_kernel(mrows, p1, mwidth)
+    if len(pivots) == mwidth:
+        return mwidth
+    cols = _transpose(a, width) if tall else a
 
     def verified(v: dict[int, int], m: int) -> bool:
         w = _lift(v, m)
@@ -286,15 +309,15 @@ def _certified_rank(a: list[list[int]]) -> int | None:
             return False
         acc = [0] * len(mrows)
         for j, x in w.items():
-            for i, y in cols[j]:
+            for i, y in zip(*cols[j]):
                 acc[i] += x * y
         return not any(acc)
 
     pivot_set = set(pivots)
-    kernel1 = {f: vector1(f) for f in range(width) if f not in pivot_set}
+    kernel1 = {f: vector1(f) for f in range(mwidth) if f not in pivot_set}
     failed = [f for f, v in kernel1.items() if not verified(v, p1)]
     if failed:
-        pivots2, vector2 = _mod_kernel(mrows, p2)
+        pivots2, vector2 = _mod_kernel(mrows, p2, mwidth)
         if pivots2 != pivots:
             return None
         # x mod p1 and y mod p2 are x·e1 + y·e2 mod p1·p2
@@ -319,15 +342,17 @@ def rank(rows, field: Field, ncols: int | None = None) -> int:
     lifts to ℚ and passes an exact check over ℤ, which bounds the rank by r
     from above.  Otherwise, and for every smaller matrix, fraction-free
     Bareiss gives the rank.  Over F_p a matrix that size has packed rows.
+    Either way a matrix that size is read once, nonzeros only.
     """
-    m = _matrix(rows, field, ncols)
-    if m and min(len(m), len(m[0])) >= _CERT_MIN_DIM:
+    width = _width(rows, ncols)
+    if min(len(rows), width) >= _CERT_MIN_DIM:
+        sparse = _sparse(rows, field, width)
         if field.p is not None:
-            return len(_packed_echelon(m, field.p, len(m[0]))[0])
-        r = _certified_rank(m)
+            return len(_packed_echelon(sparse, field.p, width)[0])
+        r = _certified_rank(sparse, width)
         if r is not None:
             return r
-    return len(_eliminate(m, field.p))
+    return len(_eliminate(_field_rows([list(r) for r in rows], field), field.p))
 
 
 def densify(
@@ -366,7 +391,8 @@ def rref(rows, field: Field, ncols: int | None = None) -> tuple[list[list[Scalar
     is the canonical RREF, so two row spaces are equal iff their RREFs are
     equal as lists.
     """
-    m = _matrix(rows, field, ncols)
+    _width(rows, ncols)
+    m = _field_rows([list(r) for r in rows], field)
     p = field.p
     pivots = _eliminate(m, p)
     # Back-substitute over the echelon rows, bottom row first: scale each

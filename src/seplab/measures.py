@@ -23,6 +23,7 @@ monomials, counted with ``poly.monomial_count``.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from operator import add
 from typing import Sequence
 
 from . import linalg
@@ -70,16 +71,15 @@ def derivative_rows(
     Without ``shifts`` the rows are the derivatives themselves (m = 1).  Each
     operator is applied once, by one ``derivative`` call; zero derivatives
     give empty rows, so row i always belongs to the i-th (shift, operator)
-    pair.
+    pair.  Each shift maps the union of the derivatives' supports once, so
+    a row costs one lookup per term.
     """
     derivs = [derivative(f, c).terms for c in ops]
     if shifts is None:
         return derivs
-    return [
-        {tuple(a + b for a, b in zip(e, m)): v for e, v in g.items()}
-        for m in shifts
-        for g in derivs
-    ]
+    support = {e for g in derivs for e in g}
+    shifted = ({e: tuple(map(add, e, m)) for e in support} for m in shifts)
+    return [{at[e]: v for e, v in g.items()} for at in shifted for g in derivs]
 
 
 def _rows_rank(f: Poly, rows: list[dict]) -> int:

@@ -247,6 +247,23 @@ def test_seed_is_refused_where_nothing_is_drawn(capsys, argv):
         assert captured.out == "" and "--seed" in captured.err
 
 
+def test_trials_is_refused_where_the_whole_group_runs(capsys):
+    """Exhaustive invariance runs every element of the group, so an explicit
+    --trials would give two configs for one computation; without it the
+    config shows the sampled default, 20."""
+    argv = ["invariance", "--fn", "rand:2,2,4", "--measure", "dim_partials", "--exhaustive",
+            "--field", "Fp:2"]
+    code, data = run_json(capsys, argv)
+    assert code == 0 and data["config"]["trials"] == 20 and data["result"]["trials"] == 6
+    for trials in ("3", "20"):
+        assert main(argv + ["--trials", trials]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--trials" in captured.err
+    sampled = ["invariance", "--fn", "rand:2,2,4", "--measure", "dim_partials", "--field", "Fp:2"]
+    assert run_json(capsys, sampled)[1]["config"]["trials"] == 20
+    assert run_json(capsys, sampled + ["--trials", "3"])[1]["config"]["trials"] == 3
+
+
 def test_separate_refuses_mismatched_arity(capsys):
     assert (
         main(
@@ -659,8 +676,9 @@ _CONTRACT = [
     ("measure --fn rand:2,2,5 --measure hessian_rank --point 1,2", {"--point": "3,4"}),
     ("invariance --fn esym:2,2 --measure shifted --trials 2 --field Fp:2",
      {"--fn": "esym:1,2", "--measure": "dim_partials", "--k": "2", "--l": "2",
-      "--trials": "3", "--seed": "1", "--exhaustive": None, "--field": "Fp:3",
-      "--mod3-residue": "1"}),
+      "--trials": "3", "--seed": "1", "--field": "Fp:3", "--mod3-residue": "1"}),
+    # a whole-group run refuses --trials, so --exhaustive starts from a base without it
+    ("invariance --fn esym:2,2 --measure shifted --field Fp:2", {"--exhaustive": None}),
     ("invariance --fn det:2 --measure hessian_rank --point 1,0,0,0 --trials 1",
      {"--point": "1,0,0,1"}),
     ("separate --module minors:dim_partials:4 --easy depth3:4,2,1 --hard esym:2,4 --trials 1",

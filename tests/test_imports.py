@@ -1,4 +1,5 @@
-"""Every module of the package, and every test file, reads every name it imports."""
+"""Every module of the package, every test file and every benchmark script
+reads every name it imports."""
 
 import ast
 from pathlib import Path
@@ -7,6 +8,7 @@ import pytest
 
 TESTS = Path(__file__).resolve().parent
 PACKAGE = TESTS.parent / "src" / "seplab"
+BENCH = TESTS.parent / "bench"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -36,8 +38,9 @@ def test_scan_finds_an_unused_import():
 @pytest.mark.parametrize(
     "path",
     sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
-    + sorted(TESTS.glob("*.py")),
-    ids=lambda p: p.name,
+    + sorted(TESTS.glob("*.py"))
+    + sorted(BENCH.glob("**/*.py")),
+    ids=lambda p: str(p.relative_to(BENCH.parent)) if BENCH in p.parents else p.name,
 )
 def test_module_reads_every_name_it_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []

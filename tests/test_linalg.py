@@ -15,9 +15,10 @@ from seplab.linalg import (
     _CERT_MIN_DIM,
     _CERT_PRIMES,
     _eliminate,
-    _integer_rows,
+    _field_rows,
     _mod_kernel,
     _packed_echelon,
+    _sparse,
     densify,
     identity_matrix,
     is_invertible,
@@ -99,13 +100,26 @@ def test_rank_sparse_pivot_pattern():
 
 
 def bareiss_rank(m):
-    return len(_eliminate(_integer_rows([list(r) for r in m]), None))
+    return len(_eliminate(_field_rows([list(r) for r in m], RATIONALS), None))
+
+
+def is_sparse_mod(rows, p, ncols):
+    """Each row is a pair (columns, values): ascending columns below ncols,
+    and one int residue mod p per column."""
+    return all(
+        len(js) == len(xs)
+        and all(map(int.__lt__, js, js[1:]))
+        and all(0 <= j < ncols for j in js)
+        and all(type(x) is int and 0 <= x < p for x in xs)
+        for js, xs in rows
+    )
 
 
 @contextmanager
 def recorded_eliminations():
     """The moduli of the eliminations run, in order: ``_eliminate``'s (None
-    for Bareiss) and the packed kernel's."""
+    for Bareiss) and the packed kernel's, whose rows must be sparse rows of
+    residues."""
     seen = []
     eliminate, packed = linalg._eliminate, linalg._packed_echelon
 
@@ -113,9 +127,10 @@ def recorded_eliminations():
         seen.append(p)
         return eliminate(m, p)
 
-    def recording_packed(m, p, ncols):
+    def recording_packed(rows, p, ncols):
+        assert is_sparse_mod(rows, p, ncols)
         seen.append(p)
-        return packed(m, p, ncols)
+        return packed(rows, p, ncols)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(linalg, "_eliminate", recording_eliminate)
@@ -243,16 +258,17 @@ def test_packed_kernel_pivots_and_kernels_match(case):
     m, p = case
     nc = len(m[0])
     reduced = [[x % p for x in r] for r in m]
-    table, _ = _packed_echelon(reduced, p, nc)
+    table, _ = _packed_echelon(_sparse(m, prime_field(p), nc), p, nc)
     pivots = _eliminate([list(r) for r in reduced], p)
     assert sorted(table) == pivots
     assert len(pivots) == modular_rank(m, p)
     with recorded_eliminations() as seen:
         assert rank(m, prime_field(p)) == len(pivots)
     assert seen == [p]
-    kernel_pivots, vector = _mod_kernel(m, p)
+    kernel_pivots, vector = _mod_kernel(_sparse(m, RATIONALS, nc), p, nc)
     assert kernel_pivots == pivots
     free = [f for f in range(nc) if f not in set(pivots)]
+    assert (vector is None) == (not free)
     for f in free[:8]:
         v = vector(f)
         assert all(v.get(g, 0) == (g == f) for g in free)
@@ -260,11 +276,65 @@ def test_packed_kernel_pivots_and_kernels_match(case):
 
 
 def test_shape_errors_above_the_gate():
-    m = identity_matrix(_CERT_MIN_DIM)
-    with pytest.raises(ValueError, match="ragged matrix"):
-        rank(m[:-1] + [m[-1][:-1]], RATIONALS)
-    with pytest.raises(ValueError, match="ncols=49 disagrees with row width 48"):
-        rank(m, RATIONALS, ncols=49)
+    for field in (RATIONALS, prime_field(2), prime_field(1000003)):
+        for size in (_CERT_MIN_DIM, _CERT_MIN_DIM + 12):
+            m = identity_matrix(size)
+            with pytest.raises(ValueError, match="ragged matrix"):
+                rank(m[:-1] + [m[-1][:-1]], field)
+            with pytest.raises(ValueError, match=f"ncols={size + 1} disagrees with row width {size}"):
+                rank(m, field, ncols=size + 1)
+
+
+@st.composite
+def gated_matrices(draw, p):
+    """Matrices with at least _CERT_MIN_DIM rows and columns over Q or F_p:
+    full or planted low rank, negative and unreduced ints, Fractions whose
+    denominators p does not divide, zero rows and columns, list or tuple
+    rows."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    nr, nc = draw(st.integers(_CERT_MIN_DIM, 60)), draw(st.integers(_CERT_MIN_DIM, 60))
+    big = 3 * (p or 50)
+    dens = [d for d in (1, 2, 3, 4, 5) if p is None or d % p]
+    fractions = draw(st.booleans())
+    density = draw(st.sampled_from([1, 0.2]))
+
+    def cell():
+        if rng.random() >= density:
+            return 0
+        x = rng.randint(-big, big)
+        return Fraction(x, rng.choice(dens)) if fractions and rng.random() < 0.3 else x
+
+    k = draw(st.sampled_from([2, 10, min(nr, nc)]))
+    u = [[rng.randint(-2, 2) for _ in range(k)] for _ in range(nr)]
+    v = [[cell() for _ in range(nc)] for _ in range(k)]
+    m = [[sum(map(mul, row, col)) for col in zip(*v)] for row in u]
+    zeros = draw(st.integers(0, 3))
+    for _ in range(zeros):
+        m[rng.randrange(nr)] = [0] * nc
+    for _ in range(zeros):
+        j = rng.randrange(nc)
+        for row in m:
+            row[j] = 0
+    return tuple(map(tuple, m)) if draw(st.booleans()) else m
+
+
+@pytest.mark.parametrize("p", [None, 2, 7, 1000003])
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_rank_above_the_gate_matches_elimination_and_sympy(p, data):
+    """Ranks at or above the size gate, which read only nonzeros, agree with
+    list-row elimination and with sympy's domain matrices."""
+    m = data.draw(gated_matrices(p))
+    if p is None:
+        r = rank(m, RATIONALS)
+        assert r == bareiss_rank(m) == qq_rank(m)
+    else:
+        field = prime_field(p)
+        residues = [[field.coerce(x) for x in row] for row in m]
+        with recorded_eliminations() as seen:
+            r = rank(m, field)
+        assert seen == [p]
+        assert r == len(_eliminate(residues, p)) == modular_rank(residues, p)
 
 
 @st.composite

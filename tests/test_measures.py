@@ -10,9 +10,11 @@ from seplab import (
     Poly,
     RATIONALS,
     compute_measure,
+    derivative,
     derivative_rows,
     dim_partials,
     elementary_symmetric,
+    from_spec,
     hessian,
     hessian_rank_at,
     monomial,
@@ -120,6 +122,44 @@ def test_derivative_rows_calls_derivative_once_per_operator(monkeypatch):
     shifted = derivative_rows(f, ops, shifts=[(0, 0), (1, 0)])
     assert calls == ops
     assert shifted == plain + [{}, {(1, 1): 1}, {}, {(3, 0): 1, (2, 0): 1}]
+
+
+def tuple_add_rows(f, ops, shifts):
+    """Shifted rows built term by term with a tuple add, the construction
+    ``derivative_rows`` replaced; kept as its oracle."""
+    derivs = [derivative(f, c).terms for c in ops]
+    return [
+        {tuple(a + b for a, b in zip(e, m)): v for e, v in g.items()}
+        for m in shifts
+        for g in derivs
+    ]
+
+
+@pytest.mark.parametrize("spec", ["esym:3,5", "det:3", "rand:4,4,11"])
+@pytest.mark.parametrize("p", [None, 2, 3, 7])
+def test_shifted_derivative_rows_match_tuple_add_rows(spec, p):
+    """Row by row, key order and empty rows included, for every operator of
+    order k and one past deg f (so some derivatives are 0) and every shift of
+    degree <= l."""
+    f = from_spec(spec, RATIONALS if p is None else prime_field(p))
+    for k, l in ((1, 0), (1, 2), (2, 1)):
+        ops = monomials_exact(f.n, k) + [(f.degree + 1,) + (0,) * (f.n - 1)]
+        shifts = monomials_upto(f.n, l)
+        rows = derivative_rows(f, ops, shifts)
+        expected = tuple_add_rows(f, ops, shifts)
+        assert [list(r.items()) for r in rows] == [list(r.items()) for r in expected]
+        assert any(not r for r in rows)
+
+
+def test_shifted_derivative_rows_where_falling_factorials_vanish():
+    """x^3 + x^2 y over F_3: d/dx gives 3x^2 + 2xy = 2xy, d^2/dx^2 gives 6x +
+    2y = 2y, d^3/dx^3 gives 6 = 0."""
+    f = Poly(2, prime_field(3), {(3, 0): 1, (2, 1): 1})
+    ops = [(1, 0), (2, 0), (3, 0), (0, 1)]
+    shifts = monomials_upto(2, 1)
+    rows = derivative_rows(f, ops, shifts)
+    assert rows == tuple_add_rows(f, ops, shifts)
+    assert rows[:4] == [{(1, 1): 2}, {(0, 1): 2}, {}, {(2, 0): 1}]
 
 
 def test_dim_partials_calls_derivative_once_per_nonzero_derivative(monkeypatch):
