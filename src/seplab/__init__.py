@@ -21,11 +21,8 @@ from .poly import (
     monomials_upto,
     multiply,
     negate,
-    partial_derivative,
-    poly_from_json,
     poly_to_json,
     power,
-    restrict,
     scalar_multiply,
     substitute,
     substitute_affine,
@@ -86,13 +83,10 @@ from .circuits import (
     Depth4Circuit,
     EasySampler,
     NWBoundReport,
-    circuit_from_json,
-    circuit_to_json,
     expand,
     sample_depth3,
     sample_depth4,
     sampler_from_spec,
-    transform_depth3,
     verify_nw_bound,
 )
 from .sepmod import (

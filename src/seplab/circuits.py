@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Sequence
 
-from . import functions, linalg, measures
+from . import functions, measures
 from . import poly as polyops
-from .field import Field, RATIONALS, Scalar, field_from_name
+from .field import Field, RATIONALS, Scalar
 from .poly import Poly
 
 LinearForm = tuple[Scalar, ...]
@@ -159,23 +158,6 @@ def sample_depth4(
     return Depth4Circuit(n, field, t, tuple(summands))
 
 
-def transform_depth3(
-    circuit: Depth3Circuit, matrix: Sequence[Sequence]
-) -> Depth3Circuit:
-    """Substitute variables by the given linear map inside every form.
-
-    Row i of the matrix is the image of variable i, matching the polynomial
-    substitution convention, so expanding the transformed circuit equals
-    substituting into the expansion.
-    """
-    field = circuit.field
-    rows = [[field.coerce(v) for v in row] for row in matrix]
-    if len(rows) != circuit.n or any(len(r) != circuit.n for r in rows):
-        raise ValueError("matrix shape does not match the circuit arity")
-    products = tuple(linalg.mat_mul(prod, rows, field) for prod in circuit.products)
-    return Depth3Circuit(circuit.n, field, products)
-
-
 @dataclass(frozen=True)
 class NWBoundReport:
     """Derivative-span dimension of an expansion vs the structural budget."""
@@ -205,7 +187,7 @@ def verify_nw_bound(circuit: Depth3Circuit) -> NWBoundReport:
 
 
 # ---------------------------------------------------------------------------
-# named samplers and JSON
+# named samplers
 # ---------------------------------------------------------------------------
 
 
@@ -230,10 +212,6 @@ class EasySampler:
             return f"depth3:{self.n},{self.d},{self.s}"
         return f"depth4:{self.n},{self.d},{self.s},{self.t}"
 
-    @property
-    def nw_bound(self) -> int:
-        return self.s * (1 << self.d)
-
 
 def sampler_from_spec(spec: str, field: Field = RATIONALS) -> EasySampler:
     kind, _, arg_text = spec.partition(":")
@@ -249,44 +227,3 @@ def sampler_from_spec(spec: str, field: Field = RATIONALS) -> EasySampler:
         f"unrecognized sampler spec {spec!r} "
         '(formats: "depth3:n,d,s", "depth4:n,deg,s,t")'
     )
-
-
-def circuit_to_json(circuit: Depth3Circuit | Depth4Circuit) -> dict:
-    if isinstance(circuit, Depth3Circuit):
-        return {
-            "kind": "depth3",
-            "n": circuit.n,
-            "field": circuit.field.name,
-            "products": [
-                [[str(c) for c in form] for form in prod]
-                for prod in circuit.products
-            ],
-        }
-    if isinstance(circuit, Depth4Circuit):
-        return {
-            "kind": "depth4",
-            "n": circuit.n,
-            "field": circuit.field.name,
-            "t": circuit.t,
-            "summands": [
-                [polyops.poly_to_json(f) for f in factors]
-                for factors in circuit.summands
-            ],
-        }
-    raise TypeError(f"not a circuit: {type(circuit).__name__}")
-
-
-def circuit_from_json(data: dict) -> Depth3Circuit | Depth4Circuit:
-    field = field_from_name(data["field"])
-    if data["kind"] == "depth3":
-        products = tuple(
-            tuple(tuple(form) for form in prod) for prod in data["products"]
-        )
-        return Depth3Circuit(data["n"], field, products)
-    if data["kind"] == "depth4":
-        summands = tuple(
-            tuple(polyops.poly_from_json(f) for f in factors)
-            for factors in data["summands"]
-        )
-        return Depth4Circuit(data["n"], field, data["t"], summands)
-    raise ValueError(f"unknown circuit kind {data['kind']!r}")

@@ -81,11 +81,21 @@ def _measure_params(args, fld: Field) -> dict:
     return params
 
 
-def _sampled(value: int | None, flag: str, reads: bool, default: int) -> int:
-    """An option only sampled runs read: refused by whole-group runs."""
+def _only(
+    value: int | None, flag: str, reads: bool, default: int,
+    runs: str = "sampled runs, not whole-group ones",
+) -> int:
+    """An option only some runs read: refused by the others."""
     if not reads and value is not None:
-        raise ValueError(f"{flag} applies only to sampled runs, not whole-group ones")
+        raise ValueError(f"{flag} applies only to {runs}")
     return default if value is None else value
+
+
+def _mod3_residue(args, spec: str | None) -> int:
+    """--mod3-residue, which only a "mod3:n" spec reads ("mod3:n,r" has its own)."""
+    kind, _, rest = (spec or "").partition(":")
+    reads = kind == "mod3" and "," not in rest
+    return _only(args.mod3_residue, "--mod3-residue", reads, 0, 'a "mod3:n" function spec')
 
 
 def _module_from_spec(spec: str, ambient: sepmod.Ambient, args) -> sepmod.TestModule:
@@ -126,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, seeded=True):
         field(p)
         out(p)
-        p.add_argument("--mod3-residue", type=int, default=0, dest="mod3_residue")
+        p.add_argument("--mod3-residue", type=int, default=None, dest="mod3_residue")
         if seeded:
             p.add_argument("--seed", type=int, default=None, help="master seed (default 0)")
 
@@ -171,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fn", default=None)
     p.add_argument("--table", default=None, help="path to a truth-table file")
     p.add_argument("--bound", type=int, required=True, help="degree bound d")
-    p.add_argument("--mod3-residue", type=int, default=0, dest="mod3_residue")
+    p.add_argument("--mod3-residue", type=int, default=None, dest="mod3_residue")
     out(p)
 
     p = sub.add_parser("gk-check", help="twisted-derivative intersection test")
@@ -192,7 +202,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_measure(args) -> int:
     fld = field_from_name(args.field)
-    f = functions.from_spec(args.fn, fld, args.mod3_residue)
+    residue = _mod3_residue(args, args.fn)
+    f = functions.from_spec(args.fn, fld, residue)
     params = _measure_params(args, f.field)
     report = measures.compute_measure(args.measure, f, params)
     config = {
@@ -201,7 +212,7 @@ def cmd_measure(args) -> int:
         "field": f.field.name,
         "measure": args.measure,
         "params": report.params,
-        "mod3_residue": args.mod3_residue,
+        "mod3_residue": residue,
     }
     _emit(_json_text(config, report.to_json()), args.out)
     return 0
@@ -209,10 +220,11 @@ def cmd_measure(args) -> int:
 
 def cmd_invariance(args) -> int:
     fld = field_from_name(args.field)
-    f = functions.from_spec(args.fn, fld, args.mod3_residue)
+    residue = _mod3_residue(args, args.fn)
+    f = functions.from_spec(args.fn, fld, residue)
     params = _measure_params(args, f.field)
-    seed = _sampled(args.seed, "--seed", not args.exhaustive, 0)
-    trials = _sampled(args.trials, "--trials", not args.exhaustive, 20)
+    seed = _only(args.seed, "--seed", not args.exhaustive, 0)
+    trials = _only(args.trials, "--trials", not args.exhaustive, 20)
     rng = trial_rng(seed, 0)
     report = groups.invariance_check(
         args.measure,
@@ -231,7 +243,7 @@ def cmd_invariance(args) -> int:
         "trials": trials,
         "seed": seed,
         "exhaustive": args.exhaustive,
-        "mod3_residue": args.mod3_residue,
+        "mod3_residue": residue,
     }
     _emit(_json_text(config, report.to_json()), args.out)
     return 0 if report.all_equal else 1
@@ -240,7 +252,8 @@ def cmd_invariance(args) -> int:
 def cmd_separate(args) -> int:
     fld = field_from_name(args.field)
     sampler = circuits.sampler_from_spec(args.easy, fld)
-    f_hard = functions.from_spec(args.hard, fld, args.mod3_residue)
+    residue = _mod3_residue(args, args.hard)
+    f_hard = functions.from_spec(args.hard, fld, residue)
     if sampler.n != f_hard.n:
         raise ValueError(
             f"easy class on {sampler.n} variables but hard candidate on {f_hard.n}"
@@ -258,7 +271,7 @@ def cmd_separate(args) -> int:
         "field": fld.name,
         "trials": args.trials,
         "seed": args.seed or 0,
-        "mod3_residue": args.mod3_residue,
+        "mod3_residue": residue,
     }
     if module.params:  # the k and l of a shifted module
         config["params"] = module.params
@@ -331,8 +344,9 @@ def cmd_table(args) -> int:
 def cmd_rs_distance(args) -> int:
     if bool(args.fn) == bool(args.table):
         raise ValueError("pass exactly one of --fn and --table")
+    residue = _mod3_residue(args, args.fn)
     if args.fn:
-        f = functions.from_spec(args.fn, prime_field(2), args.mod3_residue)
+        f = functions.from_spec(args.fn, prime_field(2), residue)
         f2lab.low_degree_code_size(f.n, args.bound)  # refuse before the 2^n table
         t = f2lab.multilinear_to_truth_table(f2lab.reduce_pointwise(f))
         source = {"fn": args.fn}
@@ -344,7 +358,7 @@ def cmd_rs_distance(args) -> int:
     config = {
         "command": "rs-distance",
         "bound": args.bound,
-        "mod3_residue": args.mod3_residue,
+        "mod3_residue": residue,
         **source,
     }
     _emit(_json_text(config, report.to_json()), args.out)
@@ -355,13 +369,14 @@ def cmd_gk_check(args) -> int:
     fld = field_from_name(args.field)
     if fld.p is None:
         raise ValueError("gk-check runs over a prime field (use --field Fp:<q>)")
-    f = functions.from_spec(args.fn, fld, args.mod3_residue)
+    residue = _mod3_residue(args, args.fn)
+    f = functions.from_spec(args.fn, fld, residue)
     n = isqrt(f.n)
     if n * n != f.n:
         raise ValueError(f"{f.n} variables do not form a square matrix")
     if args.trials < 0:
         raise ValueError("--trials must be nonnegative (0 = whole group)")
-    seed = _sampled(args.seed, "--seed", args.trials > 0, 0)
+    seed = _only(args.seed, "--seed", args.trials > 0, 0)
     if args.trials > 0:
         rng = trial_rng(seed, 0)
         sigmas = [
@@ -384,7 +399,7 @@ def cmd_gk_check(args) -> int:
         "max_degree": pairwise.max_degree,
         "trials": args.trials,
         "seed": seed,
-        "mod3_residue": args.mod3_residue,
+        "mod3_residue": residue,
     }
     result = {
         "pairwise": pairwise.to_json(),

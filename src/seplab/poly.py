@@ -28,7 +28,6 @@ that rank code differentiates by.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from math import comb
 from typing import Mapping, Sequence
@@ -251,13 +250,6 @@ def power(f: Poly, k: int) -> Poly:
     return Poly(f.n, f.field, _unpack(result, f.n, base))
 
 
-def partial_derivative(f: Poly, i: int) -> Poly:
-    """Formal derivative with respect to variable ``i``."""
-    if not 0 <= i < f.n:
-        raise IndexError(f"variable index {i} out of range for n={f.n}")
-    return derivative(f, tuple(int(j == i) for j in range(f.n)))
-
-
 def _trusted(n: int, field: Field, terms: dict[Exponent, Scalar]) -> Poly:
     """A ``Poly`` over a term map that is already canonical, built without
     ``__post_init__``'s validation and coercion pass."""
@@ -406,11 +398,7 @@ def linear_form(coeffs: Sequence, field: Field) -> Poly:
 
 
 def substitute_linear(f: Poly, matrix: Sequence[Sequence]) -> Poly:
-    """Return f(A·x): variable i is replaced by the linear form of row i.
-
-    The matrix need not be invertible; restrictions and projections reuse
-    this path.
-    """
+    """Return f(A·x): variable i is replaced by the linear form of row i."""
     if len(matrix) != f.n or any(len(row) != f.n for row in matrix):
         raise ValueError(f"matrix must be {f.n}x{f.n}")
     return substitute(f, [linear_form(row, f.field) for row in matrix])
@@ -426,72 +414,6 @@ def substitute_affine(f: Poly, matrix: Sequence[Sequence], shift: Sequence) -> P
         add(linear_form(row, f.field), constant(f.n, b, f.field))
         for row, b in zip(matrix, shift)
     ]
-    return substitute(f, images)
-
-
-_NAME_RE = re.compile(r"^x(\d+)$")
-
-
-def _input_index(name: str) -> int | None:
-    m = _NAME_RE.match(name)
-    return int(m.group(1)) if m else None
-
-
-def restrict(f: Poly, assignment: Mapping[int, object]) -> Poly:
-    """Partially substitute variables by constants or variables, re-indexing.
-
-    ``assignment`` maps input variable indices to either scalars or variable
-    names.  Input variable i is named ``"x<i>"``; a name matching an
-    unassigned input variable substitutes that variable, any other name
-    introduces a fresh output variable.  The output ring consists of the
-    surviving input variables in index order followed by the fresh names in
-    sorted order.
-
-    Raises ValueError on conflicting assignments (a target variable that is
-    itself assigned) and on x-names outside the input ring.
-    """
-    n = f.n
-    assignment = dict(assignment)
-    for i in assignment:
-        if not (0 <= int(i) < n):
-            raise ValueError(f"assigned variable index {i} out of range")
-
-    survivors = [i for i in range(n) if i not in assignment]
-    fresh: set[str] = set()
-    for v in assignment.values():
-        if isinstance(v, str):
-            j = _input_index(v)
-            if j is None:
-                fresh.add(v)
-            elif j >= n:
-                raise ValueError(f"unknown input variable name {v!r}")
-            elif j in assignment:
-                raise ValueError(
-                    f"conflicting assignment: target {v!r} is itself assigned"
-                )
-
-    index: dict[object, int] = {i: k for k, i in enumerate(survivors)}
-    for k, name in enumerate(sorted(fresh)):
-        index[name] = len(survivors) + k
-    n_out = len(survivors) + len(fresh)
-
-    if n_out == 0:
-        # every variable got a constant; the restriction is an evaluation
-        val = evaluate(f, [assignment[i] for i in range(n)])
-        return Poly(0, f.field, {(): val})
-
-    images = []
-    for i in range(n):
-        if i in assignment:
-            v = assignment[i]
-            if isinstance(v, str):
-                j = _input_index(v)
-                target = index[j] if j is not None else index[v]
-                images.append(variable(target, n_out, f.field))
-            else:
-                images.append(constant(n_out, v, f.field))
-        else:
-            images.append(variable(index[i], n_out, f.field))
     return substitute(f, images)
 
 
@@ -527,11 +449,3 @@ def poly_to_json(f: Poly) -> dict:
             {"e": list(e), "c": str(c)} for e, c in f.sorted_terms()
         ],
     }
-
-
-def poly_from_json(data: Mapping) -> Poly:
-    from .field import field_from_name
-
-    fld = field_from_name(data["field"])
-    terms = {tuple(t["e"]): fld.parse(str(t["c"])) for t in data["terms"]}
-    return Poly(int(data["n"]), fld, terms)

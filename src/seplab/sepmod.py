@@ -280,10 +280,6 @@ class SymbolicMatrix:
     col_labels: tuple
     entries: tuple[tuple[Poly, ...], ...]
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return len(self.row_labels), len(self.col_labels)
-
 
 def symbolic_partial_deriv_matrix(ambient: Ambient) -> SymbolicMatrix:
     """Derivative matrix of a generic input polynomial of the ambient space.

@@ -264,6 +264,46 @@ def test_trials_is_refused_where_the_whole_group_runs(capsys):
     assert run_json(capsys, sampled + ["--trials", "3"])[1]["config"]["trials"] == 3
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["measure", "--fn", "esym:2,4", "--measure", "dim_partials"],
+        ["invariance", "--fn", "esym:2,2", "--measure", "dim_partials", "--trials", "1"],
+        ["separate", "--module", "minors:dim_partials:4", "--easy", "depth3:4,2,1",
+         "--hard", "esym:2,4", "--trials", "1"],
+        ["rs-distance", "--fn", "mod3:4,2", "--bound", "1"],
+        ["rs-distance", "--table", "{tmp}/a.tt", "--bound", "1"],
+        ["gk-check", "--fn", "det:2", "--trials", "1"],
+    ],
+    ids=["measure", "invariance", "separate", "rs-distance-residue-spec", "rs-distance-table",
+         "gk-check"],
+)
+def test_mod3_residue_is_refused_where_no_mod3_spec_reads_it(capsys, tmp_path, argv):
+    """Only a one-argument "mod3:n" spec reads --mod3-residue ("mod3:n,r"
+    carries its own), so elsewhere it would give two configs for one
+    computation; without it the config shows residue 0."""
+    (tmp_path / "a.tt").write_text(format_table(truth_table(2, lambda pt: pt[0])))
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    code, data = run_json(capsys, argv)
+    assert code == 0 and data["config"]["mod3_residue"] == 0
+    for residue in ("0", "1"):
+        assert main(argv + ["--mod3-residue", residue]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--mod3-residue" in captured.err
+
+
+def test_mod3_residue_reaches_a_mod3_spec(capsys):
+    """--mod3-residue r on "mod3:3" computes what "mod3:3,r" does."""
+    results = []
+    for r in ("0", "1"):
+        flag = run_json(capsys, ["rs-distance", "--fn", "mod3:3", "--bound", "0",
+                                 "--mod3-residue", r])[1]
+        spec = run_json(capsys, ["rs-distance", "--fn", f"mod3:3,{r}", "--bound", "0"])[1]
+        assert flag["config"]["mod3_residue"] == int(r) and flag["result"] == spec["result"]
+        results.append(flag["result"])
+    assert results[0] != results[1]
+
+
 def test_separate_refuses_mismatched_arity(capsys):
     assert (
         main(
@@ -672,19 +712,24 @@ def test_cli_fuzz_exits_with_a_documented_code_and_no_traceback(argv):
 _CONTRACT = [
     ("measure --fn rand:2,2,5 --measure shifted",
      {"--fn": "rand:2,2,6", "--measure": "dim_partials", "--k": "2", "--l": "2",
-      "--field": "Fp:7", "--mod3-residue": "1"}),
+      "--field": "Fp:7"}),
+    # only a "mod3:n" spec reads --mod3-residue, so it starts from such a base
+    ("measure --fn mod3:3 --measure dim_partials --field Fp:2", {"--mod3-residue": "1"}),
     ("measure --fn rand:2,2,5 --measure hessian_rank --point 1,2", {"--point": "3,4"}),
     ("invariance --fn esym:2,2 --measure shifted --trials 2 --field Fp:2",
      {"--fn": "esym:1,2", "--measure": "dim_partials", "--k": "2", "--l": "2",
-      "--trials": "3", "--seed": "1", "--field": "Fp:3", "--mod3-residue": "1"}),
+      "--trials": "3", "--seed": "1", "--field": "Fp:3"}),
+    ("invariance --fn mod3:2 --measure dim_partials --trials 1 --field Fp:2",
+     {"--mod3-residue": "1"}),
     # a whole-group run refuses --trials, so --exhaustive starts from a base without it
     ("invariance --fn esym:2,2 --measure shifted --field Fp:2", {"--exhaustive": None}),
     ("invariance --fn det:2 --measure hessian_rank --point 1,0,0,0 --trials 1",
      {"--point": "1,0,0,1"}),
     ("separate --module minors:dim_partials:4 --easy depth3:4,2,1 --hard esym:2,4 --trials 1",
      {"--module": "minors:dim_partials:5", "--easy": "depth3:4,2,2", "--hard": "esym:1,4",
-      "--trials": "2", "--seed": "1", "--field": "Fp:7", "--format": "csv",
-      "--mod3-residue": "1"}),
+      "--trials": "2", "--seed": "1", "--field": "Fp:7", "--format": "csv"}),
+    ("separate --module minors:dim_partials:4 --easy depth3:4,2,1 --hard mod3:4 --trials 1 "
+     "--field Fp:2", {"--mod3-residue": "1"}),
     ("separate --module minors:shifted:3 --easy depth3:3,2,1 --hard esym:2,3 --trials 1",
      {"--k": "2", "--l": "2"}),
     ("table --n-min 4 --n-max 4 --d-min 1 --d-max 2",
@@ -694,7 +739,8 @@ _CONTRACT = [
     ("rs-distance --table {tmp}/a.tt --bound 1", {"--table": "{tmp}/b.tt"}),
     ("gk-check --fn det:2 --trials 1",
      {"--fn": "rand:4,2,1", "--r": "0", "--max-degree": "3", "--trials": "2", "--seed": "1",
-      "--field": "Fp:3", "--mod3-residue": "1"}),
+      "--field": "Fp:3"}),
+    ("gk-check --fn mod3:4 --trials 1", {"--mod3-residue": "1"}),
 ]
 
 

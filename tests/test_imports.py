@@ -1,5 +1,6 @@
 """Every module of the package, every test file and every benchmark script
-reads every name it imports."""
+reads every name it imports, and every public function or class of the
+package has a caller outside the unit tests."""
 
 import ast
 from pathlib import Path
@@ -44,3 +45,74 @@ def test_scan_finds_an_unused_import():
 )
 def test_module_reads_every_name_it_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+# Test-facing names kept on purpose although no module, benchmark script or
+# acceptance criterion reads them; one reason each.
+KEPT = {
+    "format_table": "writes the truth-table files that the rs-distance --table tests read",
+    "affine_element": "the group and f2lab tests build shifted elements with it",
+    "identity_element": "the group and f2lab tests' neutral element",
+    "random_permutation": "the group tests' permutation sampler",
+    "vanishes_on": "the module tests' membership check, and the place for an early exit",
+    "compose": "the group law that the group tests check apply against",
+    "power": "k-th powers on the product kernel, checked against sympy with multiply",
+    "minors_explicit": "spans the minors explicitly at tiny sizes, to check evaluate_module",
+}
+
+
+def _reads(tree: ast.AST, skip: set) -> set[str]:
+    """Names read in ``tree`` as a Name or an attribute, outside ``skip``."""
+    out, stack = set(), [tree]
+    while stack:
+        node = stack.pop()
+        if node in skip:
+            continue
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        stack.extend(ast.iter_child_nodes(node))
+    return out
+
+
+def uncalled(modules: list[Path], readers: list[Path]) -> list[str]:
+    """'module: name' for each top-level public function or class of
+    ``modules`` that nothing reads outside its own definition, in the modules
+    or in ``readers``.  A name read only inside such definitions is uncalled
+    too, so the scan repeats until nothing more drops."""
+    trees = {p: ast.parse(p.read_text(encoding="utf-8")) for p in modules + readers}
+    defs = {
+        node: p.stem
+        for p in modules
+        for node in trees[p].body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+    }
+    dead: set = set()
+    while True:
+        found = {
+            node
+            for node in defs
+            if node.name not in KEPT
+            and not any(node.name in _reads(t, dead | {node}) for t in trees.values())
+        }
+        if found == dead:  # reads only shrink as ``dead`` grows
+            return sorted(f"{defs[node]}: {node.name}" for node in dead)
+        dead = found
+
+
+def test_scan_finds_an_uncalled_function(tmp_path):
+    module, reader = tmp_path / "a.py", tmp_path / "b.py"
+    module.write_text(
+        "def used(): pass\ndef dead(): return helper()\ndef helper(): pass\n"
+        "def recursive(): recursive()\nclass _Private: pass\n"
+    )
+    reader.write_text("from a import used\nused()\n")
+    assert uncalled([module], [reader]) == ["a: dead", "a: helper", "a: recursive"]
+
+
+def test_every_public_function_has_a_caller():
+    modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+    readers = sorted(BENCH.glob("**/*.py")) + [TESTS / "test_acceptance.py"]
+    assert uncalled(modules, readers) == []
+
