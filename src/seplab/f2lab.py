@@ -365,7 +365,8 @@ def vanishing_ideal_basis(
     """All reduced functions of degree <= max_degree vanishing on the points.
 
     Computed as the right kernel of the evaluation matrix whose rows are the
-    points and whose columns are the reduced monomials.
+    points and whose columns are the reduced monomials.  Each row is filled
+    from a parent table, one product mod q per cell.
     """
     if not points:
         raise ValueError("need at least one point")
@@ -373,18 +374,20 @@ def vanishing_ideal_basis(
     if any(len(p) != m for p in points):
         raise ValueError("points must share one dimension")
     monomials = function_monomials(m, q, max_degree)
-    eval_rows = [[_eval_monomial(pt, e, q) for e in monomials] for pt in points]
+    # a monomial's value is its parent's times x_i, where i is its first
+    # nonzero variable; the parent (e - u_i) comes earlier in grlex order
+    index = {e: k for k, e in enumerate(monomials)}
+    steps = []
+    for e in monomials[1:]:
+        i = next(i for i, v in enumerate(e) if v)
+        steps.append((index[e[:i] + (e[i] - 1,) + e[i + 1 :]], i))
+    eval_rows = []
+    for pt in points:
+        row = [1] if monomials else []
+        for k, i in steps:
+            row.append(row[k] * pt[i] % q)
+        eval_rows.append(row)
     return linalg.kernel(eval_rows, prime_field(q), monomials)
-
-
-def _eval_monomial(point: Sequence[int], e: Sequence[int], q: int) -> int:
-    v = 1
-    for x, k in zip(point, e):
-        if k:
-            v = (v * pow(x, k, q)) % q
-        if v == 0:
-            return 0
-    return v
 
 
 def intersect_all(

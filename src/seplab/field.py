@@ -95,9 +95,6 @@ class Field:
                 return value.numerator * pow(den, self.p - 2, self.p) % self.p
         raise TypeError(f"cannot coerce {value!r} into {self.name}")
 
-    def neg(self, a: Scalar) -> Scalar:
-        return -a if self.p is None else (-a) % self.p
-
     def inv(self, a: Scalar) -> Scalar:
         if self.p is None:
             if a == 0:

@@ -77,12 +77,14 @@ def mod3_multilinear(n: int, residue: int = 0) -> Poly:
     """Multilinear polynomial over F_2 testing Hamming weight mod 3.
 
     Output is 1 exactly on points whose weight is congruent to ``residue``
-    modulo 3; the polynomial is produced from the truth table by the subset
-    transform, so it is the unique multilinear representative.
+    modulo 3, one of 0, 1, 2 (any other value raises ValueError, so each
+    function has one name); the polynomial is produced from the truth table
+    by the subset transform, so it is the unique multilinear representative.
     """
     if n < 1:
         raise ValueError("need at least one variable")
-    residue %= 3
+    if residue not in (0, 1, 2):
+        raise ValueError(f"mod3 residue must be 0, 1 or 2, got {residue}")
     table = f2lab.truth_table(n, lambda pt: sum(pt) % 3 == residue)
     return f2lab.truth_table_to_multilinear(table)
 

@@ -8,7 +8,7 @@ preserves the row space) and eliminated fraction-free (Bareiss), with the
 rescaling of skipped rows deferred until they are next touched; rows over F_p
 are reduced mod p and eliminated against a monic pivot row.  Rank is the
 number of pivots it finds, RREF back-substitutes over the echelon rows it
-leaves, and kernels and invertibility sit on those two.
+leaves, and a kernel is one RREF of the matrix with its columns reversed.
 
 A ℚ rank of a matrix with at least ``_CERT_MIN_DIM`` rows and columns is
 certified from one elimination mod a prime p below 2**30 instead.  A minor
@@ -391,26 +391,34 @@ def rref(rows, field: Field, ncols: int | None = None) -> tuple[list[list[Scalar
     is the canonical RREF, so two row spaces are equal iff their RREFs are
     equal as lists.
     """
-    _width(rows, ncols)
+    ncols = _width(rows, ncols)
     m = _field_rows([list(r) for r in rows], field)
     p = field.p
     pivots = _eliminate(m, p)
     # Back-substitute over the echelon rows, bottom row first: scale each
-    # pivot row to a leading 1 (mod p it already has one), then clear its
-    # pivot column in the rows above.
+    # pivot row to a leading 1 (mod p it already has one), list its nonzeros
+    # past the pivot once, and clear its pivot column in the rows above,
+    # updating only those columns.
     for k in range(len(pivots) - 1, -1, -1):
         c = pivots[k]
         row = m[k]
         if p is None:
             inv = field.inv(row[c])
-            row = m[k] = [x * inv for x in row]
-        for i in range(k):
-            factor = m[i][c]
-            if factor:
+            row[c] = 1
+            for j in range(c + 1, ncols):
+                if row[j]:
+                    row[j] *= inv
+        nz = [(j, x) for j in range(c + 1, ncols) if (x := row[j])]
+        for row_i in m[:k]:
+            f = row_i[c]
+            if f:
                 if p is None:
-                    m[i] = [a - factor * b for a, b in zip(m[i], row)]
+                    for j, x in nz:
+                        row_i[j] -= f * x
                 else:
-                    m[i] = [(a - factor * b) % p for a, b in zip(m[i], row)]
+                    for j, x in nz:
+                        row_i[j] = (row_i[j] - f * x) % p
+                row_i[c] = 0
     m = m[: len(pivots)]
     if p is None:
         # pivot inverses are Fractions; integral values become ints again
@@ -419,19 +427,29 @@ def rref(rows, field: Field, ncols: int | None = None) -> tuple[list[list[Scalar
 
 
 def right_kernel(rows, field: Field, ncols: int) -> list[list[Scalar]]:
-    """Canonical (RREF) basis of {v : M·v = 0}."""
-    reduced, pivots = rref(rows, field, ncols)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
+    """Canonical (RREF) basis of {v : M·v = 0}, from one RREF of M with its
+    columns reversed.
+
+    There each free column f gives the kernel vector that is 1 at f, 0 at the
+    other free columns and otherwise nonzero only at pivot columns left of f.
+    Read back in the original column order it leads with its 1, where the
+    other vectors are 0, so taken by decreasing f the vectors are the RREF.
+    """
+    reduced, pivots = rref([r[::-1] for r in rows], field, ncols)
+    p, pivot_set = field.p, set(pivots)
     basis = []
-    for fc in free:
+    for f in range(ncols - 1, -1, -1):
+        if f in pivot_set:
+            continue
         v = [0] * ncols
-        v[fc] = 1
-        for r_idx, pc in enumerate(pivots):
-            v[pc] = field.neg(reduced[r_idx][fc])
+        v[ncols - 1 - f] = 1
+        for row, c in zip(reduced, pivots):
+            if c > f:
+                break
+            if x := row[f]:
+                v[ncols - 1 - c] = -x if p is None else p - x
         basis.append(v)
-    reduced_basis, _ = rref(basis, field, ncols)
-    return reduced_basis
+    return basis
 
 
 @dataclass(frozen=True)
@@ -462,9 +480,9 @@ class Subspace:
             raise ValueError("subspaces live in different ambient spaces")
         if not self.basis or not other.basis:
             return Subspace(self.field, self.cols, ())
-        neg = self.field.neg
+        p = self.field.p
         block = [
-            list(u) + [neg(w) for w in ws]
+            list(u) + [-w if p is None else p - w if w else 0 for w in ws]
             for u, ws in zip(zip(*self.basis), zip(*other.basis))
         ]
         pairs = right_kernel(block, self.field, ncols=self.dim + other.dim)

@@ -92,6 +92,49 @@ def oracle_rref(rows, p=None):
     return out, list(pivots)
 
 
+def two_rref_kernel(rows, ncols, p=None):
+    """Canonical kernel basis built the long way, with sympy's RREF.
+
+    RREF the matrix, make one vector per free column (1 there, minus the
+    column's reduced entries at the pivots), then RREF those vectors.
+    """
+    reduced, pivots = oracle_rref(rows, p)
+    basis = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        v = [0] * ncols
+        v[f] = 1
+        for row, c in zip(reduced, pivots):
+            v[c] = -row[f] if p is None else -row[f] % p
+        basis.append(v)
+    return oracle_rref(basis, p)[0] if basis else []
+
+
+def nullspace_kernel(rows, ncols, p=None):
+    """Canonical kernel basis from sympy's nullspace, brought to RREF."""
+    rows = [list(r) for r in rows]
+    if p is None:
+        m = sympy.Matrix(len(rows), ncols, [_to_rational(x) for r in rows for x in r])
+        basis = [list(v) for v in m.nullspace()]
+    else:
+        dom = GF(p)
+        m = DomainMatrix([[dom(int(x) % p) for x in r] for r in rows], (len(rows), ncols), dom)
+        basis = [[int(x) % p for x in r] for r in m.nullspace().to_list()]
+    return oracle_rref(basis, p)[0] if basis else []
+
+
+def eval_monomial_pow(point, e, q):
+    """Value mod q of the monomial x^e at a point, one ``pow`` per variable."""
+    v = 1
+    for x, k in zip(point, e):
+        if k:
+            v = (v * pow(x, k, q)) % q
+        if v == 0:
+            return 0
+    return v
+
+
 def laplace_det(rows):
     """Determinant by recursive first-row Laplace expansion (Fractions)."""
     k = len(rows)

@@ -304,6 +304,19 @@ def test_mod3_residue_reaches_a_mod3_spec(capsys):
     assert results[0] != results[1]
 
 
+@pytest.mark.parametrize(
+    "fn, flag",
+    [("mod3:3", ["--mod3-residue", r]) for r in ("3", "4", "-2")]
+    + [(f"mod3:3,{r}", []) for r in ("3", "4", "-2")],
+)
+def test_mod3_residue_outside_0_to_2_is_a_usage_error(capsys, fn, flag):
+    """Residues 1, 4 and -2 once all named one function; now only 1 does."""
+    assert main(["rs-distance", "--fn", fn, "--bound", "0"] + flag) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "residue" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_separate_refuses_mismatched_arity(capsys):
     assert (
         main(
@@ -808,6 +821,20 @@ GOLDEN_STDOUT = [
      "ef2f36d313e985f456d1d5221a7b9b6d957aa0f9067fd28bd59e03f1caa11f28"),
     ("invariance --fn rand:3,2,4 --measure dim_partials --exhaustive --field Fp:2",
      "f2d8e13e776dff82b056242da63306f503f1d2bc7bd1798b7f799d1de90ce782"),
+    # recorded before a kernel took one RREF and before a mod3 residue
+    # outside 0..2 was refused
+    ("gk-check --fn det:2 --field Fp:5 --trials 2 --seed 3",
+     "e70d8320025804ce3af08ae2beb3b179b55e8e75b06c7b5ad9727176960aee7e"),
+    ("gk-check --fn det:2 --field Fp:3 --trials 0",
+     "5fa4ac6747ac54628106dfd153c6bb18aa6c39efcee9c8717c6dfd59296f7939"),
+    ("rs-distance --fn mod3:3 --bound 1",
+     "1525e9d50ce927d50a1326fb0062bec4f9efa23b7e1891c015836f05004ae10c"),
+    ("rs-distance --fn mod3:3 --bound 0 --mod3-residue 0",
+     "62666072ebd4835594316e3a1ddf4e44edb44596c3c2b424fe4e9dcd9f9045a0"),
+    ("rs-distance --fn mod3:3 --bound 0 --mod3-residue 1",
+     "e7329e11319a7305a2a3d0b1b541446eaec53f5c0e138d17faaf140202cd448e"),
+    ("rs-distance --fn mod3:3 --bound 0 --mod3-residue 2",
+     "db38efc272ec949be7be45678b8219bb9f98273365649d4b1fc8795189e00857"),
 ]
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import gray_walk_distance, naive_distance
+from oracles import eval_monomial_pow, gray_walk_distance, naive_distance
 from seplab import (
     InfeasibleError,
     Poly,
@@ -36,7 +36,7 @@ from seplab import (
     vanishing_ideal_basis,
     zero,
 )
-from seplab import f2lab
+from seplab import f2lab, linalg
 from seplab.f2lab import TruthTable, index_point, point_index, table_from_int
 from seplab.poly import evaluate
 
@@ -332,6 +332,29 @@ def test_vanishing_ideal_of_the_origin():
     assert ideal.dim == 2
     for f in polynomials(ideal, 2):
         assert evaluate(f, [0, 0]) == 0
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_vanishing_ideal_rows_match_the_pow_oracle(q, monkeypatch):
+    """The parent-table evaluation rows equal one pow per variable, at every
+    degree cap, on points with zero (and out-of-range) coordinates."""
+    rng = random.Random(q)
+    m = 3
+    points = [tuple(rng.randrange(q) for _ in range(m)) for _ in range(5)]
+    points += [(0, 0, 0), (0, 1, 0), (q - 1, 0, q - 1), (-1, q + 1, 2 * q)]
+    seen = []
+    original = linalg.kernel
+
+    def recording(rows, field, cols):
+        seen.append(rows)
+        return original(rows, field, cols)
+
+    monkeypatch.setattr(linalg, "kernel", recording)
+    for cap in range(m * (q - 1) + 1):
+        seen.clear()
+        vanishing_ideal_basis(points, cap, q)
+        monomials = function_monomials(m, q, cap)
+        assert seen == [[[eval_monomial_pow(pt, e, q) for e in monomials] for pt in points]]
 
 
 def test_vanishing_ideal_of_invertible_matrices_frozen_dim():

@@ -119,6 +119,17 @@ def test_mod3_agrees_with_weight_predicate():
                 assert evaluate(f, list(pt)) == want
 
 
+def test_mod3_residue_outside_0_to_2_is_refused():
+    """A residue names one function only as 0, 1 or 2."""
+    for residue in (3, 4, -1, -2):
+        with pytest.raises(ValueError, match="residue"):
+            mod3_multilinear(3, residue)
+        with pytest.raises(ValueError, match="residue"):
+            from_spec(f"mod3:3,{residue}")
+        with pytest.raises(ValueError, match="residue"):
+            from_spec("mod3:3", mod3_residue=residue)
+
+
 def test_random_dense_poly_hits_every_monomial():
     rng = random.Random(5)
     f = random_dense_poly(3, 2, rng)

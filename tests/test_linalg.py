@@ -1,5 +1,6 @@
 """Tests for exact linear algebra (rank, rref, kernels, subspaces)."""
 
+import copy
 import random
 from contextlib import contextmanager
 from fractions import Fraction
@@ -9,7 +10,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import modular_rank, oracle_rank, oracle_rref, qq_rank, rational_rank
+from oracles import (
+    modular_rank,
+    nullspace_kernel,
+    oracle_rank,
+    oracle_rref,
+    qq_rank,
+    rational_rank,
+    two_rref_kernel,
+)
 from seplab import RATIONALS, intersect_all, linalg, prime_field
 from seplab.linalg import (
     _CERT_MIN_DIM,
@@ -21,6 +30,7 @@ from seplab.linalg import (
     _sparse,
     densify,
     identity_matrix,
+    kernel,
     is_invertible,
     mat_mul,
     mat_vec,
@@ -472,6 +482,71 @@ def test_right_kernel_of_empty_matrix_is_full_space():
     basis = right_kernel([], RATIONALS, 3)
     assert len(basis) == 3
     assert rank(basis, RATIONALS) == 3
+
+
+@st.composite
+def kernel_cases(draw):
+    """(rows, column count, p): any shape from no rows up, wide or tall, with
+    zero and duplicate rows mixed in now and then."""
+    p = draw(st.sampled_from([None, 2, 3, 7]))
+    nr, nc = draw(st.integers(0, 7)), draw(st.integers(1, 7))
+    entry = st.integers(-4, 4)
+    if p is None:
+        entry = st.one_of(entry, st.sampled_from([Fraction(1, 2), Fraction(-5, 3)]))
+    rows = draw(st.lists(st.lists(entry, min_size=nc, max_size=nc), min_size=nr, max_size=nr))
+    if rows and draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), [0] * nc)
+    if rows and draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), list(draw(st.sampled_from(rows))))
+    return rows, nc, p
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(kernel_cases())
+@example(([], 4, None))
+@example(([], 3, 2))
+@example(([[0, 0, 0], [0, 0, 0]], 3, 3))
+@example(([[1, 2, 3], [1, 2, 3]], 3, None))
+@example(([[2, 1], [1, 1]], 2, 7))
+@example(([[1, 2, 3, 4, 5]], 5, 7))
+@example(([[1, 0], [0, 1], [1, 1], [2, 3]], 2, None))
+@example(([[0, 1, 1, 0], [0, 0, 0, 1]], 4, 2))
+def test_right_kernel_matches_two_rrefs_and_sympy_nullspace(case):
+    """One RREF of the column-reversed matrix gives the same canonical basis
+    as RREF-ing the free-column vectors of an RREF, and as sympy."""
+    rows, nc, p = case
+    field = RATIONALS if p is None else prime_field(p)
+    basis = right_kernel(rows, field, nc)
+    assert basis == two_rref_kernel(rows, nc, p) == nullspace_kernel(rows, nc, p)
+    if p is None:
+        _canonical_q(basis)
+    else:
+        assert all(0 <= x < p for v in basis for x in v)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(kernel_cases(), st.booleans())
+def test_linear_algebra_leaves_its_arguments_alone(case, as_tuples):
+    """Back-substitution updates rows in place, so it must work on copies:
+    list and tuple rows, and all-int rows over Q, come back untouched."""
+    rows, nc, p = case
+    field = RATIONALS if p is None else prime_field(p)
+    if as_tuples:
+        rows = [tuple(r) for r in rows]
+    before = copy.deepcopy(rows)
+    if rows:
+        rref(rows, field, nc)
+    right_kernel(rows, field, nc)
+    assert rows == before
+    cols = [(j,) for j in range(nc)]
+    # the kernel of fewer rows holds a; the row space meets it mod p
+    a, b = kernel(rows, field, cols), kernel(rows[1:], field, cols)
+    c = span([{col: x for col, x in zip(cols, r) if x} for r in rows], field, cols)
+    saved = copy.deepcopy((a, b, c))
+    a.intersect(b)
+    c.intersect(b)
+    a.annihilator()
+    assert (a, b, c) == saved and rows == before
 
 
 def test_fraction_entries_over_prime_fields_are_coerced():
