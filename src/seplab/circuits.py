@@ -168,16 +168,6 @@ class NWBoundReport:
     s: int
     d: int
 
-    def to_json(self) -> dict:
-        return {
-            "measure": "dim_partials",
-            "dimension": self.dimension,
-            "bound": self.bound,
-            "ok": self.ok,
-            "s": self.s,
-            "d": self.d,
-        }
-
 
 def verify_nw_bound(circuit: Depth3Circuit) -> NWBoundReport:
     """Check dim of the derivative span of the expansion against s * 2^d."""

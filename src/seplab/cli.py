@@ -59,25 +59,12 @@ def _emit(text: str, out: str | None) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _parse_point(text: str, fld: Field) -> list:
-    return [fld.parse(tok.strip()) for tok in text.split(",") if tok.strip()]
-
-
-def _shift_params(args) -> dict:
-    """The --k/--l the user set; ``compute_measure`` fills in the defaults."""
-    return {key: v for key in ("k", "l") if (v := getattr(args, key)) is not None}
-
-
 def _measure_params(args, fld: Field) -> dict:
-    params = _shift_params(args)
-    if params and args.measure != "shifted":
-        raise ValueError("--k/--l apply only to --measure shifted")
-    if args.point is not None and args.measure != "hessian_rank":
-        raise ValueError("--point applies only to --measure hessian_rank")
-    if args.measure == "hessian_rank":
-        if not args.point:
-            raise ValueError("hessian_rank needs --point")
-        params["point"] = _parse_point(args.point, fld)
+    """The --k, --l and --point that were set, the point parsed over the
+    field; ``measures.measure_params`` checks them and fills in defaults."""
+    params = {key: v for key in ("k", "l", "point") if (v := vars(args).get(key)) is not None}
+    if "point" in params:
+        params["point"] = [fld.parse(t.strip()) for t in params["point"].split(",") if t.strip()]
     return params
 
 
@@ -98,20 +85,14 @@ def _mod3_residue(args, spec: str | None) -> int:
     return _only(args.mod3_residue, "--mod3-residue", reads, 0, 'a "mod3:n" function spec')
 
 
-def _module_from_spec(spec: str, ambient: sepmod.Ambient, args) -> sepmod.TestModule:
+def _module_from_spec(spec: str, ambient: sepmod.Ambient, params: dict) -> sepmod.TestModule:
     parts = spec.split(":")
     if len(parts) == 3 and parts[0] == "minors":
-        name = parts[1]
         try:
             r = int(parts[2])
         except ValueError as exc:
             raise ValueError(f"bad rank threshold in module spec {spec!r}") from exc
-        params = _shift_params(args)
-        if name == "shifted":
-            params = {**measures.SHIFT_DEFAULTS, **params}
-        elif params:
-            raise ValueError("--k/--l apply only to a minors:shifted:<r> module")
-        return sepmod.MinorsOfMeasure(ambient, name, r, params)
+        return sepmod.MinorsOfMeasure(ambient, parts[1], r, params)
     raise ValueError(
         f"unrecognized module spec {spec!r} (format: \"minors:<measure>:<r>\")"
     )
@@ -140,20 +121,19 @@ def build_parser() -> argparse.ArgumentParser:
         if seeded:
             p.add_argument("--seed", type=int, default=None, help="master seed (default 0)")
 
+    def measured(p):
+        p.add_argument("--fn", required=True)
+        p.add_argument("--measure", required=True, choices=list(measures.MEASURES))
+        p.add_argument("--k", type=int, default=None)
+        p.add_argument("--l", type=int, default=None)
+        p.add_argument("--point", default=None)
+
     p = sub.add_parser("measure", help="compute one measure of one function")
-    p.add_argument("--fn", required=True)
-    p.add_argument("--measure", required=True, choices=list(measures.MEASURES))
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--l", type=int, default=None)
-    p.add_argument("--point", default=None)
+    measured(p)
     common(p, seeded=False)
 
     p = sub.add_parser("invariance", help="measure before/after substitutions")
-    p.add_argument("--fn", required=True)
-    p.add_argument("--measure", required=True, choices=list(measures.MEASURES))
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--l", type=int, default=None)
-    p.add_argument("--point", default=None)
+    measured(p)
     p.add_argument("--trials", type=int, default=None)
     p.add_argument("--exhaustive", action="store_true")
     common(p)
@@ -200,29 +180,32 @@ def build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 
 
-def cmd_measure(args) -> int:
+def _measured(args) -> tuple:
+    """The function of a measure or invariance run, the parameters set for
+    its measure, and the start of its config."""
     fld = field_from_name(args.field)
     residue = _mod3_residue(args, args.fn)
     f = functions.from_spec(args.fn, fld, residue)
-    params = _measure_params(args, f.field)
-    report = measures.compute_measure(args.measure, f, params)
     config = {
-        "command": "measure",
+        "command": args.command,
         "fn": args.fn,
         "field": f.field.name,
         "measure": args.measure,
-        "params": report.params,
         "mod3_residue": residue,
     }
+    return f, _measure_params(args, f.field), config
+
+
+def cmd_measure(args) -> int:
+    f, params, config = _measured(args)
+    report = measures.compute_measure(args.measure, f, params)
+    config["params"] = report.params
     _emit(_json_text(config, report.to_json()), args.out)
     return 0
 
 
 def cmd_invariance(args) -> int:
-    fld = field_from_name(args.field)
-    residue = _mod3_residue(args, args.fn)
-    f = functions.from_spec(args.fn, fld, residue)
-    params = _measure_params(args, f.field)
+    f, params, config = _measured(args)
     seed = _only(args.seed, "--seed", not args.exhaustive, 0)
     trials = _only(args.trials, "--trials", not args.exhaustive, 20)
     rng = trial_rng(seed, 0)
@@ -234,17 +217,9 @@ def cmd_invariance(args) -> int:
         params=params,
         exhaustive=args.exhaustive,
     )
-    config = {
-        "command": "invariance",
-        "fn": args.fn,
-        "field": f.field.name,
-        "measure": args.measure,
-        "params": report.params,
-        "trials": trials,
-        "seed": seed,
-        "exhaustive": args.exhaustive,
-        "mod3_residue": residue,
-    }
+    config.update(
+        params=report.params, trials=trials, seed=seed, exhaustive=args.exhaustive
+    )
     _emit(_json_text(config, report.to_json()), args.out)
     return 0 if report.all_equal else 1
 
@@ -261,7 +236,7 @@ def cmd_separate(args) -> int:
     ambient = sepmod.Ambient(
         sampler.n, max(sampler.d, f_hard.degree), fld, homogeneous=False
     )
-    module = _module_from_spec(args.module, ambient, args)
+    module = _module_from_spec(args.module, ambient, _measure_params(args, fld))
     report = sepmod.run_separation(module, sampler, f_hard, args.trials, args.seed or 0)
     config = {
         "command": "separate",
@@ -386,10 +361,10 @@ def cmd_gk_check(args) -> int:
         sigmas = groups.enumerate_invertible(n, fld)
     reports = f2lab.gk_intersection_test(f, args.r, sigmas, args.max_degree)
     pairwise, stacked = reports["pairwise"], reports["stacked"]
+    # property_holds is intersection_dim > 0 on both sides
     agree = (
         pairwise.lambda_dim == stacked.lambda_dim
         and pairwise.intersection_dim == stacked.intersection_dim
-        and pairwise.property_holds == stacked.property_holds
     )
     config = {
         "command": "gk-check",

@@ -65,9 +65,6 @@ class TruthTable:
         if not set(self.bits) <= {0, 1}:
             raise ValueError("table entries must be 0 or 1")
 
-    def weight(self) -> int:
-        return sum(self.bits)
-
     def as_int(self) -> int:
         """The table packed into an integer, bit i = value at point index i."""
         return int(bytes(self.bits[::-1]).translate(_TO_DIGITS), 2)
@@ -441,21 +438,18 @@ class GKReport:
 
 def gl_points(n: int, q: int) -> list[tuple[int, ...]]:
     """All invertible n x n matrices over F_q, flattened row-major."""
-    fld = prime_field(q)
-    pts = []
-    for g in groups.enumerate_invertible(n, fld):
-        pts.append(tuple(v % q for row in g.matrix for v in row))
-    return pts
+    elements = groups.enumerate_invertible(n, prime_field(q))
+    return [tuple(v for row in g.matrix for v in row) for g in elements]
 
 
-def _twist_matrix(sigma, n: int, q: int) -> list[list[int]]:
+def _twist_matrix(sigma, n: int) -> list[list[int]]:
     # Substitution X -> sigma X on the n^2 flattened matrix variables:
     # the image of x_{ij} is sum_k sigma[i][k] x_{kj}.
     m = [[0] * (n * n) for _ in range(n * n)]
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                m[i * n + j][k * n + j] = sigma[i][k] % q
+                m[i * n + j][k * n + j] = sigma[i][k]
     return m
 
 
@@ -523,7 +517,7 @@ def gk_intersection_test(
     derivs = [Poly(m, f.field, t) for t in measures.derivative_rows(reduced_f, ops)]
     spans = []
     for s in sigmas:
-        twist = _twist_matrix(s.matrix, n, q)
+        twist = _twist_matrix(s.matrix, n)
         twisted = [
             reduce_pointwise(polyops.substitute_linear(g, twist)).terms for g in derivs
         ]

@@ -14,7 +14,7 @@ from __future__ import annotations
 import contextlib
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 from . import linalg, measures
@@ -230,15 +230,7 @@ class InvarianceReport:
     trials: int
 
     def to_json(self) -> dict:
-        return {
-            "measure": self.measure,
-            "params": dict(self.params),
-            "base": self.base,
-            "values": list(self.values),
-            "all_equal": self.all_equal,
-            "mode": self.mode,
-            "trials": self.trials,
-        }
+        return asdict(self)
 
 
 def invariance_check(

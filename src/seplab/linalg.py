@@ -474,7 +474,9 @@ class Subspace:
 
         Solves U^T x = W^T y: the right kernel of the block matrix
         [U^T | -W^T] gives coefficient pairs, and each x part maps to one
-        intersection vector x·U.
+        intersection vector x·U.  The pairs come in RREF, every one leading
+        in its x part (W's rows are independent), and U is the identity at
+        its pivot columns; so the vectors x·U are already in RREF.
         """
         if self.field != other.field or self.cols != other.cols:
             raise ValueError("subspaces live in different ambient spaces")
@@ -488,7 +490,7 @@ class Subspace:
         pairs = right_kernel(block, self.field, ncols=self.dim + other.dim)
         xs = [v[: self.dim] for v in pairs]
         rows = mat_mul(xs, self.basis, self.field) if xs else []
-        return _reduced(rows, self.field, self.cols)
+        return Subspace(self.field, self.cols, tuple(map(tuple, rows)))
 
     def annihilator(self) -> "Subspace":
         """All v with u·v = 0 for every u in the subspace."""

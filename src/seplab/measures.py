@@ -9,6 +9,11 @@ Three measures are computed from a polynomial f:
 * ``hessian_rank`` — rank of the matrix of second partials evaluated at a
   point.
 
+``PARAMS`` names the parameters each measure reads, and ``measure_params``
+is the one place that checks them: it refuses an unknown measure, a
+parameter the measure does not read and a Hessian without a point, and fills
+in shifted's defaults k = l = 1.
+
 Every derivative measure is the rank of rows m * d^c f (a shift monomial
 times a derivative of f), and ``derivative_rows`` is the one generator of
 those rows; ``linalg.span_rank`` ranks them.  The operators c come from
@@ -38,8 +43,14 @@ from .poly import (
     monomials_upto,
 )
 
-MEASURES = ("dim_partials", "shifted", "hessian_rank", "term_count")
-SHIFT_DEFAULTS = {"k": 1, "l": 1}
+# the parameters each measure reads
+PARAMS = {
+    "dim_partials": ("include_order_zero",),
+    "shifted": ("k", "l"),
+    "hessian_rank": ("point",),
+    "term_count": (),
+}
+MEASURES = tuple(PARAMS)
 
 
 @dataclass(frozen=True)
@@ -158,15 +169,29 @@ def hessian_rank_at(f: Poly, point) -> int:
 # ---------------------------------------------------------------------------
 
 
+def measure_params(name: str, params: dict | None = None) -> dict:
+    """The parameters of a registered measure, checked against ``PARAMS``,
+    with shifted's k and l defaulting to 1."""
+    if name not in PARAMS:
+        raise ValueError(f"unknown measure {name!r} (registered: {', '.join(MEASURES)})")
+    params = dict(params or {})
+    for key in params:
+        if key not in PARAMS[name]:
+            reads = ", ".join(PARAMS[name]) or "none"
+            raise ValueError(f"measure {name} does not read parameter {key!r} (it reads: {reads})")
+    if name == "hessian_rank" and "point" not in params:
+        raise ValueError("hessian_rank needs a point parameter")
+    return {"k": 1, "l": 1, **params} if name == "shifted" else params
+
+
 def compute_measure(name: str, f: Poly, params: dict | None = None) -> MeasureReport:
     """Evaluate a registered measure on f, returning rank plus matrix shape.
 
-    Registered names: dim_partials (flag include_order_zero), shifted
-    (k, l, both defaulting to 1), hessian_rank (point, required), and
-    term_count (stored-monomial count -- a sparsity statistic that is *not*
-    substitution-invariant, kept registered as a self-test probe).
+    ``measure_params`` checks the parameters first.  term_count (the
+    stored-monomial count) is a sparsity statistic that is *not*
+    substitution-invariant, kept registered as a self-test probe.
     """
-    params = dict(params or {})
+    params = measure_params(name, params)
     if name == "dim_partials":
         include = bool(params.get("include_order_zero", True))
         rank_val = dim_partials(f, include_order_zero=include)
@@ -174,19 +199,14 @@ def compute_measure(name: str, f: Poly, params: dict | None = None) -> MeasureRe
         rows = m if include or m == 0 else m - 1
         return MeasureReport(name, params, rank_val, rows, m)
     if name == "shifted":
-        params = {**SHIFT_DEFAULTS, **params}
         k, l = int(params["k"]), int(params["l"])
         rank_val = shifted_partials_rank(f, k, l)
         rows = monomial_count(f.n + 1, l) * monomial_count(f.n, k)
         cols = monomial_count(f.n + 1, f.degree - k + l)
         return MeasureReport(name, params, rank_val, rows, cols)
     if name == "hessian_rank":
-        if "point" not in params:
-            raise ValueError("hessian_rank needs a point parameter")
         point = tuple(f.field.coerce(v) for v in params["point"])
         params["point"] = [str(v) for v in point]
         return MeasureReport(name, params, hessian_rank_at(f, point), f.n, f.n)
-    if name == "term_count":
-        count = len(f.terms)
-        return MeasureReport(name, params, count, count, count)
-    raise ValueError(f"unknown measure {name!r} (registered: {', '.join(MEASURES)})")
+    count = len(f.terms)
+    return MeasureReport(name, params, count, count, count)

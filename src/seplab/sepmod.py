@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import asdict, dataclass, field as dc_field
+from dataclasses import asdict, astuple, dataclass, field as dc_field, fields
 from typing import Sequence, Union
 
 from . import circuits, groups, linalg, measures
@@ -132,7 +132,8 @@ class MinorsOfMeasure:
     Vanishing of every minor at f is equivalent to rank <= r, so evaluation
     computes the measure rank and compares — no minor is ever enumerated
     here (``minors_explicit`` materializes them at tiny sizes as a
-    cross-check).
+    cross-check).  ``params`` are kept as ``measures.measure_params``
+    returns them, so a wrong one is refused when the module is built.
     """
 
     ambient: Ambient
@@ -141,8 +142,8 @@ class MinorsOfMeasure:
     params: dict = dc_field(default_factory=dict)
 
     def __post_init__(self):
-        if self.measure not in measures.MEASURES:
-            raise ValueError(f"unknown measure {self.measure!r}")
+        params = measures.measure_params(self.measure, self.params)
+        object.__setattr__(self, "params", params)
         if self.r < 0:
             raise ValueError("rank threshold must be nonnegative")
 
@@ -227,7 +228,7 @@ def evaluate_module(module: TestModule, f: Poly) -> ModuleEvaluation:
     """
     if isinstance(module, MinorsOfMeasure):
         module.ambient.require(f)
-        report = measures.compute_measure(module.measure, f, dict(module.params))
+        report = measures.compute_measure(module.measure, f, module.params)
         return ModuleEvaluation(
             vanishes=report.rank <= module.r,
             value=report.rank,
@@ -374,14 +375,6 @@ class ClosureReport:
     samples: int
     dim: int
 
-    def to_json(self) -> dict:
-        return {
-            "group": self.group,
-            "mode": self.mode,
-            "samples": self.samples,
-            "dim": self.dim,
-        }
-
 
 def group_closure(
     span: ExplicitSpan,
@@ -435,10 +428,10 @@ def group_closure(
 
 @dataclass(frozen=True)
 class TrialResult:
-    index: int
+    trial: int
     seed: int
-    value: int
-    threshold: int
+    rank: int
+    bound: int
     vanished: bool
 
 
@@ -462,35 +455,13 @@ class SeparationReport:
     note: str
 
     def to_json(self) -> dict:
-        return {
-            "module": self.module,
-            "sampler": self.sampler,
-            "trials": self.trials,
-            "easy_vanish_count": self.easy_vanish_count,
-            "hard_nonvanish": self.hard_nonvanish,
-            "hard_value": self.hard_value,
-            "hard_threshold": self.hard_threshold,
-            "separating": self.separating,
-            "note": self.note,
-            "rows": [
-                {
-                    "trial": t.index,
-                    "seed": t.seed,
-                    "rank": t.value,
-                    "bound": t.threshold,
-                    "vanished": t.vanished,
-                }
-                for t in self.rows
-            ],
-        }
+        return asdict(self)
 
     def csv_rows(self) -> list[list]:
-        out = [["trial", "seed", "rank", "bound", "vanished"]]
-        for t in self.rows:
-            out.append(
-                [t.index, t.seed, t.value, t.threshold, int(t.vanished)]
-            )
-        return out
+        """A header of TrialResult's fields, then one row per trial (its
+        fields are all ints or bools, printed as ints)."""
+        header = [f.name for f in fields(TrialResult)]
+        return [header] + [list(map(int, astuple(t))) for t in self.rows]
 
 
 def run_separation(
@@ -520,10 +491,10 @@ def run_separation(
         outcome = evaluate_module(module, f_easy)
         rows.append(
             TrialResult(
-                index=i,
+                trial=i,
                 seed=derive_seed(seed, i),
-                value=outcome.value,
-                threshold=outcome.threshold,
+                rank=outcome.value,
+                bound=outcome.threshold,
                 vanished=outcome.vanishes,
             )
         )

@@ -94,7 +94,7 @@ def test_nw_bound_frozen_examples():
     single = Depth3Circuit(2, RATIONALS, (((1, 2),),))
     rep2 = verify_nw_bound(single)
     assert (rep2.dimension, rep2.bound, rep2.ok) == (2, 2, True)
-    assert rep2.to_json()["measure"] == "dim_partials"
+    assert (rep2.s, rep2.d) == (1, 1)
 
 
 def test_nw_bound_holds_for_sampled_circuits():

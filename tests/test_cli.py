@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seplab import format_table, prime_field, truth_table
+from seplab import circuits, format_table, prime_field, truth_table
 from seplab.measures import MEASURES
 from seplab.cli import build_parser, main
 
@@ -187,7 +187,8 @@ def test_separate_csv_layout(tmp_path):
 
 def test_separate_records_the_shift_of_a_shifted_module(capsys):
     """--k/--l change a shifted module's ranks, so the config carries them,
-    defaults filled in; any other module refuses them."""
+    defaults filled in; any other module refuses them in the library's
+    wording."""
     base = [
         "separate", "--module", "minors:shifted:3", "--easy", "depth3:3,2,1",
         "--hard", "esym:2,3", "--trials", "1", "--l", "1",
@@ -202,29 +203,50 @@ def test_separate_records_the_shift_of_a_shifted_module(capsys):
               "--hard", "esym:2,4", "--trials", "1"]
     code, data = run_json(capsys, minors)
     assert code == 0 and "params" not in data["config"]
-    for flag in ("--k", "--l"):
-        assert main(minors + [flag, "1"]) == 2
+    for key in ("k", "l"):
+        assert main(minors + [f"--{key}", "1"]) == 2
         captured = capsys.readouterr()
-        assert captured.out == "" and "minors:shifted" in captured.err
+        assert captured.out == ""
+        assert f"measure dim_partials does not read parameter '{key}'" in captured.err
+
+
+def test_separate_refuses_a_hessian_module_before_sampling(capsys, monkeypatch):
+    """separate has no --point, so a hessian_rank module is refused when it
+    is built, before a single easy circuit is drawn."""
+    calls = []
+    sample = circuits.EasySampler.sample
+    monkeypatch.setattr(
+        circuits.EasySampler, "sample", lambda self, rng: calls.append(1) or sample(self, rng)
+    )
+    argv = ["separate", "--module", "minors:hessian_rank:1", "--easy", "depth3:2,2,1",
+            "--hard", "esym:2,2", "--trials", "1"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "hessian_rank needs a point" in captured.err
+    assert calls == []
+    assert main(["separate", "--module", "minors:dim_partials:2"] + argv[3:]) == 0
+    assert calls == [1]
 
 
 @pytest.mark.parametrize("command", ["measure", "invariance"])
 def test_measure_options_the_measure_does_not_read_are_refused(capsys, command):
     """--k/--l belong to shifted and --point to hessian_rank; any other
-    measure refuses them instead of printing the output it prints without."""
+    measure refuses them, in the library's wording, instead of printing the
+    output it prints without."""
     base = [command, "--fn", "esym:2,4", "--measure", "dim_partials"]
     assert main(base) == 0
     capsys.readouterr()
-    for extra, name in ((["--k", "5"], "--k/--l"), (["--l", "1"], "--k/--l"),
-                        (["--point", "1,2"], "--point")):
+    for extra, key in ((["--k", "5"], "k"), (["--l", "1"], "l"), (["--point", "1,2"], "point")):
         assert main(base + extra) == 2
         captured = capsys.readouterr()
-        assert captured.out == "" and name in captured.err
+        assert captured.out == ""
+        assert f"measure dim_partials does not read parameter '{key}'" in captured.err
     shifted = [command, "--fn", "esym:2,4", "--measure", "shifted"]
     assert main(shifted + ["--point", "1,2,3,4"]) == 2
+    assert "measure shifted does not read parameter 'point'" in capsys.readouterr().err
     hessian = [command, "--fn", "esym:2,4", "--measure", "hessian_rank", "--point", "1,2,3,4"]
     assert main(hessian + ["--k", "1"]) == 2
-    assert "--k/--l" in capsys.readouterr().err
+    assert "measure hessian_rank does not read parameter 'k'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -835,6 +857,12 @@ GOLDEN_STDOUT = [
      "e7329e11319a7305a2a3d0b1b541446eaec53f5c0e138d17faaf140202cd448e"),
     ("rs-distance --fn mod3:3 --bound 0 --mod3-residue 2",
      "db38efc272ec949be7be45678b8219bb9f98273365649d4b1fc8795189e00857"),
+    # recorded before the measure parameters were checked only in the library:
+    # a shifted module's k and l show in the config
+    ("separate --module minors:shifted:3 --easy depth3:3,2,1 --hard esym:2,3 --trials 2 --seed 1 --k 2",
+     "5f151ebe733fde2f09bbba9695787c3bd6352de0ca58bfaa6df98b1b6b581422"),
+    ("separate --module minors:shifted:3 --easy depth3:3,2,1 --hard esym:2,3 --trials 2 --seed 1 --k 2 --format csv",
+     "aa4f42abb8eac1e4eb551b744745c866f6b23fd8d70b7bb958c73db63ac0f19d"),
 ]
 
 

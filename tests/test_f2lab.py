@@ -73,7 +73,7 @@ def test_truth_table_validation_and_packing():
         TruthTable(1, (0, 2))
     t = truth_table(2, lambda pt: pt[0] and pt[1])
     assert t.bits == (0, 0, 0, 1)
-    assert t.weight() == 1
+    assert sum(t.bits) == 1
     assert t.as_int() == 8
     assert table_from_int(2, 8) == t
 
@@ -178,7 +178,7 @@ def test_mod3_distance_frozen_example():
     rep = distance_to_degree(t, 1)
     assert rep.distance == 2
     assert rep.witness.is_zero  # the zero function already agrees on 6 points
-    assert t.weight() == 2
+    assert sum(t.bits) == 2
 
 
 def test_distance_matches_naive_oracle():

@@ -1,6 +1,6 @@
 """Every module of the package, every test file and every benchmark script
-reads every name it imports, and every public function or class of the
-package has a caller outside the unit tests."""
+reads every name it imports, and every public function, class or method of
+the package has a caller outside the unit tests."""
 
 import ast
 from pathlib import Path
@@ -76,18 +76,27 @@ def _reads(tree: ast.AST, skip: set) -> set[str]:
     return out
 
 
+def _public(tree: ast.Module, module: str) -> dict:
+    """The label of each public top-level function or class of ``tree``, and
+    of each public method of such a class."""
+    out = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            out[node] = f"{module}: {node.name}"
+            for m in node.body if isinstance(node, ast.ClassDef) else ():
+                if isinstance(m, ast.FunctionDef) and not m.name.startswith("_"):
+                    out[m] = f"{module}: {node.name}.{m.name}"
+    return out
+
+
 def uncalled(modules: list[Path], readers: list[Path]) -> list[str]:
     """'module: name' for each top-level public function or class of
-    ``modules`` that nothing reads outside its own definition, in the modules
-    or in ``readers``.  A name read only inside such definitions is uncalled
-    too, so the scan repeats until nothing more drops."""
+    ``modules``, and 'module: Class.name' for each public method of such a
+    class, that nothing reads by name outside its own definition, in the
+    modules or in ``readers``.  A name read only inside such definitions is
+    uncalled too, so the scan repeats until nothing more drops."""
     trees = {p: ast.parse(p.read_text(encoding="utf-8")) for p in modules + readers}
-    defs = {
-        node: p.stem
-        for p in modules
-        for node in trees[p].body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
-    }
+    defs = {node: label for p in modules for node, label in _public(trees[p], p.stem).items()}
     dead: set = set()
     while True:
         found = {
@@ -97,7 +106,7 @@ def uncalled(modules: list[Path], readers: list[Path]) -> list[str]:
             and not any(node.name in _reads(t, dead | {node}) for t in trees.values())
         }
         if found == dead:  # reads only shrink as ``dead`` grows
-            return sorted(f"{defs[node]}: {node.name}" for node in dead)
+            return sorted(defs[node] for node in dead)
         dead = found
 
 
@@ -106,9 +115,13 @@ def test_scan_finds_an_uncalled_function(tmp_path):
     module.write_text(
         "def used(): pass\ndef dead(): return helper()\ndef helper(): pass\n"
         "def recursive(): recursive()\nclass _Private: pass\n"
+        "class Box:\n    def __init__(self): pass\n    def get(self): pass\n"
+        "    def unread(self): pass\n    def _own(self): pass\n"
     )
-    reader.write_text("from a import used\nused()\n")
-    assert uncalled([module], [reader]) == ["a: dead", "a: helper", "a: recursive"]
+    reader.write_text("from a import Box, used\nused()\nBox().get()\n")
+    assert uncalled([module], [reader]) == [
+        "a: Box.unread", "a: dead", "a: helper", "a: recursive",
+    ]
 
 
 def test_every_public_function_has_a_caller():

@@ -659,6 +659,7 @@ def test_subspace_span_and_intersection_against_sympy(case):
         assert sub.cols == tuple(cols)
 
     both = a.intersect(b)
+    assert [list(r) for r in both.basis] == oracle_rref(both.basis, p)[0]
     assert both.dim == a.dim + b.dim - oracle_rank(a.basis + b.basis, p)
     for row in both.basis:
         for sub in (a, b):

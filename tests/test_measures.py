@@ -328,3 +328,26 @@ def test_compute_measure_errors():
         compute_measure("hessian_rank", f)
     with pytest.raises(ValueError):
         compute_measure("does_not_exist", f)
+
+
+@pytest.mark.parametrize("name", measures.MEASURES)
+def test_compute_measure_refuses_a_parameter_the_measure_does_not_read(name):
+    """Each measure reads only its own parameters: any other is refused,
+    naming the measure and the parameter, not carried into the report."""
+    f = Poly(2, RATIONALS, {(1, 1): 1})
+    given = {"point": [1, 2]} if name == "hessian_rank" else {}
+    for key in ("include_order_zero", "k", "l", "point", "bogus"):
+        if key in measures.PARAMS[name]:
+            continue
+        with pytest.raises(ValueError, match=f"measure {name} does not read parameter '{key}'"):
+            compute_measure(name, f, {**given, key: 1})
+
+
+def test_measure_params_fills_shifted_defaults_and_needs_a_point():
+    assert measures.measure_params("shifted") == {"k": 1, "l": 1}
+    assert measures.measure_params("shifted", {"l": 3}) == {"k": 1, "l": 3}
+    assert measures.measure_params("dim_partials") == {}
+    with pytest.raises(ValueError, match="hessian_rank needs a point"):
+        measures.measure_params("hessian_rank", {})
+    with pytest.raises(ValueError, match="unknown measure 'nope'"):
+        measures.measure_params("nope")

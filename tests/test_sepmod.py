@@ -285,15 +285,9 @@ def test_group_closure_symmetric_orbit_of_one_slot():
     amb = Ambient(2, 1, RATIONALS, homogeneous=True)
     slot = explicit_span(amb, [amb.coeff_variable((1, 0))])
     report = group_closure(slot, "sym")
-    assert report.mode == "exhaustive" and report.samples == 2
+    assert (report.group, report.mode, report.samples) == ("sym", "exhaustive", 2)
     assert report.dim == 2
     assert in_span(report.module, amb.coeff_variable((0, 1)))
-    assert report.to_json() == {
-        "group": "sym",
-        "mode": "exhaustive",
-        "samples": 2,
-        "dim": 2,
-    }
 
 
 def test_group_closure_symmetric_orbit_span_over_prime_fields():
@@ -329,6 +323,17 @@ def test_group_closure_full_dual_basis_is_already_closed():
         group_closure(full, "so3")
 
 
+def test_minors_module_refuses_parameters_its_measure_does_not_read():
+    """The module keeps its measure's checked parameters, so a wrong one is
+    refused when the module is built, not when it is first evaluated."""
+    amb = Ambient(2, 2, RATIONALS)
+    with pytest.raises(ValueError, match="does not read parameter 'k'"):
+        MinorsOfMeasure(amb, "dim_partials", 3, {"k": 1})
+    with pytest.raises(ValueError, match="needs a point"):
+        MinorsOfMeasure(amb, "hessian_rank", 1)
+    assert MinorsOfMeasure(amb, "shifted", 3).params == {"k": 1, "l": 1}
+
+
 def test_run_separation_positive_case():
     """A rank threshold above the easy class but below e_2 separates them."""
     amb = Ambient(4, 2, RATIONALS)
@@ -341,7 +346,7 @@ def test_run_separation_positive_case():
     assert report.hard_nonvanish and report.hard_value == 6
     assert report.separating
     assert report.note == ""
-    assert [row.index for row in report.rows] == list(range(5))
+    assert [row.trial for row in report.rows] == list(range(5))
     again = run_separation(module, sampler, hard, trials=5, seed=3)
     assert again == report
     csv = report.csv_rows()
