@@ -25,7 +25,6 @@ from .poly import (
     power,
     scalar_multiply,
     substitute,
-    substitute_affine,
     substitute_linear,
     subtract,
     variable,
@@ -37,7 +36,6 @@ from .linalg import (
     is_invertible,
     kernel,
     mat_mul,
-    mat_vec,
     rank,
     right_kernel,
     rref,
@@ -57,11 +55,11 @@ from .groups import (
     CoeffMap,
     GroupElement,
     InvarianceReport,
-    affine_element,
     apply,
     compose,
     enumerate_invertible,
     enumerate_permutations,
+    gl_order,
     identity_element,
     induced_coeff_map,
     invariance_check,

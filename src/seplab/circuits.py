@@ -117,12 +117,18 @@ def _nonzero_scalar(field: Field, rng: random.Random) -> Scalar:
     return rng.randrange(1, field.p)
 
 
+def _check_class(n: int, d: int, s: int, t: int = 1) -> None:
+    if min(n, d, s, t) < 1:
+        raise ValueError("n, degree, s (and t) must all be positive")
+    if t > d:
+        raise ValueError(f"bottom bound t={t} exceeds the target degree {d}")
+
+
 def sample_depth3(
     n: int, d: int, s: int, field: Field, rng: random.Random
 ) -> Depth3Circuit:
     """Random circuit with s products of d dense nonzero linear forms."""
-    if n < 1 or d < 1 or s < 1:
-        raise ValueError("n, d, s must all be positive")
+    _check_class(n, d, s)
     products = tuple(
         tuple(
             tuple(_nonzero_scalar(field, rng) for _ in range(n))
@@ -142,10 +148,7 @@ def sample_depth4(
     dense remainder factor when t does not divide deg, so every summand has
     total degree exactly deg.
     """
-    if n < 1 or deg < 1 or s < 1 or t < 1:
-        raise ValueError("n, deg, s, t must all be positive")
-    if t > deg:
-        raise ValueError(f"bottom bound t={t} exceeds the target degree {deg}")
+    _check_class(n, deg, s, t)
     summands = []
     for _ in range(s):
         factors = [
@@ -191,6 +194,9 @@ class EasySampler:
     s: int
     t: int | None
     field: Field
+
+    def __post_init__(self):
+        _check_class(self.n, self.d, self.s, 1 if self.t is None else self.t)
 
     def sample(self, rng: random.Random):
         if self.kind == "depth3":

@@ -15,6 +15,7 @@ import csv
 import io
 import json
 import sys
+from dataclasses import asdict
 from functools import lru_cache
 from math import comb, isqrt
 
@@ -200,7 +201,7 @@ def cmd_measure(args) -> int:
     f, params, config = _measured(args)
     report = measures.compute_measure(args.measure, f, params)
     config["params"] = report.params
-    _emit(_json_text(config, report.to_json()), args.out)
+    _emit(_json_text(config, asdict(report)), args.out)
     return 0
 
 
@@ -220,7 +221,7 @@ def cmd_invariance(args) -> int:
     config.update(
         params=report.params, trials=trials, seed=seed, exhaustive=args.exhaustive
     )
-    _emit(_json_text(config, report.to_json()), args.out)
+    _emit(_json_text(config, asdict(report)), args.out)
     return 0 if report.all_equal else 1
 
 
@@ -251,7 +252,7 @@ def cmd_separate(args) -> int:
     if module.params:  # the k and l of a shifted module
         config["params"] = module.params
     if args.format == "json":
-        _emit(_json_text(config, report.to_json()), args.out)
+        _emit(_json_text(config, asdict(report)), args.out)
     else:
         summary = [
             ["separating", int(report.separating)],
@@ -377,8 +378,8 @@ def cmd_gk_check(args) -> int:
         "mod3_residue": residue,
     }
     result = {
-        "pairwise": pairwise.to_json(),
-        "stacked": stacked.to_json(),
+        "pairwise": asdict(pairwise),
+        "stacked": asdict(stacked),
         "agree": agree,
     }
     _emit(_json_text(config, result), args.out)

@@ -13,8 +13,8 @@ the invertible-matrix locus.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
-from math import comb, isqrt, prod
+from dataclasses import dataclass
+from math import comb, isqrt
 from typing import Callable, Sequence
 
 from . import groups, linalg, measures
@@ -432,9 +432,6 @@ class GKReport:
     intersection_dim: int
     property_holds: bool
 
-    def to_json(self) -> dict:
-        return asdict(self)
-
 
 def gl_points(n: int, q: int) -> list[tuple[int, ...]]:
     """All invertible n x n matrices over F_q, flattened row-major."""
@@ -483,7 +480,7 @@ def gk_intersection_test(
     if r < 0:
         raise ValueError("derivative order bound must be nonnegative")
     # the vanishing ideal is the kernel of a |GL_n(F_q)| x q^(n^2) matrix
-    cells = prod(q**n - q**i for i in range(n)) * q**m
+    cells = groups.gl_order(n, q) * q**m
     if cells > _GK_MAX_CELLS:
         raise InfeasibleError(
             f"|GL_n(F_q)| * q^(n^2) = {cells} cells exceed the desk-scale budget "
@@ -500,7 +497,7 @@ def gk_intersection_test(
     monomials = function_monomials(m, q, max_degree)
 
     for s in sigmas:
-        if s.shift is not None or s.n != n or s.field != f.field:
+        if s.n != n or s.field != f.field:
             raise ValueError(
                 "twists must be invertible linear elements on the matrix side"
             )

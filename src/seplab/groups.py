@@ -1,8 +1,9 @@
 """Group elements acting on polynomials and on coefficient space.
 
-Every element is an invertible matrix A over a field, with an optional shift
-b: it substitutes x by A·x, or by A·x + b when the shift is present.  A
-variable permutation is the 0/1 matrix that sends x_i to x_perm[i].
+Every element is an invertible matrix A over a field acting linearly: it
+substitutes x by A·x.  A variable permutation is the 0/1 matrix that sends
+x_i to x_perm[i].  GL_n(F_q) is built row by row, each row running over the
+vectors outside the span of the rows above it, so no candidate is ranked.
 ``induced_coeff_map`` turns an element into the matrix of its action on the
 coefficient vectors of fixed-degree polynomials, which is how test
 polynomials are transported.  ``invariance_check`` measures a polynomial
@@ -14,7 +15,8 @@ from __future__ import annotations
 import contextlib
 import itertools
 import random
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
+from math import prod
 from typing import Sequence
 
 from . import linalg, measures
@@ -29,43 +31,28 @@ _COEFF_BOUND = 3  # entries of sampled matrices over Q lie in [-3, 3]
 
 @dataclass(frozen=True)
 class GroupElement:
-    """An invertible linear (``shift`` None) or affine map of the variables.
+    """An invertible linear map of the variables.
 
-    ``matrix`` rows are tuples of field scalars and ``shift`` is the affine
-    translation.  Use the factory functions: the linear and affine ones
-    validate invertibility by exact rank, and a permutation matrix is
-    invertible by construction.
+    ``matrix`` rows are tuples of field scalars.  Use the factory functions:
+    ``linear_element`` validates invertibility by exact rank, and permutation
+    matrices and the enumerated group are invertible by construction.
     """
 
     field: Field
     matrix: tuple[tuple[Scalar, ...], ...]
-    shift: tuple[Scalar, ...] | None = None
 
     @property
     def n(self) -> int:
         return len(self.matrix)
 
 
-def _invertible_rows(matrix: Sequence[Sequence], field: Field) -> tuple:
+def linear_element(matrix: Sequence[Sequence], field: Field = RATIONALS) -> GroupElement:
     rows = tuple(tuple(field.coerce(v) for v in row) for row in matrix)
     if any(len(r) != len(rows) for r in rows):
         raise ValueError("matrix must be square")
     if not linalg.is_invertible(rows, field):
         raise ValueError("matrix is singular")
-    return rows
-
-
-def linear_element(matrix: Sequence[Sequence], field: Field = RATIONALS) -> GroupElement:
-    return GroupElement(field, _invertible_rows(matrix, field))
-
-
-def affine_element(
-    matrix: Sequence[Sequence], shift: Sequence, field: Field = RATIONALS
-) -> GroupElement:
-    if len(shift) != len(matrix):
-        raise ValueError("the shift length must match the matrix")
-    rows = _invertible_rows(matrix, field)
-    return GroupElement(field, rows, tuple(field.coerce(v) for v in shift))
+    return GroupElement(field, rows)
 
 
 def permutation_element(perm: Sequence[int], field: Field = RATIONALS) -> GroupElement:
@@ -86,29 +73,21 @@ def apply(g: GroupElement, f: Poly) -> Poly:
         raise ValueError(f"arity mismatch: element on {g.n}, polynomial on {f.n}")
     if g.field != f.field:
         raise ValueError(f"field mismatch: {g.field} vs {f.field}")
-    if g.shift is None:
-        return polyops.substitute_linear(f, g.matrix)
-    return polyops.substitute_affine(f, g.matrix, g.shift)
+    return polyops.substitute_linear(f, g.matrix)
 
 
 def compose(g: GroupElement, h: GroupElement) -> GroupElement:
     """Element whose action is "h first, then g" on polynomials.
 
     Substitutions compose right-to-left: apply(compose(g, h), f) equals
-    apply(g, apply(h, f)).  That is x -> A_h·(A_g·x + b_g) + b_h, so the
-    matrix is A_h · A_g, which is invertible as both factors are.
+    apply(g, apply(h, f)).  That is x -> A_h·(A_g·x), so the matrix is
+    A_h · A_g, which is invertible as both factors are.
     """
     if g.n != h.n:
         raise ValueError("arity mismatch")
     if g.field != h.field:
         raise ValueError("field mismatch")
-    field = g.field
-    m = tuple(map(tuple, linalg.mat_mul(h.matrix, g.matrix, field)))
-    if g.shift is None and h.shift is None:
-        return GroupElement(field, m)
-    moved = linalg.mat_vec(h.matrix, g.shift or (0,) * g.n, field)
-    b_h = h.shift or (0,) * h.n
-    return GroupElement(field, m, tuple(field.coerce(x + y) for x, y in zip(moved, b_h)))
+    return GroupElement(g.field, tuple(map(tuple, linalg.mat_mul(h.matrix, g.matrix, g.field))))
 
 
 # ---------------------------------------------------------------------------
@@ -146,22 +125,43 @@ def enumerate_permutations(n: int, field: Field = RATIONALS) -> list[GroupElemen
     return [permutation_element(p, field) for p in itertools.permutations(range(n))]
 
 
+def gl_order(n: int, q: int) -> int:
+    """|GL_n(F_q)|, the product of q^n - q^i over i < n."""
+    return prod(q**n - q**i for i in range(n))
+
+
 def enumerate_invertible(n: int, field: Field) -> list[GroupElement]:
-    """All invertible n x n matrices over a tiny prime field, in a fixed order."""
-    if field.p is None:
+    """All invertible n x n matrices over a tiny prime field, in lex order of
+    their row-major entries.
+
+    Each row runs, in lex order, over the vectors outside the span of the
+    rows above it, so every matrix built is invertible and none is ranked.
+    The span is kept as a set of vectors, and only for rows with a row below.
+    """
+    if n < 1:
+        raise ValueError("an invertible matrix needs n >= 1")
+    q = field.p
+    if q is None:
         raise InfeasibleError("cannot enumerate an infinite matrix group")
-    candidates = field.p ** (n * n)
-    if candidates > 20 * _ENUMERATION_LIMIT:
-        raise InfeasibleError(
-            f"{candidates} candidate matrices exceeds the enumeration budget"
-        )
+    size = gl_order(n, q)
+    if size > _ENUMERATION_LIMIT:
+        raise InfeasibleError(f"|GL_{n}(F_{q})| = {size} exceeds {_ENUMERATION_LIMIT} elements")
+    vectors = list(itertools.product(range(q), repeat=n))
     out = []
-    for flat in itertools.product(range(field.p), repeat=n * n):
-        rows = [list(flat[i * n : (i + 1) * n]) for i in range(n)]
-        with contextlib.suppress(ValueError):  # singular matrices are skipped
-            out.append(linear_element(rows, field))
-            if len(out) > _ENUMERATION_LIMIT:
-                raise InfeasibleError(f"group larger than {_ENUMERATION_LIMIT} elements")
+
+    def extend(rows: tuple, span: set) -> None:
+        for v in vectors:
+            if v in span:
+                continue
+            if len(rows) == n - 1:
+                out.append(GroupElement(field, (*rows, v)))
+            else:
+                wider = {
+                    tuple((a + c * b) % q for a, b in zip(s, v)) for s in span for c in range(q)
+                }
+                extend((*rows, v), wider)
+
+    extend((), {(0,) * n})
     return out
 
 
@@ -187,30 +187,16 @@ class CoeffMap:
     matrix: tuple[tuple[Scalar, ...], ...]
 
 
-def induced_coeff_map(
-    g: GroupElement, d: int, homogeneous: bool | None = None
-) -> CoeffMap:
+def induced_coeff_map(g: GroupElement, d: int, homogeneous: bool = True) -> CoeffMap:
     """Coefficient-space matrix of g on degree-d polynomials.
 
     The basis is the grlex list of degree-exactly-d monomials (dimension
-    binom(n+d-1, d)); pass ``homogeneous=False`` for the degree-<=d basis,
-    which is required for affine elements with a nonzero shift (they do not
-    preserve the homogeneous slice).
+    binom(n+d-1, d)); pass ``homogeneous=False`` for the degree-<=d basis.
+    A linear map preserves both.
     """
-    if homogeneous is None:
-        homogeneous = not any(g.shift or ())
-    basis = (
-        monomials_exact(g.n, d) if homogeneous else monomials_upto(g.n, d)
-    )
+    basis = monomials_exact(g.n, d) if homogeneous else monomials_upto(g.n, d)
     images = [apply(g, monomial(e, 1, g.field)).terms for e in basis]
-    try:
-        _, cols = linalg.densify(images, basis)
-    except ValueError as exc:
-        raise ValueError(
-            "element does not preserve the chosen coefficient space; "
-            "use homogeneous=False"
-        ) from exc
-    matrix = tuple(zip(*cols))
+    matrix = tuple(zip(*linalg.densify(images, basis)[1]))
     return CoeffMap(g.n, d, g.field, homogeneous, tuple(basis), matrix)
 
 
@@ -228,9 +214,6 @@ class InvarianceReport:
     all_equal: bool
     mode: str
     trials: int
-
-    def to_json(self) -> dict:
-        return asdict(self)
 
 
 def invariance_check(

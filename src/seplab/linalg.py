@@ -531,10 +531,6 @@ def mat_mul(a, b, field: Field) -> list[list[Scalar]]:
     return out
 
 
-def mat_vec(a, v, field: Field) -> list[Scalar]:
-    return [col[0] for col in mat_mul(a, [[x] for x in v], field)]
-
-
 def identity_matrix(n: int) -> list[list[Scalar]]:
     return [[int(i == j) for j in range(n)] for i in range(n)]
 

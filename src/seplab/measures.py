@@ -27,7 +27,7 @@ monomials, counted with ``poly.monomial_count``.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from operator import add
 from typing import Sequence
 
@@ -64,9 +64,6 @@ class MeasureReport:
     def __post_init__(self):
         if not (0 <= self.rank <= min(self.rows, self.cols) or self.rows == 0):
             raise ValueError("rank exceeds matrix dimensions")
-
-    def to_json(self) -> dict:
-        return asdict(self)
 
 
 # ---------------------------------------------------------------------------
@@ -119,18 +116,15 @@ def dim_partials(f: Poly, include_order_zero: bool = True) -> int:
     return _rows_rank(f, derivative_rows(f, ops))
 
 
-def _check_shifted(f: Poly, k: int, l: int) -> None:
-    if f.is_zero or not 0 <= k <= f.degree:
-        raise ValueError(f"derivative order k={k} outside 0..deg f")
-    if l < 0:
-        raise ValueError("negative shift degree")
-
-
 def shifted_partials_rank(f: Poly, k: int, l: int) -> int:
     """Rank of the order-k derivatives of f times all monomials of degree
-    <= l."""
-    _check_shifted(f, k, l)
-    shifts = monomials_upto(f.n, l)
+    <= l; 0 when k > deg f (the zero polynomial included), as no order-k
+    derivative survives."""
+    if k < 0:
+        raise ValueError(f"negative derivative order k={k}")
+    if l < 0:
+        raise ValueError("negative shift degree")
+    shifts = monomials_upto(f.n, l) if k <= f.degree else []
     return _rows_rank(f, derivative_rows(f, derivative_operators(f, k), shifts))
 
 

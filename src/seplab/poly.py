@@ -404,19 +404,6 @@ def substitute_linear(f: Poly, matrix: Sequence[Sequence]) -> Poly:
     return substitute(f, [linear_form(row, f.field) for row in matrix])
 
 
-def substitute_affine(f: Poly, matrix: Sequence[Sequence], shift: Sequence) -> Poly:
-    """Return f(A·x + b): variable i is replaced by row i's form plus b_i."""
-    if len(shift) != f.n:
-        raise ValueError(f"shift must have length {f.n}")
-    if len(matrix) != f.n or any(len(row) != f.n for row in matrix):
-        raise ValueError(f"matrix must be {f.n}x{f.n}")
-    images = [
-        add(linear_form(row, f.field), constant(f.n, b, f.field))
-        for row, b in zip(matrix, shift)
-    ]
-    return substitute(f, images)
-
-
 def coefficient_of(f: Poly, fixed: Mapping[int, int]) -> Poly:
     """Coefficient of the monomial with the given exact exponents.
 

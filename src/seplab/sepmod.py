@@ -215,9 +215,6 @@ class ModuleEvaluation:
     threshold: int
     detail: dict
 
-    def to_json(self) -> dict:
-        return asdict(self)
-
 
 def evaluate_module(module: TestModule, f: Poly) -> ModuleEvaluation:
     """Decide vanishing of the module at f, with witness data.
@@ -259,7 +256,7 @@ def evaluate_module(module: TestModule, f: Poly) -> ModuleEvaluation:
             vanishes=vanishes,
             value=0 if vanishes else 1,
             threshold=0,
-            detail={"left": left.to_json(), "right": right.to_json()},
+            detail={"left": asdict(left), "right": asdict(right)},
         )
     raise TypeError(f"not a test module: {type(module).__name__}")
 
@@ -453,9 +450,6 @@ class SeparationReport:
     hard_threshold: int
     separating: bool
     note: str
-
-    def to_json(self) -> dict:
-        return asdict(self)
 
     def csv_rows(self) -> list[list]:
         """A header of TrialResult's fields, then one row per trial (its

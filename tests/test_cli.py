@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from seplab import circuits, format_table, prime_field, truth_table
 from seplab.measures import MEASURES
 from seplab.cli import build_parser, main
+from seplab.seeding import trial_rng
 
 
 def run_json(capsys, argv):
@@ -208,6 +209,36 @@ def test_separate_records_the_shift_of_a_shifted_module(capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"measure dim_partials does not read parameter '{key}'" in captured.err
+
+
+@pytest.mark.parametrize("easy", ["depth4:2,2,1,3", "depth3:2,0,1"])
+def test_an_easy_class_with_no_circuits_is_refused_when_parsed(capsys, easy):
+    """Bottom degree 3 above target degree 2, or products of zero forms: no
+    circuit fits, so even a zero-trial run refuses the spec."""
+    argv = ["separate", "--module", "minors:dim_partials:2", "--easy", easy,
+            "--hard", "esym:1,2", "--trials", "0"]
+    assert main(argv) == 2
+    assert capsys.readouterr().out == ""
+    with pytest.raises(ValueError):
+        circuits.sampler_from_spec(easy)
+
+
+def test_a_shifted_module_ranks_a_cancelled_sample_0(capsys):
+    """Over F_2 a sum of two linear forms can cancel to 0, which has no
+    order-1 derivative: the shifted module ranks it 0, so it vanishes,
+    instead of refusing the run."""
+    argv = ("separate --module minors:shifted:3 --easy depth3:2,1,2 --hard esym:2,2 "
+            "--trials 20 --field Fp:2 --k 1 --l 1").split()
+    code, data = run_json(capsys, argv)
+    assert code == 0
+    rows = data["result"]["rows"]
+    assert len(rows) == 20
+    sampler = circuits.sampler_from_spec("depth3:2,1,2", prime_field(2))
+    cancelled = [
+        i for i in range(20) if circuits.expand(sampler.sample(trial_rng(0, i))).is_zero
+    ]
+    assert cancelled
+    assert all(rows[i]["rank"] == 0 and rows[i]["vanished"] for i in cancelled)
 
 
 def test_separate_refuses_a_hessian_module_before_sampling(capsys, monkeypatch):
@@ -534,6 +565,20 @@ def test_gk_check_guard_counts_matrix_cells_and_refuses_fast(capsys):
             assert code == 3
             captured = capsys.readouterr()
             assert captured.out == "" and "cells" in captured.err
+
+
+def test_whole_group_runs_above_the_enumeration_limit_are_refused_fast(capsys):
+    """|GL_3(F_3)| = 11,232 is over the limit, which is known before any
+    matrix is built."""
+    for argv in (
+        "invariance --fn rand:3,2,1 --measure dim_partials --field Fp:3 --exhaustive",
+        "gk-check --fn det:3 --field Fp:3",
+    ):
+        start = time.perf_counter()
+        code = main(argv.split())
+        assert time.perf_counter() - start < 0.5
+        assert code == 3
+        assert capsys.readouterr().out == ""
 
 
 def test_gk_check_rejects_rationals(capsys):
@@ -863,15 +908,23 @@ GOLDEN_STDOUT = [
      "5f151ebe733fde2f09bbba9695787c3bd6352de0ca58bfaa6df98b1b6b581422"),
     ("separate --module minors:shifted:3 --easy depth3:3,2,1 --hard esym:2,3 --trials 2 --seed 1 --k 2 --format csv",
      "aa4f42abb8eac1e4eb551b744745c866f6b23fd8d70b7bb958c73db63ac0f19d"),
+    # recorded before GL_n(F_q) was built row by row; term_count is not
+    # invariant, so they exit 1, and their values list the group in order
+    ("invariance --fn rand:2,2,4 --measure term_count --exhaustive --field Fp:3",
+     "4824c4392ef18883237d8f5a2c1c02a9cfa1c97ee75d63fe30e8091c98d54145", 1),
+    ("invariance --fn rand:2,3,4 --measure term_count --exhaustive --field Fp:5",
+     "598bc413f7d98b2643024d1c36dcef7e1e17563d6f6cb8fca4f8bef2e5b859a6", 1),
 ]
 
 
 @pytest.mark.parametrize(
-    "argv, digest", GOLDEN_STDOUT, ids=[f"{i}-{a.split()[0]}" for i, (a, _) in enumerate(GOLDEN_STDOUT)]
+    "argv, digest, exit_code",
+    [(*entry, 0)[:3] for entry in GOLDEN_STDOUT],  # the exit code is 0 unless recorded
+    ids=[f"{i}-{entry[0].split()[0]}" for i, entry in enumerate(GOLDEN_STDOUT)],
 )
-def test_stdout_bytes_match_the_recorded_digest(argv, digest):
+def test_stdout_bytes_match_the_recorded_digest(argv, digest, exit_code):
     out = io.StringIO()
     with redirect_stdout(out):
         code = main(argv.split())
-    assert code == 0
+    assert code == exit_code
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from dataclasses import asdict
 from math import comb
 
 import pytest
@@ -13,7 +14,6 @@ from seplab import (
     InfeasibleError,
     Poly,
     RATIONALS,
-    affine_element,
     determinant_poly,
     distance_to_degree,
     format_table,
@@ -453,7 +453,7 @@ def test_gk_determinant_frozen_outcome():
         assert rep.intersection_dim == 0
         assert not rep.property_holds
         assert rep.sigma_count == 6 and rep.r == 1 and rep.q == 2
-    data = rep.to_json()
+    data = asdict(rep)
     assert data["strategy"] == "stacked"
     assert data["max_degree"] == 4
 
@@ -490,8 +490,8 @@ def test_gk_builds_the_vanishing_ideal_once_for_both_strategies(monkeypatch):
     # the twisted spans, then the ideal, once per strategy
     assert len(intersections) == 2 * len(f2lab.STRATEGIES) == 4
     assert tuple(reports) == f2lab.STRATEGIES
-    assert reports["pairwise"].to_json() == {
-        **reports["stacked"].to_json(),
+    assert asdict(reports["pairwise"]) == {
+        **asdict(reports["stacked"]),
         "strategy": "pairwise",
     }
 
@@ -515,9 +515,9 @@ def test_gk_validation_and_guards():
         gk_intersection_test(Poly(3, F2, {(1, 1, 1): 1}), 1, [identity_element(2, F2)])
     with pytest.raises(ValueError):
         gk_intersection_test(det, -1, [identity_element(2, F2)])
-    with pytest.raises(ValueError):
-        # invertible and over F_2, but affine: only linear twists are accepted
-        gk_intersection_test(det, 1, [affine_element([[1, 0], [0, 1]], [1, 0], F2)])
+    for twist in (identity_element(3, F2), identity_element(2, F3)):
+        with pytest.raises(ValueError, match="twists"):  # wrong size, wrong field
+            gk_intersection_test(det, 1, [twist])
     f11 = prime_field(11)
     with pytest.raises(InfeasibleError):
         gk_intersection_test(

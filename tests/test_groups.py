@@ -1,21 +1,24 @@
 """Tests for group elements, coefficient-space transport, invariance checks."""
 
+import itertools
 import random
+from dataclasses import asdict
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import laplace_det
 from seplab import (
     InfeasibleError,
     Poly,
     RATIONALS,
-    affine_element,
     apply,
     compose,
     elementary_symmetric,
     enumerate_invertible,
     enumerate_permutations,
+    gl_order,
     identity_element,
     induced_coeff_map,
     invariance_check,
@@ -28,7 +31,7 @@ from seplab import (
     variable,
 )
 from seplab import linalg
-from seplab.linalg import mat_mul, mat_vec
+from seplab.linalg import mat_mul
 
 F5 = prime_field(5)
 
@@ -43,17 +46,9 @@ def rand_poly(n, d, rng, field=RATIONALS):
 
 
 def rand_element(n, rng, field=RATIONALS):
-    kind = rng.choice(("linear", "affine", "perm"))
-    if kind == "perm":
+    if rng.random() < 0.5:
         return random_permutation(n, rng, field)
-    if kind == "linear":
-        return random_invertible(n, field, rng)
-    base = random_invertible(n, field, rng)
-    if field.p is None:
-        shift = [rng.randint(-2, 2) for _ in range(n)]
-    else:
-        shift = [rng.randrange(field.p) for _ in range(n)]
-    return affine_element(base.matrix, shift, field)
+    return random_invertible(n, field, rng)
 
 
 def test_factories_validate():
@@ -61,8 +56,6 @@ def test_factories_validate():
         linear_element([[1, 2], [2, 4]])
     with pytest.raises(ValueError):
         linear_element([[1, 2, 3], [0, 1, 0]])
-    with pytest.raises(ValueError):
-        affine_element([[1, 0], [0, 1]], [1])
     with pytest.raises(ValueError):
         permutation_element([0, 0, 1])
 
@@ -132,7 +125,6 @@ def test_compose_permutations_stays_a_permutation():
         rng.shuffle(p)
         rng.shuffle(q)
         gh = compose(permutation_element(p), permutation_element(q))
-        assert gh.shift is None
         assert gh == permutation_element([p[q[i]] for i in range(4)])
 
 
@@ -170,11 +162,38 @@ def test_enumerate_invertible_group_orders():
     assert len(enumerate_invertible(2, prime_field(3))) == 48
 
 
-def test_enumerate_invertible_guards():
+def test_enumerate_invertible_guards(monkeypatch):
+    """n = 0, the rationals and every group above the limit are refused from
+    |GL_n(F_q)| alone, without ranking a matrix."""
+    ranks = []
+    monkeypatch.setattr(linalg, "rank", lambda *args, **kwargs: ranks.append(args))
+    with pytest.raises(ValueError, match="n >= 1"):
+        enumerate_invertible(0, prime_field(2))
     with pytest.raises(InfeasibleError):
         enumerate_invertible(2, RATIONALS)
-    with pytest.raises(InfeasibleError):
-        enumerate_invertible(3, prime_field(7))
+    for n, q in ((3, 7), (3, 3), (4, 2), (2, 11), (1, 10007)):
+        assert gl_order(n, q) > 10_000
+        with pytest.raises(InfeasibleError):
+            enumerate_invertible(n, prime_field(q))
+    assert ranks == []
+
+
+@pytest.mark.parametrize("n, q", [(1, 2), (1, 13), (2, 2), (2, 3), (2, 5), (2, 7), (3, 2)])
+def test_enumerate_invertible_is_the_lex_filter_of_all_matrices(n, q):
+    """Row by row, the enumeration gives exactly the nonsingular matrices by
+    cofactor expansion, in lex order of their row-major entries, with the
+    same entry types, and |GL_n(F_q)| of them."""
+    field = prime_field(q)
+    expected = []
+    for flat in itertools.product(range(q), repeat=n * n):
+        rows = tuple(flat[i * n : (i + 1) * n] for i in range(n))
+        if laplace_det([list(r) for r in rows]) % q != 0:
+            expected.append(rows)
+    got = enumerate_invertible(n, field)
+    assert [g.matrix for g in got] == expected
+    assert {type(v) for g in got for row in g.matrix for v in row} == {int}
+    assert all(g.field == field for g in got)
+    assert len(got) == gl_order(n, q)
 
 
 def coeff_vector(f, basis):
@@ -188,18 +207,16 @@ def test_induced_coeff_map_transports_coefficients():
         for _ in range(10):
             d = rng.choice((2, 3))
             g = rand_element(2, rng, field)
-            homogeneous = g.shift is None or not any(v != 0 for v in g.shift)
             cm = induced_coeff_map(g, d)
-            assert cm.homogeneous == homogeneous
+            assert cm.homogeneous
             terms = {
                 e: (rng.randint(-3, 3) if field.p is None else rng.randrange(field.p))
                 for e in cm.basis
             }
             f = Poly(2, field, terms)
             moved = apply(g, f)
-            assert mat_vec(cm.matrix, coeff_vector(f, cm.basis), field) == coeff_vector(
-                moved, cm.basis
-            )
+            column = [[v] for v in coeff_vector(f, cm.basis)]
+            assert mat_mul(cm.matrix, column, field) == [[v] for v in coeff_vector(moved, cm.basis)]
 
 
 def test_induced_coeff_map_matrix_is_multiplicative():
@@ -213,13 +230,14 @@ def test_induced_coeff_map_matrix_is_multiplicative():
     assert [list(r) for r in mgh] == mat_mul(mg, mh, RATIONALS)
 
 
-def test_affine_shift_needs_inhomogeneous_basis():
-    g = affine_element([[1, 0], [0, 1]], [1, 0])
-    cm = induced_coeff_map(g, 2)
+def test_inhomogeneous_basis_holds_every_degree_up_to_d():
+    g = linear_element([[1, 1], [0, 1]])
+    cm = induced_coeff_map(g, 2, homogeneous=False)
     assert not cm.homogeneous
     assert len(cm.basis) == 6  # all monomials of degree <= 2 in two variables
-    with pytest.raises(ValueError):
-        induced_coeff_map(g, 2, homogeneous=True)
+    f = Poly(2, RATIONALS, {(2, 0): 1, (0, 1): -3, (0, 0): 5})
+    column = [[v] for v in coeff_vector(f, cm.basis)]
+    assert mat_mul(cm.matrix, column, RATIONALS) == [[v] for v in coeff_vector(apply(g, f), cm.basis)]
 
 
 def test_invariance_check_rank_measures_hold():
@@ -244,7 +262,7 @@ def test_term_count_is_not_invariant():
     f = elementary_symmetric(2, 4, RATIONALS)
     rep = invariance_check("term_count", f, 5, random.Random(0))
     assert not rep.all_equal
-    data = rep.to_json()
+    data = asdict(rep)
     assert data["measure"] == "term_count"
     assert data["all_equal"] is False
     assert len(data["values"]) == 5
@@ -261,7 +279,7 @@ def test_each_invertible_candidate_is_ranked_once(monkeypatch):
     monkeypatch.setattr(linalg, "rank", counting)
     f2 = prime_field(2)
     assert len(enumerate_invertible(2, f2)) == 6
-    assert len(ranks) == 16  # every 2x2 matrix over F_2, singular or not
+    assert len(ranks) == 0  # built row by row, none is ranked
 
     draws = []
 

@@ -51,7 +51,6 @@ def test_module_reads_every_name_it_imports(path):
 # acceptance criterion reads them; one reason each.
 KEPT = {
     "format_table": "writes the truth-table files that the rs-distance --table tests read",
-    "affine_element": "the group and f2lab tests build shifted elements with it",
     "identity_element": "the group and f2lab tests' neutral element",
     "random_permutation": "the group tests' permutation sampler",
     "vanishes_on": "the module tests' membership check, and the place for an early exit",
@@ -61,19 +60,19 @@ KEPT = {
 }
 
 
-def _reads(tree: ast.AST, skip: set) -> set[str]:
-    """Names read in ``tree`` as a Name or an attribute, outside ``skip``."""
-    out, stack = set(), [tree]
+def _read_sites(tree: ast.AST, defs: dict, sites: dict) -> None:
+    """Add to ``sites``, for each name read in ``tree`` as a Name or an
+    attribute, the set of ``defs`` nodes around each read."""
+    stack = [(tree, frozenset())]
     while stack:
-        node = stack.pop()
-        if node in skip:
-            continue
+        node, around = stack.pop()
+        if node in defs:
+            around = around | {node}
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            out.add(node.id)
+            sites.setdefault(node.id, []).append(around)
         elif isinstance(node, ast.Attribute):
-            out.add(node.attr)
-        stack.extend(ast.iter_child_nodes(node))
-    return out
+            sites.setdefault(node.attr, []).append(around)
+        stack.extend((child, around) for child in ast.iter_child_nodes(node))
 
 
 def _public(tree: ast.Module, module: str) -> dict:
@@ -89,21 +88,27 @@ def _public(tree: ast.Module, module: str) -> dict:
     return out
 
 
-def uncalled(modules: list[Path], readers: list[Path]) -> list[str]:
+def uncalled(modules: list[Path], readers: list[Path], kept=KEPT) -> list[str]:
     """'module: name' for each top-level public function or class of
     ``modules``, and 'module: Class.name' for each public method of such a
     class, that nothing reads by name outside its own definition, in the
-    modules or in ``readers``.  A name read only inside such definitions is
-    uncalled too, so the scan repeats until nothing more drops."""
+    modules or in ``readers``; names in ``kept`` are never flagged.  A name
+    read only inside such definitions is uncalled too, so the scan repeats
+    until nothing more drops."""
     trees = {p: ast.parse(p.read_text(encoding="utf-8")) for p in modules + readers}
     defs = {node: label for p in modules for node, label in _public(trees[p], p.stem).items()}
+    sites: dict = {}
+    for t in trees.values():
+        _read_sites(t, defs, sites)
     dead: set = set()
     while True:
+        # a name is read outside ``dead`` and its own definition when some
+        # read of it lies in none of them
         found = {
             node
             for node in defs
-            if node.name not in KEPT
-            and not any(node.name in _reads(t, dead | {node}) for t in trees.values())
+            if node.name not in kept
+            and all(around & (dead | {node}) for around in sites.get(node.name, ()))
         }
         if found == dead:  # reads only shrink as ``dead`` grows
             return sorted(defs[node] for node in dead)
@@ -124,8 +129,25 @@ def test_scan_finds_an_uncalled_function(tmp_path):
     ]
 
 
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+READERS = sorted(BENCH.glob("**/*.py")) + [TESTS / "test_acceptance.py"]
+
+
 def test_every_public_function_has_a_caller():
-    modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
-    readers = sorted(BENCH.glob("**/*.py")) + [TESTS / "test_acceptance.py"]
-    assert uncalled(modules, readers) == []
+    assert uncalled(MODULES, READERS) == []
+
+
+def test_every_kept_name_is_needed():
+    """Each KEPT entry names a public function or class of the package that
+    the scan flags once the entry is removed, so no entry outlives its name
+    or its need."""
+    stale = [
+        name
+        for name in KEPT
+        if not any(
+            label.endswith(f": {name}")
+            for label in uncalled(MODULES, READERS, KEPT.keys() - {name})
+        )
+    ]
+    assert stale == []
 

@@ -33,7 +33,6 @@ from seplab.linalg import (
     kernel,
     is_invertible,
     mat_mul,
-    mat_vec,
     rank,
     rref,
     right_kernel,
@@ -472,8 +471,8 @@ def test_right_kernel_annihilates_and_has_complementary_dimension():
             basis = right_kernel(m, fld, nc)
             assert len(basis) == nc - rank(m, fld)
             for v in basis:
-                out = mat_vec(m, v, fld)
-                assert all(x == 0 for x in out)
+                out = mat_mul(m, [[x] for x in v], fld)
+                assert all(x == 0 for (x,) in out)
             # kernel vectors are independent
             assert rank(basis, fld, nc) == len(basis)
 
@@ -587,8 +586,8 @@ def test_mat_mul_and_mat_vec_agree_with_direct_sums():
         for j in range(2):
             assert c[i][j] == sum(a[i][k] * b[k][j] for k in range(4))
     v = [1, -2, 3, 0]
-    assert mat_vec(a, v, RATIONALS) == [
-        sum(a[i][k] * v[k] for k in range(4)) for i in range(3)
+    assert mat_mul(a, [[x] for x in v], RATIONALS) == [
+        [sum(a[i][k] * v[k] for k in range(4))] for i in range(3)
     ]
 
 

@@ -30,7 +30,6 @@ from seplab import (
     prime_field,
     scalar_multiply,
     substitute,
-    substitute_affine,
     substitute_linear,
     subtract,
     variable,
@@ -337,30 +336,6 @@ def test_substitute_linear_composition_law():
         assert lhs == rhs
 
 
-def test_substitute_affine_pointwise():
-    """f(A x + b) evaluated at p equals f evaluated at A p + b."""
-    rng = random.Random(32)
-    for fld in (RATIONALS, prime_field(7)):
-        for _ in range(10):
-            f = rand_poly(2, 3, rng, fld)
-            a = [[rng.randint(-2, 2) for _ in range(2)] for _ in range(2)]
-            b = [rng.randint(-2, 2) for _ in range(2)]
-            g = substitute_affine(f, a, b)
-            assert g.field == fld
-            pt = [rng.randint(-3, 3) for _ in range(2)]
-            moved = [sum(a[i][j] * pt[j] for j in range(2)) + b[i] for i in range(2)]
-            assert evaluate(g, pt) == evaluate(f, moved)
-    f = rand_poly(2, 3, rng)
-    for a, b in (
-        ([[1, 0], [0, 1]], [1]),  # shift too short
-        ([[1, 0]], [1, 1]),  # too few rows
-        ([[1, 0], [0, 1], [1, 1]], [1, 1]),  # too many rows
-        ([[1, 0], [0]], [1, 1]),  # ragged row
-    ):
-        with pytest.raises(ValueError):
-            substitute_affine(f, a, b)
-
-
 def test_coefficient_of_recomposes_the_polynomial():
     rng = random.Random(41)
     for _ in range(10):
@@ -427,19 +402,17 @@ def _reduced_terms(expr, xs, field):
     return out
 
 
-def _check_kernel(f, g, images, matrix, shift, k):
-    """substitute, substitute_affine, multiply and power equal sympy expand."""
+def _check_kernel(f, g, images, matrix, k):
+    """substitute, substitute_linear, multiply and power equal sympy expand."""
     fld = f.field
     xs = sympy.symbols(f"x0:{f.n}")
     ys = sympy.symbols(f"y0:{images[0].n}")
     lf = _lift(f, xs)
     composed = lf.subs({x: _lift(img, ys) for x, img in zip(xs, images)}, simultaneous=True)
     assert substitute(f, images).terms == _reduced_terms(composed, ys, fld)
-    moved = [
-        sum(_sym(a) * x for a, x in zip(row, xs)) + _sym(b) for row, b in zip(matrix, shift)
-    ]
-    affine = lf.subs(dict(zip(xs, moved)), simultaneous=True)
-    assert substitute_affine(f, matrix, shift).terms == _reduced_terms(affine, xs, fld)
+    moved = [sum(_sym(a) * x for a, x in zip(row, xs)) for row in matrix]
+    linear = lf.subs(dict(zip(xs, moved)), simultaneous=True)
+    assert substitute_linear(f, matrix).terms == _reduced_terms(linear, xs, fld)
     assert multiply(f, g).terms == _reduced_terms(lf * _lift(g, xs), xs, fld)
     assert power(f, k).terms == _reduced_terms(lf**k, xs, fld)
 
@@ -453,7 +426,7 @@ def _scalars(field):
 @st.composite
 def kernel_cases(draw):
     """A polynomial, a second factor, images into 0-3 variables (zero,
-    constant and non-homogeneous ones included), an affine map and a power."""
+    constant and non-homogeneous ones included), a linear map and a power."""
     field = draw(st.sampled_from(KERNEL_FIELDS))
     n = draw(st.integers(1, 3))
     n_out = draw(st.integers(0, 3))
@@ -466,8 +439,7 @@ def kernel_cases(draw):
     f, g = poly_in(n, 3, 6), poly_in(n, 2, 4)
     images = [poly_in(n_out, 2, 4) for _ in range(n)]
     matrix = [[draw(scalars) for _ in range(n)] for _ in range(n)]
-    shift = [draw(scalars) for _ in range(n)]
-    return f, g, images, matrix, shift, draw(st.integers(0, 3))
+    return f, g, images, matrix, draw(st.integers(0, 3))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -490,7 +462,7 @@ def test_product_kernel_edge_cases_match_sympy_expand(field):
         (f, nonhom, [nonhom, variable(0, 2, field)], 3),
     ]
     for f1, g, images, k in cases:
-        _check_kernel(f1, g, images, [[half, 1], [0, -2]], [half, 0], k)
+        _check_kernel(f1, g, images, [[half, 1], [0, -2]], k)
 
 
 def _assert_canonical(f):

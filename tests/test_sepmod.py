@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+from dataclasses import asdict
 
 import pytest
 
@@ -352,7 +353,7 @@ def test_run_separation_positive_case():
     csv = report.csv_rows()
     assert csv[0] == ["trial", "seed", "rank", "bound", "vanished"]
     assert len(csv) == 6 and all(v[4] == 1 for v in csv[1:])
-    data = report.to_json()
+    data = asdict(report)
     assert data["separating"] is True
     assert len(data["rows"]) == 5
 
