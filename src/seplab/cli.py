@@ -359,7 +359,7 @@ def cmd_gk_check(args) -> int:
             groups.random_invertible(n, fld, rng) for _ in range(args.trials)
         ]
     else:
-        sigmas = groups.enumerate_invertible(n, fld)
+        sigmas = None  # the whole group
     reports = f2lab.gk_intersection_test(f, args.r, sigmas, args.max_degree)
     pairwise, stacked = reports["pairwise"], reports["stacked"]
     # property_holds is intersection_dim > 0 on both sides

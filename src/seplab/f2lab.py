@@ -3,7 +3,8 @@
 Truth tables over F_2 convert to and from multilinear polynomials by the
 XOR subset-sum (binary Moebius) transform.  ``distance_to_degree`` finds the
 exact Hamming distance from a table to the nearest low-degree function by
-walking the whole low-degree code in Gray-code order.  Over a general prime
+walking the code's words of degree >= 2 in Gray-code order and reading the
+affine words off a Walsh-Hadamard transform.  Over a general prime
 field F_q the module works with *functions*, i.e. polynomials reduced by
 x^q = x, and subspaces of the reduced monomial space are ``linalg.Subspace``
 values: vanishing ideals of point sets, subspace intersections by two
@@ -186,7 +187,7 @@ class AgreementReport:
 def low_degree_code_size(n: int, d: int) -> int:
     """Number M of multilinear monomials of degree <= d on n variables.
 
-    This is the guard of ``distance_to_degree``, which walks all 2^M words of
+    This is the guard of ``distance_to_degree``, priced at all 2^M words of
     the code: a negative d raises ``ValueError``, and more than 16 variables
     or more than 2^24 words raise ``InfeasibleError``.  It needs only n and
     d, so callers run it before they build a 2^n-entry table.
@@ -210,30 +211,33 @@ def low_degree_code_size(n: int, d: int) -> int:
 def distance_to_degree(t: TruthTable, d: int) -> AgreementReport:
     """Minimum Hamming distance from the table to any degree-<=d function.
 
-    Walks all 2^M codewords (M = number of multilinear monomials of degree
-    <= d, the constant first in grlex order) in Gray-code order, many per
-    big-integer pass, and reports as witness the first codeword in Gray
-    order at the minimum distance.
+    The code's M monomials in grlex order are the constant, x_n .. x_1 and
+    those of degree >= 2 (for d = 0 the constant alone: the distance is read
+    off the table's weight).  The affine words are the characters of
+    (F_2^n, +), so the distances from one word plus each affine word to the
+    target are one Walsh-Hadamard transform (the fast Hadamard decoder of the
+    first-order Reed-Muller code), and only the 2^(M-n-1) words Q of degree
+    >= 2 are walked, in Gray-code order, many per big-integer pass.
 
-    - Lanes.  Gray step 2P + c holds the constant iff c differs from the low
-      bit of P; its other monomials are those of the Gray word of P.  The low
-      b bits of P form an inner block whose 2^b words, each XOR the target,
-      sit in one integer of at most 2^16 bits, one max(8, 2^n)-bit lane per
-      word.  The high bits of P take one Gray step per pass, XORing one
-      monomial table into every lane.  After an odd outer step the inner
-      block runs backwards (the Gray code reflects), so a reversed copy of
-      the lanes serves those steps.
-    - Counts.  A masked shift-add tree (popcounts of 1-, 2-, 4-, ... bit
-      fields) leaves each lane's distance c to the target in the lane.
-    - Complement pairs.  Steps 2P and 2P + 1 differ only by the constant, so
-      one lane stands for both c and 2^n - c.  Two masked subtractions test
-      every lane at once for min(c, 2^n - c) below the best so far.
+    - Layout.  Point x gets a field of w = 8, 16 or 32 bits (2^n plus a guard
+      bit must fit); a lane is target XOR Q, one bit per field.  The low b
+      bits of the Gray index P of Q form an inner block of 2^b lanes in one
+      integer of at most 2^16 bits (or one longer lane); the high bits take
+      one Gray step per pass, XORing one monomial table into every lane, and
+      after an odd step a reversed copy of the lanes serves the reflected
+      inner block.
+    - Butterfly.  Level j maps the fields (p, q) at x and x + 2^j to
+      (p + q, p - q + 2^j), both in [0, 2^(j+1)], so no field borrows.  Then
+      field a holds the distance c from target to Q + a.x (word bits 1..n
+      are a), and 2^n - c with the constant added; two masked subtractions
+      test every field for min(c, 2^n - c) below the best so far.
 
-    Only a strict improvement reads the lanes out, so a tie never replaces
-    the best.  The first lane whose pair reaches the new minimum gives P, and
-    the witness is the pair member at that distance; when both are
-    (c = 2^n - c), the earlier step 2P, which holds the constant iff P is
-    odd.  The walk stops early at distance 0; ``candidates`` is 2^M always.
+    Only a strict improvement reads a lane out, so the witness is the first
+    codeword at the minimum in the Gray order of all 2^M words: the first
+    lane in walk order gives Q, then the first affine word at that distance
+    in Q's block of 2^(n+1) Gray steps, which runs backwards when P is odd.
+    The walk stops early at distance 0.  ``candidates`` is 2^M always, the
+    count the ``low_degree_code_size`` guard prices.
     """
     m_count = low_degree_code_size(t.n, d)
     d = min(d, t.n)
@@ -246,8 +250,14 @@ def distance_to_degree(t: TruthTable, d: int) -> AgreementReport:
 
 
 def _repeat(pattern: int, period: int, width: int) -> int:
-    # pattern copied every `period` bits across `width` bits (period | width)
-    return pattern * (((1 << width) - 1) // ((1 << period) - 1))
+    # pattern copied every `period` bits across `width` bits (powers of two)
+    while period < min(8, width):
+        pattern |= pattern << period
+        period *= 2
+    if period == width:
+        return pattern
+    data = pattern.to_bytes(period // 8, "little") * (width // period)
+    return int.from_bytes(data, "little")
 
 
 def _monomial_tables(n: int, monomials: Sequence[tuple[int, ...]]) -> list[int]:
@@ -272,61 +282,70 @@ def _monomial_tables(n: int, monomials: Sequence[tuple[int, ...]]) -> list[int]:
 def _nearest_codeword(n: int, tables: Sequence[int], target: int) -> tuple[int, int]:
     """(distance, Gray word) of the first codeword in Gray order nearest target.
 
-    Bit i of the word selects ``tables[i]``; ``tables[0]`` is all ones.  The
-    lanes and pairs are described in ``distance_to_degree``.
+    Bit i of the word selects ``tables[i]``: the constant, then the linear
+    and walked monomials of ``distance_to_degree``, which describes the walk.
     """
     size = 1 << n
-    lane = max(8, size)
-    inner = min(len(tables) - 1, (_PACK_BITS // lane).bit_length() - 1)
+    if len(tables) == 1:  # d = 0: the code is the two constants
+        c = target.bit_count()
+        return min(c, size - c), int(size - c < c)
+    width = 8 if n <= 6 else 16 if n <= 14 else 32
+    unit, lane = width // 8, size * width
+    walked = tables[n + 1 :]
+    inner = min(len(walked), max(0, (_PACK_BITS // lane).bit_length() - 1))
     total = lane << inner
 
-    def pack(words: list[int]) -> int:
-        return int.from_bytes(
-            b"".join(w.to_bytes(lane // 8, "little") for w in words), "little"
-        )
+    def spread(words: list[int]) -> int:
+        # lane i, point x of words[i] to the low bit of field x of lane i
+        data = bytearray(len(words) * lane // 8)
+        data[::unit] = b"".join(bytes(_bits(word, n)) for word in words)
+        return int.from_bytes(data, "little")
 
     words = [target]
     for j in range(1, 1 << inner):
-        words.append(words[-1] ^ tables[(j & -j).bit_length()])
-    forward, backward = pack(words), pack(words[::-1])
-    rep = _repeat(1, lane, total)
-    outer_tables = [table * rep for table in tables[1 + inner:]]
-    steps = []
-    shift = 1
-    while shift < lane:
-        steps.append((shift, _repeat((1 << shift) - 1, 2 * shift, total)))
-        shift *= 2
-    # a lane's count is at most 2^n < 2^(lane-1), so its top bit is free to
+        words.append(words[-1] ^ walked[(j & -j).bit_length() - 1])
+    forward, backward = spread(words), spread(words[::-1])
+    outer_tables = [spread([table] * (1 << inner)) for table in walked[inner:]]
+    rep = _repeat(1, width, total)
+    levels = []
+    for j in range(n):
+        shift = width << j
+        mask = _repeat((1 << shift) - 1, 2 * shift, total)
+        levels.append((shift, mask, (rep & mask) << j))
+    # a count is at most 2^n < 2^(width-1), so a field's top bit is free to
     # absorb the borrows of the two threshold subtractions
-    high = rep << (lane - 1)
+    high = rep << (width - 1)
 
-    best, best_word = size // 2 + 1, 0  # above every pair minimum
+    best, best_word = size // 2 + 1, 0  # above every affine minimum
     under, over = best * rep, (size - best) * rep | high
     outer = 0
-    for k in range(1 << (len(tables) - 1 - inner)):
+    for k in range(1 << (len(walked) - inner)):
         if k:
             outer ^= outer_tables[(k & -k).bit_length() - 1]
         v = (backward if k & 1 else forward) ^ outer
-        for shift, mask in steps:
-            v = (v & mask) + ((v >> shift) & mask)
-        # every lane keeps its top bit iff c >= best and 2^n - c >= best
-        if ((v | high) - under) & (over - v) & high == high:
-            continue
-        data = v.to_bytes(total // 8, "little")
-        counts = [
-            int.from_bytes(data[i : i + lane // 8], "little")
-            for i in range(0, total // 8, lane // 8)
-        ]
-        pair_min = [min(c, size - c) for c in counts]
-        best = min(pair_min)
-        j = pair_min.index(best)
-        pair = k << inner | j
-        best_word = (pair ^ pair >> 1) << 1 | (pair & 1)  # Gray word of step 2P
-        if (size - counts[j] if pair & 1 else counts[j]) != best:
-            best_word ^= 1
-        if best == 0:
-            break
-        under, over = best * rep, (size - best) * rep | high
+        for shift, mask, bias in levels:
+            low, up = v & mask, (v >> shift) & mask
+            v = (low + up) | ((low + bias - up) << shift)
+        # a field keeps its top bit iff c >= best and 2^n - c >= best; each
+        # round reads out the first lane that does not and lowers best to it
+        while miss := high ^ (((v | high) - under) & (over - v) & high):
+            j = ((miss & -miss).bit_length() - 1) // lane
+            data = v.to_bytes(total // 8, "little")
+            counts = [
+                int.from_bytes(data[i : i + unit], "little")
+                for i in range(j * lane // 8, (j + 1) * lane // 8, unit)
+            ]
+            best = min(min(counts), size - max(counts))
+            # Gray step r of this Q's affine block is the word r ^ r >> 1, its
+            # top bit flipped when P is odd (the block runs backwards)
+            p = k << inner | j
+            steps = (r ^ r >> 1 ^ (p & 1) << n for r in range(2 << n))
+            pair = (best, size - best)  # without and with the constant
+            g = next(g for g in steps if counts[g >> 1] == pair[g & 1])
+            best_word = (p ^ p >> 1) << (n + 1) | g
+            if best == 0:
+                return best, best_word
+            under, over = best * rep, (size - best) * rep | high
     return best, best_word
 
 
@@ -435,8 +454,7 @@ class GKReport:
 
 def gl_points(n: int, q: int) -> list[tuple[int, ...]]:
     """All invertible n x n matrices over F_q, flattened row-major."""
-    elements = groups.enumerate_invertible(n, prime_field(q))
-    return [tuple(v for row in g.matrix for v in row) for g in elements]
+    return [sum(g.matrix, ()) for g in groups.enumerate_invertible(n, prime_field(q))]
 
 
 def _twist_matrix(sigma, n: int) -> list[list[int]]:
@@ -453,7 +471,7 @@ def _twist_matrix(sigma, n: int) -> list[list[int]]:
 def gk_intersection_test(
     f: Poly,
     r: int,
-    sigmas: Sequence[groups.GroupElement],
+    sigmas: Sequence[groups.GroupElement] | None,
     max_degree: int | None = None,
 ) -> dict[str, GKReport]:
     """Check whether twisted derivative spans share a function vanishing on
@@ -466,17 +484,21 @@ def gk_intersection_test(
     The property holds when that final intersection contains a nonzero
     function.  The spans and the vanishing ideal are built once; the result
     maps each name in ``STRATEGIES`` to the report of intersecting them that
-    way.
+    way.  ``sigmas=None`` twists by the whole group GL_n(F_q), enumerated
+    once for the twists and the vanishing ideal alike.
     """
     q = f.field.p
     if q is None:
         raise ValueError("the intersection test runs over a prime field")
-    if not sigmas:
-        raise ValueError("need at least one matrix to twist by")
     m = f.n
     n = isqrt(m)
     if n * n != m:
         raise ValueError(f"{m} variables do not form a square matrix")
+    whole = sigmas is None
+    if whole:
+        sigmas = groups.enumerate_invertible(n, f.field)
+    if not sigmas:
+        raise ValueError("need at least one matrix to twist by")
     if r < 0:
         raise ValueError("derivative order bound must be nonnegative")
     # the vanishing ideal is the kernel of a |GL_n(F_q)| x q^(n^2) matrix
@@ -519,7 +541,8 @@ def gk_intersection_test(
             reduce_pointwise(polyops.substitute_linear(g, twist)).terms for g in derivs
         ]
         spans.append(linalg.span(twisted, f.field, monomials))
-    ideal = vanishing_ideal_basis(gl_points(n, q), max_degree, q)
+    points = [sum(g.matrix, ()) for g in sigmas] if whole else gl_points(n, q)
+    ideal = vanishing_ideal_basis(points, max_degree, q)
     reports = {}
     for strategy in STRATEGIES:
         lam = intersect_all(spans, strategy)

@@ -296,10 +296,18 @@ def gray_walk_distance(bits, n, d):
     masks = [sum(1 << (n - 1 - i) for i, v in enumerate(e) if v) for e in monomials]
     tables = [sum(1 << idx for idx in range(1 << n) if idx & m == m) for m in masks]
     target = sum(1 << idx for idx, b in enumerate(bits) if b)
+    best_dist, best_mask = gray_walk(tables, target)
+    witness = {e for i, e in enumerate(monomials) if (best_mask >> i) & 1}
+    return best_dist, witness
+
+
+def gray_walk(tables, target):
+    """(distance, Gray word) of the first word in Gray order nearest target,
+    where bit i of a word selects the packed table ``tables[i]``."""
     best_dist = target.bit_count()
     best_mask = 0
     word = 0
-    for k in range(1, 1 << len(monomials)):
+    for k in range(1, 1 << len(tables)):
         flip = (k & -k).bit_length() - 1
         word ^= tables[flip]
         dist = (word ^ target).bit_count()
@@ -308,8 +316,7 @@ def gray_walk_distance(bits, n, d):
             best_mask = k ^ (k >> 1)
             if best_dist == 0:
                 break
-    witness = {e for i, e in enumerate(monomials) if (best_mask >> i) & 1}
-    return best_dist, witness
+    return best_dist, best_mask
 
 
 def exponent_orbit_dim(exponent, n):

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seplab import circuits, format_table, prime_field, truth_table
+from seplab import circuits, format_table, groups, prime_field, truth_table
 from seplab.measures import MEASURES
 from seplab.cli import build_parser, main
 from seplab.seeding import trial_rng
@@ -533,6 +533,16 @@ def test_rs_distance_refuses_wide_functions_before_tabulating(capsys):
     assert captured.out == "" and "40 > 16 variables" in captured.err
 
 
+def test_largest_admitted_rs_distance_runs_are_fast(capsys):
+    """n = 16 at d = 1 transforms 32-bit fields in one 2^21-bit lane, and
+    n = 6 at d = 2 walks 2^15 words Q; each takes well under a second."""
+    for argv, distance in (("esym:2,16 --bound 1", 32640), ("rand:6,3,1 --bound 2", 12)):
+        start = time.perf_counter()
+        code, data = run_json(capsys, ["rs-distance", "--fn", *argv.split()])
+        assert time.perf_counter() - start < 2.0
+        assert code == 0 and data["result"]["distance"] == distance
+
+
 def test_gk_check_whole_group(capsys):
     code, data = run_json(capsys, ["gk-check", "--fn", "det:2", "--r", "1"])
     assert code == 0
@@ -541,6 +551,22 @@ def test_gk_check_whole_group(capsys):
     assert data["result"]["pairwise"]["lambda_dim"] == 5
     assert data["result"]["pairwise"]["property_holds"] is False
     assert data["result"]["stacked"]["intersection_dim"] == 0
+
+
+def test_whole_group_gk_check_enumerates_the_group_once(capsys, monkeypatch):
+    """The twists and the vanishing ideal share one enumeration of GL_2(F_3)."""
+    calls = []
+    real_enumerate = groups.enumerate_invertible
+
+    def counting(*args):
+        calls.append(args)
+        return real_enumerate(*args)
+
+    monkeypatch.setattr(groups, "enumerate_invertible", counting)
+    code, data = run_json(capsys, ["gk-check", "--fn", "det:2", "--field", "Fp:3"])
+    assert code == 0
+    assert data["result"]["pairwise"]["sigma_count"] == 48
+    assert calls == [(2, prime_field(3))]
 
 
 def test_gk_check_sampled_twists(capsys):
@@ -914,6 +940,16 @@ GOLDEN_STDOUT = [
      "4824c4392ef18883237d8f5a2c1c02a9cfa1c97ee75d63fe30e8091c98d54145", 1),
     ("invariance --fn rand:2,3,4 --measure term_count --exhaustive --field Fp:5",
      "598bc413f7d98b2643024d1c36dcef7e1e17563d6f6cb8fca4f8bef2e5b859a6", 1),
+    # recorded before the distance walk read the affine words off a
+    # Walsh-Hadamard transform: 8-, 16- and 32-bit fields, witness included
+    ("rs-distance --fn rand:6,3,1 --bound 2",
+     "7fe01bcf83faf618af52b9cc8fc1700df45cf9d896d81c649e3d780f7f76a71f"),
+    ("rs-distance --fn mod3:7 --bound 1",
+     "f2a64de87253aa90f596d59d051a79da2734883a94e16a26b3be10dcf6002be2"),
+    ("rs-distance --fn esym:3,15 --bound 1",
+     "04176ffe9dfa3f4465fd9eeff0521daa1225db5d4799dd5227747879a738c25e"),
+    ("rs-distance --fn esym:2,16 --bound 1",
+     "d851d902b4788229512e0ede867278923e86d8d6b9f0dbb4799aa95856e94cdb"),
 ]
 
 

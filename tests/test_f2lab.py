@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import eval_monomial_pow, gray_walk_distance, naive_distance
+from oracles import eval_monomial_pow, gray_walk, gray_walk_distance, naive_distance
 from seplab import (
     InfeasibleError,
     Poly,
@@ -244,11 +244,15 @@ def test_distance_and_witness_match_gray_walk_at_every_size():
 
 
 @pytest.mark.parametrize(
-    "n,d", [(0, 0), (1, 0), (3, 0), (3, 1), (4, 2), (6, 1), (8, 1), (16, 0)]
+    "n,d",
+    [(0, 0), (1, 0), (3, 0), (3, 1), (4, 2), (6, 1), (8, 1), (16, 0),
+     (7, 1), (14, 1), (15, 1)],
 )
 def test_distance_and_witness_on_edge_tables(n, d):
     """Zero, all-ones and parity; a balanced table, whose pair of constants
-    ties at c = 2^n/2 when d = 0; and a codeword (early exit at 0)."""
+    ties at c = 2^n/2 when d = 0; and a codeword (early exit at 0).  At
+    d >= 1 the transform counts in 8-bit fields up to n = 6, 16-bit fields
+    from n = 7 to 14 and 32-bit fields above."""
     size = 1 << n
     codeword = multilinear_to_truth_table(
         Poly(n, F2, {e: 1 for e in function_monomials(n, 2, d)[1::2]})
@@ -261,6 +265,85 @@ def test_distance_and_witness_on_edge_tables(n, d):
         codeword,
     ):
         assert_matches_gray_walk(t, d)
+
+
+def affine_distances(word, n):
+    """Distance from a packed table to each affine word a.x + c, indexed by
+    the Gray word bits a << 1 | c of the code's constant and x_n .. x_1."""
+    size = 1 << n
+    dists = {}
+    for a in range(size):
+        linear = sum(1 << x for x in range(size) if (a & x).bit_count() % 2)
+        dists[a << 1] = (word ^ linear).bit_count()
+        dists[a << 1 | 1] = size - dists[a << 1]
+    return dists
+
+
+def xor_selected(tables, bits):
+    word = 0
+    for i, t in enumerate(tables):
+        if bits >> i & 1:
+            word ^= t
+    return word
+
+
+def test_first_witness_among_tied_affine_words():
+    """Tables with several affine words at the minimum, balanced ones among
+    them, against the plain Gray walk.  At d = 1 the only walked word is 0.
+    At d = 2 and n <= 5 two affine words tie within one walked word only at
+    distance >= 2^(n-2), beyond the covering radius of the degree-2 code
+    (1, 2 and 6 for n = 3, 4, 5), so those tables tie across walked words."""
+    rng = random.Random(29)
+    tied = balanced = 0
+    for n in (3, 4, 5):
+        size = 1 << n
+        var = [truth_table(n, lambda pt, i=i: pt[i]).as_int() for i in range(n)]
+        forms = [var[0] & var[1], var[0] & var[1] ^ var[2], var[0] & var[1] & var[2]]
+        if n >= 4:
+            forms += [var[0] & var[1] ^ var[2] & var[3], var[0] & var[1] & var[2] ^ var[3]]
+        forms.append(sum(1 << x for x in rng.sample(range(size), size // 2)))
+        for d in (1, 2):
+            code = function_monomials(n, 2, d)
+            for form in forms:
+                for _ in range(3):
+                    shift = Poly(n, F2, {e: 1 for e in code if rng.random() < 0.5})
+                    word = form ^ multilinear_to_truth_table(shift).as_int()
+                    t = table_from_int(n, word)
+                    assert_matches_gray_walk(t, d)
+                    balanced += word.bit_count() == size // 2
+                    if d == 1:
+                        dists = affine_distances(word, n).values()
+                        tied += list(dists).count(min(dists)) >= 2
+    assert tied >= 30 and balanced >= 20
+
+
+@pytest.mark.parametrize("pack_bits", [f2lab._PACK_BITS, 512])
+def test_first_witness_among_tied_affine_words_of_either_walked_parity(
+    monkeypatch, pack_bits
+):
+    """Walked words that are random tables, not monomials, so that affine
+    words tie within the first walked word at the minimum, for a Gray index
+    P of either parity (its affine block runs backwards when P is odd).  A
+    2^9-bit pass holds two 256-bit lanes, so outer steps and the reflected
+    lane copy run as well."""
+    monkeypatch.setattr(f2lab, "_PACK_BITS", pack_bits)
+    n = 5
+    rng = random.Random(31)
+    affine = f2lab._monomial_tables(n, function_monomials(n, 2, 1))
+    x1x2 = affine[n] & affine[n - 1]  # weight 8, and four affine words at 8
+    parities = set()
+    for _ in range(60):
+        walked = [rng.getrandbits(1 << n) for _ in range(3)]
+        tables = affine + walked
+        p = rng.randrange(8)
+        target = xor_selected(walked, p ^ p >> 1) ^ x1x2 ^ affine[rng.randrange(1, n + 1)]
+        got = f2lab._nearest_codeword(n, tables, target)
+        assert got == gray_walk(tables, target)
+        dist, word = got
+        q = xor_selected(walked, word >> (n + 1))
+        if list(affine_distances(target ^ q, n).values()).count(dist) >= 2:
+            parities.add(bin(word >> (n + 1)).count("1") % 2)
+    assert parities == {0, 1}
 
 
 def test_distance_guards():
