@@ -77,7 +77,6 @@ from .functions import (
     random_dense_poly,
 )
 from .circuits import (
-    Depth3Circuit,
     Depth4Circuit,
     EasySampler,
     NWBoundReport,

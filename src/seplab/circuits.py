@@ -1,11 +1,11 @@
-"""Easy-class circuits: shallow sum-of-products forms and their samplers.
+"""Easy-class circuits: sums of products of low-degree polynomials.
 
-A depth-3 circuit here is a sum of s products, each product of exactly d
-homogeneous linear forms; a depth-4 circuit is a sum of products of dense
-low-degree polynomials with bottom degree at most t.  ``expand`` multiplies
-everything out into a canonical sparse polynomial, and ``verify_nw_bound``
-checks the derivative-span dimension of the expansion against the structural
-budget s * 2^d.
+A circuit is a sum of s products of nonzero polynomials of degree at most t
+(ΣΠΣΠ with bottom degree t); a depth-3 circuit ΣΠΣ is the case t = 1, whose
+factors are linear forms.  ``expand`` multiplies everything out into a
+canonical sparse polynomial, and ``verify_nw_bound`` checks the
+derivative-span dimension of a t = 1 expansion against the structural budget
+s * 2^d.
 """
 
 from __future__ import annotations
@@ -15,48 +15,8 @@ from dataclasses import dataclass
 
 from . import functions, measures
 from . import poly as polyops
-from .field import Field, RATIONALS, Scalar
+from .field import Field, RATIONALS
 from .poly import Poly
-
-LinearForm = tuple[Scalar, ...]
-
-
-@dataclass(frozen=True)
-class Depth3Circuit:
-    """Sum of s products of exactly d nonzero homogeneous linear forms."""
-
-    n: int
-    field: Field
-    products: tuple[tuple[LinearForm, ...], ...]
-
-    def __post_init__(self):
-        if not self.products:
-            raise ValueError("need at least one product gate")
-        d = len(self.products[0])
-        coerced = []
-        for prod in self.products:
-            if len(prod) != d:
-                raise ValueError("all products must have the same length")
-            forms = []
-            for form in prod:
-                if len(form) != self.n:
-                    raise ValueError(
-                        f"form length {len(form)} does not match n={self.n}"
-                    )
-                vec = tuple(self.field.coerce(v) for v in form)
-                if all(v == 0 for v in vec):
-                    raise ValueError("linear forms must be nonzero")
-                forms.append(vec)
-            coerced.append(tuple(forms))
-        object.__setattr__(self, "products", tuple(coerced))
-
-    @property
-    def s(self) -> int:
-        return len(self.products)
-
-    @property
-    def d(self) -> int:
-        return len(self.products[0])
 
 
 @dataclass(frozen=True)
@@ -90,31 +50,21 @@ class Depth4Circuit:
     def s(self) -> int:
         return len(self.summands)
 
+    @property
+    def d(self) -> int:
+        """The formal degree: the largest degree of a product."""
+        return max(sum(f.degree for f in factors) for factors in self.summands)
 
-def expand(circuit: Depth3Circuit | Depth4Circuit) -> Poly:
+
+def expand(circuit: Depth4Circuit) -> Poly:
     """Multiply out a circuit into its canonical sparse polynomial."""
-    if isinstance(circuit, Depth3Circuit):
-        summands = [
-            [polyops.linear_form(form, circuit.field) for form in prod]
-            for prod in circuit.products
-        ]
-    elif isinstance(circuit, Depth4Circuit):
-        summands = [list(factors) for factors in circuit.summands]
-    else:
-        raise TypeError(f"not a circuit: {type(circuit).__name__}")
     total = polyops.zero(circuit.n, circuit.field)
-    for factors in summands:
+    for factors in circuit.summands:
         prod = polyops.constant(circuit.n, 1, circuit.field)
         for f in factors:
             prod = polyops.multiply(prod, f)
         total = polyops.add(total, prod)
     return total
-
-
-def _nonzero_scalar(field: Field, rng: random.Random) -> Scalar:
-    if field.p is None:
-        return rng.choice((-3, -2, -1, 1, 2, 3))
-    return rng.randrange(1, field.p)
 
 
 def _check_class(n: int, d: int, s: int, t: int = 1) -> None:
@@ -126,17 +76,20 @@ def _check_class(n: int, d: int, s: int, t: int = 1) -> None:
 
 def sample_depth3(
     n: int, d: int, s: int, field: Field, rng: random.Random
-) -> Depth3Circuit:
-    """Random circuit with s products of d dense nonzero linear forms."""
+) -> Depth4Circuit:
+    """Random ΣΠΣ circuit (t = 1): s products of d dense homogeneous
+    linear forms, drawn product by product, form by form."""
     _check_class(n, d, s)
-    products = tuple(
+    summands = tuple(
         tuple(
-            tuple(_nonzero_scalar(field, rng) for _ in range(n))
+            polyops.linear_form(
+                [functions.nonzero_scalar(field, rng) for _ in range(n)], field
+            )
             for _ in range(d)
         )
         for _ in range(s)
     )
-    return Depth3Circuit(n, field, products)
+    return Depth4Circuit(n, field, 1, summands)
 
 
 def sample_depth4(
@@ -172,8 +125,12 @@ class NWBoundReport:
     d: int
 
 
-def verify_nw_bound(circuit: Depth3Circuit) -> NWBoundReport:
-    """Check dim of the derivative span of the expansion against s * 2^d."""
+def verify_nw_bound(circuit: Depth4Circuit) -> NWBoundReport:
+    """Check dim of the derivative span of a t = 1 expansion against s * 2^d:
+    every derivative of a product of affine forms lies in the span of its
+    sub-products.  Refused for t >= 2, where no such budget holds."""
+    if circuit.t != 1:
+        raise ValueError(f"the s * 2^d budget needs linear factors (t = 1), not t={circuit.t}")
     dim = measures.dim_partials(expand(circuit))
     bound = circuit.s * (1 << circuit.d)
     return NWBoundReport(dim, bound, dim <= bound, circuit.s, circuit.d)
@@ -192,13 +149,13 @@ class EasySampler:
     n: int
     d: int
     s: int
-    t: int | None
+    t: int
     field: Field
 
     def __post_init__(self):
-        _check_class(self.n, self.d, self.s, 1 if self.t is None else self.t)
+        _check_class(self.n, self.d, self.s, self.t)
 
-    def sample(self, rng: random.Random):
+    def sample(self, rng: random.Random) -> Depth4Circuit:
         if self.kind == "depth3":
             return sample_depth3(self.n, self.d, self.s, self.field, rng)
         return sample_depth4(self.n, self.d, self.s, self.t, self.field, rng)
@@ -210,13 +167,9 @@ class EasySampler:
 
 
 def sampler_from_spec(spec: str, field: Field = RATIONALS) -> EasySampler:
-    kind, _, arg_text = spec.partition(":")
-    try:
-        args = [int(a) for a in arg_text.split(",")] if arg_text else []
-    except ValueError as exc:
-        raise ValueError(f"malformed sampler spec {spec!r}") from exc
+    kind, args = functions.parse_spec(spec, "sampler")
     if kind == "depth3" and len(args) == 3:
-        return EasySampler("depth3", args[0], args[1], args[2], None, field)
+        return EasySampler("depth3", args[0], args[1], args[2], 1, field)
     if kind == "depth4" and len(args) == 4:
         return EasySampler("depth4", args[0], args[1], args[2], args[3], field)
     raise ValueError(

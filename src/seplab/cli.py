@@ -207,7 +207,8 @@ def cmd_measure(args) -> int:
 
 def cmd_invariance(args) -> int:
     f, params, config = _measured(args)
-    seed = _only(args.seed, "--seed", not args.exhaustive, 0)
+    seed = _only(args.seed, "--seed", not args.exhaustive and args.trials != 0, 0,
+                 "runs that draw substitutions")
     trials = _only(args.trials, "--trials", not args.exhaustive, 20)
     rng = trial_rng(seed, 0)
     report = groups.invariance_check(
@@ -238,7 +239,8 @@ def cmd_separate(args) -> int:
         sampler.n, max(sampler.d, f_hard.degree), fld, homogeneous=False
     )
     module = _module_from_spec(args.module, ambient, _measure_params(args, fld))
-    report = sepmod.run_separation(module, sampler, f_hard, args.trials, args.seed or 0)
+    seed = _only(args.seed, "--seed", args.trials != 0, 0, "runs that draw circuits")
+    report = sepmod.run_separation(module, sampler, f_hard, args.trials, seed)
     config = {
         "command": "separate",
         "module": args.module,
@@ -246,7 +248,7 @@ def cmd_separate(args) -> int:
         "hard": args.hard,
         "field": fld.name,
         "trials": args.trials,
-        "seed": args.seed or 0,
+        "seed": seed,
         "mod3_residue": residue,
     }
     if module.params:  # the k and l of a shifted module

@@ -46,12 +46,12 @@ def _permutation_sign(p: tuple[int, ...]) -> int:
     return -1 if inversions % 2 else 1
 
 
-def _matrix_poly(n: int, field: Field, signed: bool, cap: int) -> Poly:
+def _matrix_poly(n: int, field: Field, signed: bool) -> Poly:
     if n < 1:
         raise ValueError("matrix side must be positive")
-    if n > cap:
+    if n > DET_PERM_CAP:
         raise InfeasibleError(
-            f"{n}x{n} expansion has {n}! terms; the cap is {cap}"
+            f"{n}x{n} expansion has {n}! terms; the cap is {DET_PERM_CAP}"
         )
     terms = {}
     for p in itertools.permutations(range(n)):
@@ -63,14 +63,14 @@ def _matrix_poly(n: int, field: Field, signed: bool, cap: int) -> Poly:
     return Poly(n * n, field, terms)
 
 
-def determinant_poly(n: int, field: Field = RATIONALS, cap: int = DET_PERM_CAP) -> Poly:
+def determinant_poly(n: int, field: Field = RATIONALS) -> Poly:
     """Symbolic n x n determinant; variable x_{ij} sits at index i*n + j."""
-    return _matrix_poly(n, field, signed=True, cap=cap)
+    return _matrix_poly(n, field, signed=True)
 
 
-def permanent_poly(n: int, field: Field = RATIONALS, cap: int = DET_PERM_CAP) -> Poly:
+def permanent_poly(n: int, field: Field = RATIONALS) -> Poly:
     """Symbolic n x n permanent over the same row-major variables."""
-    return _matrix_poly(n, field, signed=False, cap=cap)
+    return _matrix_poly(n, field, signed=False)
 
 
 def mod3_multilinear(n: int, residue: int = 0) -> Poly:
@@ -89,23 +89,35 @@ def mod3_multilinear(n: int, residue: int = 0) -> Poly:
     return f2lab.truth_table_to_multilinear(table)
 
 
+def nonzero_scalar(field: Field, rng: random.Random) -> int:
+    """One seeded nonzero scalar: uniform over {-3..3} without 0 (rationals)
+    or uniform nonzero (prime fields)."""
+    if field.p is None:
+        return rng.choice((-3, -2, -1, 1, 2, 3))
+    return rng.randrange(1, field.p)
+
+
 def random_dense_poly(n: int, d: int, rng: random.Random, field: Field = RATIONALS) -> Poly:
     """Random polynomial with every monomial of degree <= d present.
 
-    Coefficients are uniform over {-3..3} without 0 (rationals) or uniform
-    nonzero (prime fields), so the support is the full truncated monomial
-    set and results are reproducible from the generator state.
+    Each coefficient is a ``nonzero_scalar``, drawn in grlex order, so the
+    support is the full truncated monomial set and results are reproducible
+    from the generator state.
     """
     if n < 1 or d < 0:
         raise ValueError("need n >= 1 and d >= 0")
-    terms = {}
-    for e in monomials_upto(n, d):
-        if field.p is None:
-            c = rng.choice((-3, -2, -1, 1, 2, 3))
-        else:
-            c = rng.randrange(1, field.p)
-        terms[e] = c
+    terms = {e: nonzero_scalar(field, rng) for e in monomials_upto(n, d)}
     return Poly(n, field, terms)
+
+
+def parse_spec(spec: str, what: str) -> tuple[str, list[int]]:
+    """The kind and integer arguments of a "kind:i,j,..." spec; a malformed
+    one is refused as a malformed ``what`` spec."""
+    kind, _, arg_text = spec.partition(":")
+    try:
+        return kind, [int(a) for a in arg_text.split(",")] if arg_text else []
+    except ValueError as exc:
+        raise ValueError(f"malformed {what} spec {spec!r}") from exc
 
 
 def from_spec(
@@ -117,11 +129,7 @@ def from_spec(
     "rand:n,d,seed".  ``field`` defaults to the rationals (ignored for mod3,
     which is always over F_2).
     """
-    try:
-        kind, _, arg_text = spec.partition(":")
-        args = [int(a) for a in arg_text.split(",")] if arg_text else []
-    except ValueError as exc:
-        raise ValueError(f"malformed function spec {spec!r}") from exc
+    kind, args = parse_spec(spec, "function")
     fld = field or RATIONALS
     if kind == "esym" and len(args) == 2:
         return elementary_symmetric(args[0], args[1], fld)

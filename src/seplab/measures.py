@@ -3,7 +3,7 @@
 Three measures are computed from a polynomial f:
 
 * ``dim_partials`` — dimension of the span of all iterated partial
-  derivatives of f (order 0, i.e. f itself, included by default);
+  derivatives of f, order 0 (f itself) included;
 * ``shifted`` — rank of the span of order-k derivatives multiplied by all
   monomials of degree <= l;
 * ``hessian_rank`` — rank of the matrix of second partials evaluated at a
@@ -45,7 +45,7 @@ from .poly import (
 
 # the parameters each measure reads
 PARAMS = {
-    "dim_partials": ("include_order_zero",),
+    "dim_partials": (),
     "shifted": ("k", "l"),
     "hessian_rank": ("point",),
     "term_count": (),
@@ -105,14 +105,9 @@ def _rows_rank(f: Poly, rows: list[dict]) -> int:
     return sum(linalg.span_rank(b, f.field) for b in blocks.values())
 
 
-def dim_partials(f: Poly, include_order_zero: bool = True) -> int:
-    """Dimension of the span of all iterated partial derivatives of f
-    (f itself included unless ``include_order_zero`` is False)."""
-    ops = [
-        c
-        for k in range(0 if include_order_zero else 1, f.degree + 1)
-        for c in derivative_operators(f, k)
-    ]
+def dim_partials(f: Poly) -> int:
+    """Dimension of the span of all partial derivatives of f, order 0 included."""
+    ops = [c for k in range(f.degree + 1) for c in derivative_operators(f, k)]
     return _rows_rank(f, derivative_rows(f, ops))
 
 
@@ -187,11 +182,8 @@ def compute_measure(name: str, f: Poly, params: dict | None = None) -> MeasureRe
     """
     params = measure_params(name, params)
     if name == "dim_partials":
-        include = bool(params.get("include_order_zero", True))
-        rank_val = dim_partials(f, include_order_zero=include)
         m = monomial_count(f.n + 1, f.degree)
-        rows = m if include or m == 0 else m - 1
-        return MeasureReport(name, params, rank_val, rows, m)
+        return MeasureReport(name, params, dim_partials(f), m, m)
     if name == "shifted":
         k, l = int(params["k"]), int(params["l"])
         rank_val = shifted_partials_rank(f, k, l)

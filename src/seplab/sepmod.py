@@ -317,7 +317,7 @@ def poly_det(entries: Sequence[Sequence[Poly]]) -> Poly:
         raise ValueError("determinant needs a square matrix")
     if k == 0:
         raise ValueError("empty determinant")
-    det = determinant_poly(k, entries[0][0].field, cap=k)
+    det = determinant_poly(k, entries[0][0].field)
     return polyops.substitute(det, [t for row in entries for t in row])
 
 

@@ -13,11 +13,10 @@ def _dense(f, ops, cols, shifts=None):
     return linalg.densify(derivative_rows(f, ops, shifts), cols)[1]
 
 
-def partials_matrix(f, include_order_zero=True):
-    """Operators of order 0 (or 1)..deg f against monomials of degree <= deg f."""
+def partials_matrix(f):
+    """Operators of order 0..deg f against monomials of degree <= deg f."""
     cols = monomials_upto(f.n, f.degree)
-    ops = cols if include_order_zero else cols[1:]
-    return ops, cols, _dense(f, ops, cols)
+    return cols, cols, _dense(f, cols, cols)
 
 
 def shifted_matrix(f, k, l):

@@ -197,7 +197,7 @@ def _span_rank_sympy(exprs, xs, p=None):
     return modular_rank([[int(x) for x in r] for r in rows], p)
 
 
-def sympy_dim_partials(f, include_order_zero=True, p=None):
+def sympy_dim_partials(f, p=None):
     """Derivative-span dimension computed entirely through sympy.
 
     Over F_p the polynomial is lifted to the integers, differentiated there,
@@ -212,8 +212,7 @@ def sympy_dim_partials(f, include_order_zero=True, p=None):
         return 0
     deg = sympy.Poly(expr, *xs).total_degree()
     derivs = []
-    start = 0 if include_order_zero else 1
-    for total in range(start, deg + 1):
+    for total in range(deg + 1):
         for orders in itertools.product(range(total + 1), repeat=f.n):
             if sum(orders) != total:
                 continue

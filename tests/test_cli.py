@@ -286,12 +286,17 @@ def test_measure_options_the_measure_does_not_read_are_refused(capsys, command):
         ["invariance", "--fn", "rand:2,2,4", "--measure", "dim_partials", "--exhaustive",
          "--field", "Fp:2"],
         ["gk-check", "--fn", "det:1", "--field", "Fp:2", "--trials", "0"],
+        ["separate", "--module", "minors:dim_partials:4", "--easy", "depth3:4,2,1",
+         "--hard", "esym:2,4", "--trials", "0"],
+        ["invariance", "--fn", "esym:2,4", "--measure", "dim_partials", "--trials", "0"],
     ],
-    ids=["invariance-exhaustive", "gk-check-whole-group"],
+    ids=["invariance-exhaustive", "gk-check-whole-group", "separate-no-trials",
+         "invariance-no-trials"],
 )
 def test_seed_is_refused_where_nothing_is_drawn(capsys, argv):
-    """A whole-group run draws nothing, so an explicit --seed would give two
-    configs for one computation; without it the config shows seed 0."""
+    """A whole-group run, or one of no trials, draws nothing, so an explicit
+    --seed would give two configs for one computation; without it the config
+    shows seed 0."""
     code, data = run_json(capsys, argv)
     assert code == 0 and data["config"]["seed"] == 0
     for seed in ("0", "1"):

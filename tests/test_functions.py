@@ -91,7 +91,9 @@ def test_det_perm_cap_guards():
         determinant_poly(7)
     with pytest.raises(InfeasibleError):
         permanent_poly(8)
-    assert len(determinant_poly(7, cap=7).terms) == math.factorial(7)
+    with pytest.raises(TypeError):  # the cap is DET_PERM_CAP, not a parameter
+        determinant_poly(7, cap=7)
+    assert len(determinant_poly(6).terms) == math.factorial(6)
 
 
 def test_mod3_small_cases():

@@ -1,6 +1,7 @@
 """Every module of the package, every test file and every benchmark script
-reads every name it imports, and every public function, class or method of
-the package has a caller outside the unit tests."""
+reads every name it imports, every public function, class or method of the
+package has a caller outside the unit tests, and every defaulted parameter
+of a public function is passed by one."""
 
 import ast
 from pathlib import Path
@@ -151,3 +152,87 @@ def test_every_kept_name_is_needed():
     ]
     assert stale == []
 
+
+
+# Defaulted parameters kept on purpose although no module, benchmark script
+# or acceptance criterion passes them; one reason each.
+KEPT_PARAMS = {
+    "group_closure.rng": "seeds the sampled GL closure, which only its tests run until "
+    "exact GL_n-modules replace it",
+}
+
+
+def _calls(trees) -> dict:
+    """For each called name, the (positional count, keywords) of each call;
+    a ``*args`` call passes every position, a ``**kwargs`` call every
+    keyword (None)."""
+    calls: dict = {}
+    for node in (n for t in trees for n in ast.walk(t) if isinstance(n, ast.Call)):
+        name = getattr(node.func, "id", getattr(node.func, "attr", None))
+        starred = any(isinstance(a, ast.Starred) for a in node.args)
+        keywords = {k.arg for k in node.keywords}
+        calls.setdefault(name, []).append(
+            (float("inf") if starred else len(node.args), None if None in keywords else keywords)
+        )
+    return calls
+
+
+def unpassed(
+    modules: list[Path], readers: list[Path], kept=KEPT, kept_params=KEPT_PARAMS
+) -> list[str]:
+    """'module: function.param' for each defaulted parameter of a public
+    top-level function of ``modules`` that no call in the modules or in
+    ``readers`` passes, by keyword or by position.  Calls are matched by the
+    called name alone, as ``uncalled`` matches reads.  Functions in ``kept``
+    and parameters in ``kept_params`` are never flagged.
+
+    A parameter that reaches its function only through a dict is invisible:
+    a measure's parameters travel in ``compute_measure``'s params dict, so
+    the scan could not see that nothing set ``dim_partials``'s old
+    ``include_order_zero`` flag."""
+    trees = {p: ast.parse(p.read_text(encoding="utf-8")) for p in modules + readers}
+    calls = _calls(trees.values())
+    found = []
+    for p in modules:
+        for node in trees[p].body:
+            if not isinstance(node, ast.FunctionDef) or node.name.startswith("_"):
+                continue
+            if node.name in kept:
+                continue
+            a = node.args
+            positional = a.posonlyargs + a.args
+            first = len(positional) - len(a.defaults)
+            defaulted = [(i, x.arg) for i, x in enumerate(positional) if i >= first]
+            defaulted += [
+                (float("inf"), x.arg) for x, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None
+            ]
+            for i, param in defaulted:
+                if f"{node.name}.{param}" in kept_params:
+                    continue
+                if not any(
+                    kws is None or param in kws or npos > i
+                    for npos, kws in calls.get(node.name, ())
+                ):
+                    found.append(f"{p.stem}: {node.name}.{param}")
+    return sorted(found)
+
+
+def test_scan_finds_an_unpassed_parameter(tmp_path):
+    module, reader = tmp_path / "a.py", tmp_path / "b.py"
+    module.write_text(
+        "def f(a, b=1, c=2, *, d=3, e=4): pass\n"
+        "def g(x=0): pass\ndef h(x=0): pass\ndef kept(x=0): pass\ndef _own(x=0): pass\n"
+    )
+    reader.write_text("from a import f, g, h\nf(0, 1, e=5)\ng(*[1])\nh(**{})\n")
+    assert unpassed([module], [reader], kept={"kept"}, kept_params={}) == ["a: f.c", "a: f.d"]
+    assert unpassed([module], [reader], kept={"kept"}, kept_params={"f.c": ""}) == ["a: f.d"]
+
+
+def test_every_defaulted_parameter_is_passed():
+    assert unpassed(MODULES, READERS) == []
+
+
+def test_every_kept_parameter_is_needed():
+    """The scan flags every KEPT_PARAMS entry once the allow-list is empty."""
+    flagged = unpassed(MODULES, READERS, kept_params={})
+    assert sorted(label.partition(": ")[2] for label in flagged) == sorted(KEPT_PARAMS)

@@ -27,7 +27,7 @@ from seplab import (
     shifted_partials_rank,
     zero,
 )
-from seplab import measures
+from seplab import linalg, measures
 
 F7 = prime_field(7)
 
@@ -56,9 +56,6 @@ def test_dim_partials_equals_full_matrix_rank():
         if f.is_zero:
             continue
         assert dim_partials(f) == dense_rank(f, partials_matrix(f))
-        assert dim_partials(f, include_order_zero=False) == dense_rank(
-            f, partials_matrix(f, include_order_zero=False)
-        )
 
 
 def test_dim_partials_matches_independent_oracle():
@@ -85,10 +82,7 @@ def test_small_p_ranks_match_oracles_where_falling_factorials_vanish(p):
     assert not dense.is_homogeneous
     for f in (cube, homogeneous, dense):
         lifted = Poly(f.n, RATIONALS, dict(f.terms))
-        for include in (True, False):
-            assert dim_partials(f, include_order_zero=include) == sympy_dim_partials(
-                lifted, include_order_zero=include, p=p
-            )
+        assert dim_partials(f) == sympy_dim_partials(lifted, p=p)
         for k in range(4):
             for l in (0, 1):
                 assert shifted_partials_rank(f, k, l) == sympy_shifted_rank(
@@ -177,19 +171,25 @@ def test_dim_partials_calls_derivative_once_per_nonzero_derivative(monkeypatch):
     assert calls == [(0, 0), (0, 1), (1, 0), (1, 1)]
     calls.clear()
     g = rand_poly(3, 4, random.Random(26), prime_field(2), sparsity=0.5)
-    dim_partials(g, include_order_zero=False)
-    nonzero = [c for c in monomials_upto(3, g.degree)[1:] if not real(g, c).is_zero]
+    dim_partials(g)
+    nonzero = [c for c in monomials_upto(3, g.degree) if not real(g, c).is_zero]
     assert calls == nonzero
 
 
 def test_order_zero_row_adds_one_for_homogeneous_inputs():
-    """For homogeneous f the top-degree row is independent of all derivatives."""
+    """For homogeneous f the top-degree row is independent of all derivatives
+    of order >= 1, which are ranked here without the order-0 row."""
+
+    def proper_partials(f):
+        ops = monomials_upto(f.n, f.degree)[1:]
+        return linalg.span_rank(derivative_rows(f, ops), f.field)
+
     rng = random.Random(19)
     for d in (2, 3):
         f = elementary_symmetric(d, 4, RATIONALS)
-        assert dim_partials(f) == dim_partials(f, include_order_zero=False) + 1
+        assert dim_partials(f) == proper_partials(f) + 1
     g = rand_poly(2, 3, rng)
-    assert dim_partials(g) >= dim_partials(g, include_order_zero=False)
+    assert dim_partials(g) >= proper_partials(g)
 
 
 def test_zero_polynomial_conventions():
@@ -298,17 +298,15 @@ def test_compute_measure_fills_defaults_and_shapes():
 
 def test_compute_measure_shapes_are_the_full_dense_shapes():
     """rows and cols are counted, not built, and match the unpruned matrices,
-    also with no order-0 row, at k = 0, for the zero polynomial and with no
-    variables at all."""
+    at k = 0, for the zero polynomial and with no variables at all."""
     rng = random.Random(27)
     polys = [zero(3), zero(0, F7), Poly(0, RATIONALS, {(): 5}), monomial((2,), 1)]
     for n, field in ((1, RATIONALS), (2, prime_field(2)), (3, F7), (4, RATIONALS)):
         polys += [rand_poly(n, d, rng, field) for d in (1, 2, 3)]
     for f in polys:
-        for include in (True, False):
-            rep = compute_measure("dim_partials", f, {"include_order_zero": include})
-            _, cols, rows = partials_matrix(f, include)
-            assert (rep.rows, rep.cols) == (len(rows), len(cols))
+        rep = compute_measure("dim_partials", f)
+        _, cols, rows = partials_matrix(f)
+        assert (rep.rows, rep.cols) == (len(rows), len(cols))
         for k in range(f.degree + 1):
             for l in range(3):
                 rep = compute_measure("shifted", f, {"k": k, "l": l})

@@ -179,12 +179,14 @@ def test_explicit_product_multiplies_bases():
 def test_poly_det_generic_two_by_two():
     """det [[a, b], [c, d]] = ad - bc; a 3x3 or 4x4 polynomial matrix's det,
     evaluated at a point, is the Laplace determinant of the evaluated entries
-    (reduced mod p)."""
+    (reduced mod p); a 7x7 one is refused."""
     a, b, c, d = (variable(i, 4) for i in range(4))
     det = poly_det([[a, b], [c, d]])
     assert det == Poly(4, RATIONALS, {(1, 0, 0, 1): 1, (0, 1, 1, 0): -1})
     with pytest.raises(ValueError):
         poly_det([[a, b]])
+    with pytest.raises(InfeasibleError):  # the symbolic determinant's cap, 6
+        poly_det([[a] * 7] * 7)
     rng = random.Random(83)
     for fld in (RATIONALS, prime_field(5)):
         for k in (3, 4):
