@@ -47,6 +47,18 @@ def _csv_text(config: dict, rows: list[list]) -> str:
     return buf.getvalue()
 
 
+# arguments that never enter a config: --out and --format route or shape the
+# output, and the measure's params carry --k, --l and --point
+_NOT_CONFIG = frozenset({"out", "format", "k", "l", "point"})
+
+
+def _config(args, **resolved) -> dict:
+    """A command's config: its arguments with the values it resolved laid
+    over them, less those that never enter a config and those left unset."""
+    merged = {**vars(args), **resolved}
+    return {key: v for key, v in merged.items() if key not in _NOT_CONFIG and v is not None}
+
+
 def _emit(text: str, out: str | None) -> None:
     if out:
         with open(out, "w", newline="") as fh:
@@ -183,32 +195,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _measured(args) -> tuple:
     """The function of a measure or invariance run, the parameters set for
-    its measure, and the start of its config."""
+    its measure, and the field and residue it resolved."""
     fld = field_from_name(args.field)
     residue = _mod3_residue(args, args.fn)
     f = functions.from_spec(args.fn, fld, residue)
-    config = {
-        "command": args.command,
-        "fn": args.fn,
-        "field": f.field.name,
-        "measure": args.measure,
-        "mod3_residue": residue,
-    }
-    return f, _measure_params(args, f.field), config
+    return f, _measure_params(args, f.field), {"field": f.field.name, "mod3_residue": residue}
 
 
 def cmd_measure(args) -> int:
-    f, params, config = _measured(args)
+    f, params, resolved = _measured(args)
     report = measures.compute_measure(args.measure, f, params)
-    config["params"] = report.params
+    config = _config(args, **resolved, params=report.params)
     _emit(_json_text(config, asdict(report)), args.out)
     return 0
 
 
 def cmd_invariance(args) -> int:
-    f, params, config = _measured(args)
-    seed = _only(args.seed, "--seed", not args.exhaustive and args.trials != 0, 0,
-                 "runs that draw substitutions")
+    f, params, resolved = _measured(args)
+    seed = _only(args.seed, "--seed", not args.exhaustive, 0, "runs that draw substitutions")
     trials = _only(args.trials, "--trials", not args.exhaustive, 20)
     rng = trial_rng(seed, 0)
     report = groups.invariance_check(
@@ -219,9 +223,7 @@ def cmd_invariance(args) -> int:
         params=params,
         exhaustive=args.exhaustive,
     )
-    config.update(
-        params=report.params, trials=trials, seed=seed, exhaustive=args.exhaustive
-    )
+    config = _config(args, **resolved, params=report.params, trials=trials, seed=seed)
     _emit(_json_text(config, asdict(report)), args.out)
     return 0 if report.all_equal else 1
 
@@ -241,18 +243,9 @@ def cmd_separate(args) -> int:
     module = _module_from_spec(args.module, ambient, _measure_params(args, fld))
     seed = _only(args.seed, "--seed", args.trials != 0, 0, "runs that draw circuits")
     report = sepmod.run_separation(module, sampler, f_hard, args.trials, seed)
-    config = {
-        "command": "separate",
-        "module": args.module,
-        "easy": args.easy,
-        "hard": args.hard,
-        "field": fld.name,
-        "trials": args.trials,
-        "seed": seed,
-        "mod3_residue": residue,
-    }
-    if module.params:  # the k and l of a shifted module
-        config["params"] = module.params
+    # only a shifted module has params: its k and l
+    config = _config(args, field=fld.name, seed=seed, mod3_residue=residue,
+                     params=module.params or None)
     if args.format == "json":
         _emit(_json_text(config, asdict(report)), args.out)
     else:
@@ -302,15 +295,7 @@ def cmd_table(args) -> int:
                     1 << (2 * d),
                 ]
             )
-    config = {
-        "command": "table",
-        "n_min": args.n_min,
-        "n_max": args.n_max,
-        "d_min": args.d_min,
-        "d_max": args.d_max,
-        "field": fld.name,
-        "measure": "dim_partials",
-    }
+    config = _config(args, field=fld.name, measure="dim_partials")
     if args.format == "csv":
         _emit(_csv_text(config, [header] + rows), args.out)
     else:
@@ -327,18 +312,11 @@ def cmd_rs_distance(args) -> int:
         f = functions.from_spec(args.fn, prime_field(2), residue)
         f2lab.low_degree_code_size(f.n, args.bound)  # refuse before the 2^n table
         t = f2lab.multilinear_to_truth_table(f2lab.reduce_pointwise(f))
-        source = {"fn": args.fn}
     else:
         with open(args.table) as fh:
             t = f2lab.parse_table(fh.read())
-        source = {"table": args.table}
     report = f2lab.distance_to_degree(t, args.bound)
-    config = {
-        "command": "rs-distance",
-        "bound": args.bound,
-        "mod3_residue": residue,
-        **source,
-    }
+    config = _config(args, mod3_residue=residue)  # the unset one of --fn and --table drops
     _emit(_json_text(config, report.to_json()), args.out)
     return 0
 
@@ -369,16 +347,8 @@ def cmd_gk_check(args) -> int:
         pairwise.lambda_dim == stacked.lambda_dim
         and pairwise.intersection_dim == stacked.intersection_dim
     )
-    config = {
-        "command": "gk-check",
-        "fn": args.fn,
-        "field": fld.name,
-        "r": args.r,
-        "max_degree": pairwise.max_degree,
-        "trials": args.trials,
-        "seed": seed,
-        "mod3_residue": residue,
-    }
+    config = _config(args, field=fld.name, max_degree=pairwise.max_degree, seed=seed,
+                     mod3_residue=residue)
     result = {
         "pairwise": asdict(pairwise),
         "stacked": asdict(stacked),

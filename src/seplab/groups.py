@@ -226,13 +226,15 @@ def invariance_check(
 ) -> InvarianceReport:
     """Compare measure(f) with measure(f after substitution).
 
-    Sampled mode draws ``trials`` random invertible linear substitutions.
-    Exhaustive mode runs every element of GL_n over a tiny prime field
-    (refused over the rationals or when the group has more than 10^4
-    elements).
+    Sampled mode draws ``trials`` random invertible linear substitutions and
+    refuses fewer than one, which would compare nothing.  Exhaustive mode
+    runs every element of GL_n over a tiny prime field (refused over the
+    rationals or when the group has more than 10^4 elements).
     """
     if trials < 0:
         raise ValueError("trials must be nonnegative")
+    if trials == 0 and not exhaustive:
+        raise ValueError("a sampled invariance check needs at least one trial")
     base_report = measures.compute_measure(measure, f, params)
     base = base_report.rank
     if exhaustive:

@@ -5,8 +5,10 @@ import csv
 import hashlib
 import io
 import json
+import shlex
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -288,10 +290,8 @@ def test_measure_options_the_measure_does_not_read_are_refused(capsys, command):
         ["gk-check", "--fn", "det:1", "--field", "Fp:2", "--trials", "0"],
         ["separate", "--module", "minors:dim_partials:4", "--easy", "depth3:4,2,1",
          "--hard", "esym:2,4", "--trials", "0"],
-        ["invariance", "--fn", "esym:2,4", "--measure", "dim_partials", "--trials", "0"],
     ],
-    ids=["invariance-exhaustive", "gk-check-whole-group", "separate-no-trials",
-         "invariance-no-trials"],
+    ids=["invariance-exhaustive", "gk-check-whole-group", "separate-no-trials"],
 )
 def test_seed_is_refused_where_nothing_is_drawn(capsys, argv):
     """A whole-group run, or one of no trials, draws nothing, so an explicit
@@ -303,6 +303,16 @@ def test_seed_is_refused_where_nothing_is_drawn(capsys, argv):
         assert main(argv + ["--seed", seed]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "--seed" in captured.err
+
+
+def test_a_sampled_invariance_run_of_no_trials_is_refused(capsys):
+    """Zero sampled substitutions compare nothing, so the run is a usage
+    error, with or without --seed, rather than a vacuous "all_equal"."""
+    argv = ["invariance", "--fn", "esym:2,4", "--measure", "dim_partials", "--trials", "0"]
+    for seed in ([], ["--seed", "0"], ["--seed", "1"]):
+        assert main(argv + seed) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "trial" in captured.err
 
 
 def test_trials_is_refused_where_the_whole_group_runs(capsys):
@@ -681,7 +691,9 @@ def test_division_by_zero_in_a_point_is_a_usage_error(capsys):
 
 
 def test_outputs_are_byte_identical_across_reruns(tmp_path):
-    """Same arguments, same bytes: every command embeds its resolved config."""
+    """Same arguments, same bytes: every command embeds its resolved config.
+    --out only routes the output, so its file holds the bytes that the same
+    argv without it prints."""
     cases = [
         ["measure", "--fn", "rand:3,2,9", "--measure", "dim_partials"],
         [
@@ -719,6 +731,31 @@ def test_outputs_are_byte_identical_across_reruns(tmp_path):
         assert main(argv + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
         assert a.read_bytes()  # never empty
+        out = io.StringIO()
+        with redirect_stdout(out):
+            assert main(argv) == 0
+        assert a.read_bytes() == out.getvalue().encode()
+
+
+def _readme_command_lines() -> list[list[str]]:
+    """The argv of every `seplab` line in the README's Command line block,
+    continuation lines joined and comments dropped."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    argvs = [shlex.split(line, comments=True) for line in block.replace("\\\n", " ").splitlines()]
+    return [argv[1:] for argv in argvs if argv and argv[0] == "seplab"]
+
+
+def test_the_readme_command_line_examples_run(tmp_path, monkeypatch, capsys):
+    argvs = _readme_command_lines()
+    assert len(argvs) >= 10 and any("--table" in argv for argv in argvs)
+    monkeypatch.chdir(tmp_path)  # the --table example reads my_function.tt from here
+    (tmp_path / "my_function.tt").write_text(
+        format_table(truth_table(4, lambda pt: pt[0] & pt[1] & pt[2] ^ pt[3]))
+    )
+    for argv in argvs:
+        assert main(argv) == 0, argv
+        capsys.readouterr()
 
 
 def test_field_argument_reaches_the_ring(capsys):
@@ -955,6 +992,20 @@ GOLDEN_STDOUT = [
      "04176ffe9dfa3f4465fd9eeff0521daa1225db5d4799dd5227747879a738c25e"),
     ("rs-distance --fn esym:2,16 --bound 1",
      "d851d902b4788229512e0ede867278923e86d8d6b9f0dbb4799aa95856e94cdb"),
+    # recorded before each config was built from the resolved arguments:
+    # configs with a residue, a field, a max degree or a shifted module's k and l
+    ("table --n-min 3 --n-max 5 --d-min 1 --d-max 2 --field Fp:7 --format json",
+     "06f130f0ff0c1943502eb33444925c15124ee38ed94f392348b5a95c2c14c0db"),
+    ("gk-check --fn rand:4,2,1 --field Fp:3 --r 0 --max-degree 3 --trials 2 --seed 1",
+     "5337cd2606f17ddcc58c24deca1bfd8b7c72b00b6c702f973fa62a13c5bde75a"),
+    ("measure --fn mod3:3 --measure dim_partials --field Fp:2 --mod3-residue 1",
+     "8b36271498288db637f96ca0d4273d90d9bdb776085eec561c773217faa3c3ff"),
+    ("separate --module minors:dim_partials:4 --easy depth3:4,2,1 --hard mod3:4 --trials 1 --field Fp:2 --mod3-residue 1",
+     "2f82b841752eb7e662846439c3572ca8fec22c49c73bf9afc8458baa9dcf614c"),
+    ("invariance --fn mod3:2 --measure dim_partials --trials 1 --field Fp:2 --mod3-residue 1",
+     "e5c78339d07ad0d388202e50d718ef9da622aac1b9fb26fc8a45c56922f26ea4"),
+    ("separate --module minors:shifted:3 --easy depth3:3,2,1 --hard esym:2,3 --trials 2 --seed 1 --k 2 --l 2 --field Fp:7 --format csv",
+     "23df70d5bafcc752bc76fc513c0b50e6d499c5fe06d52651188d087bdfec7c1e"),
 ]
 
 

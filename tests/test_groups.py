@@ -139,14 +139,16 @@ def test_random_invertible_is_deterministic_and_invertible():
 
 def test_no_variables_is_refused_not_redrawn_forever():
     """The empty matrix counts as singular, so sampling it would loop; both
-    the sampler and a sampled invariance check refuse n = 0 at once."""
+    the sampler and a sampled invariance check refuse n = 0 at once, and a
+    sampled check of no trials is refused before it compares nothing."""
     for field in (RATIONALS, F5):
         with pytest.raises(ValueError, match="n >= 1"):
             random_invertible(0, field, random.Random(0))
     constant = Poly(0, RATIONALS, {(): 3})
     with pytest.raises(ValueError, match="n >= 1"):
         invariance_check("term_count", constant, 2, random.Random(0))
-    assert invariance_check("term_count", constant, 0, random.Random(0)).all_equal
+    with pytest.raises(ValueError, match="at least one trial"):
+        invariance_check("term_count", constant, 0, random.Random(0))
 
 
 def test_enumerate_permutations_counts_and_guard():
