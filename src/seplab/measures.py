@@ -23,6 +23,12 @@ same levels.  Zero rows are never built, only columns that are hit are
 ranked, and homogeneous f is ranked block by block; the row and column
 counts reported are those of the full matrix over all operators, shifts and
 monomials, counted with ``poly.monomial_count``.
+
+For homogeneous f of degree d, order k of ``dim_partials`` is M_k[c][m] =
+f_{c+m} (c+m)!/m! (|c| = k, |m| = d-k).  With G[c][m] = f_{c+m} (c+m)!,
+M_k = G diag(1/m!) and M_{d-k} = (diag(1/c!) G)^T have the rank of G when
+every e! with |e| = d is a unit: over Q and over F_p with p > d.  There only
+orders k <= d/2 are ranked; over F_p with p <= d all are (x^2 over F_2: 1).
 """
 
 from __future__ import annotations
@@ -91,11 +97,8 @@ def derivative_rows(
 
 
 def _rows_rank(f: Poly, rows: list[dict]) -> int:
-    """Span rank of rows built from f, summed over output-degree blocks.
-
-    Blocks are used only for homogeneous f: its rows are then homogeneous,
-    so the matrix is block diagonal once columns are grouped by degree.
-    """
+    """Span rank of rows built from f, by output-degree block when f is
+    homogeneous (its rows are then too, so the matrix is block diagonal)."""
     if not f.is_homogeneous:
         return linalg.span_rank(rows, f.field)
     blocks: dict[int, list[dict]] = {}
@@ -106,9 +109,17 @@ def _rows_rank(f: Poly, rows: list[dict]) -> int:
 
 
 def dim_partials(f: Poly) -> int:
-    """Dimension of the span of all partial derivatives of f, order 0 included."""
-    ops = [c for k in range(f.degree + 1) for c in derivative_operators(f, k)]
-    return _rows_rank(f, derivative_rows(f, ops))
+    """Dimension of the span of all partial derivatives of f, order 0 included.
+    For homogeneous f of degree d over Q or F_p with p > d, order d-k has the
+    rank of order k (module docstring), so the orders past d/2 are mirrored."""
+    d, p = f.degree, f.field.p
+    if not f.is_homogeneous:
+        ops = [c for k in range(d + 1) for c in derivative_operators(f, k)]
+        return linalg.span_rank(derivative_rows(f, ops), f.field)
+    mirror = p is None or p > d
+    ranks = [linalg.span_rank(derivative_rows(f, derivative_operators(f, k)), f.field)
+             for k in range(d // 2 + 1 if mirror else d + 1)]
+    return sum(r if 2 * k == d or not mirror else 2 * r for k, r in enumerate(ranks))
 
 
 def shifted_partials_rank(f: Poly, k: int, l: int) -> int:

@@ -1006,6 +1006,22 @@ GOLDEN_STDOUT = [
      "e5c78339d07ad0d388202e50d718ef9da622aac1b9fb26fc8a45c56922f26ea4"),
     ("separate --module minors:shifted:3 --easy depth3:3,2,1 --hard esym:2,3 --trials 2 --seed 1 --k 2 --l 2 --field Fp:7 --format csv",
      "23df70d5bafcc752bc76fc513c0b50e6d499c5fe06d52651188d087bdfec7c1e"),
+    # recorded before dim_partials of homogeneous f ranked only the orders up
+    # to d/2: mirrored over Q and F_5 (p > d), every order over F_3 (p <= d)
+    ("separate --module minors:dim_partials:16 --easy depth3:8,4,1 --hard esym:4,8 --trials 3 --seed 7",
+     "b093d8da83df6d9ce5fd22d708659b220aa9db9fb8d6e6878f32b5e4901295ad"),
+    ("separate --module minors:dim_partials:16 --easy depth3:8,4,1 --hard esym:4,8 --trials 3 --seed 7 --format csv",
+     "c81c741e057e554653971825bcfad469c536e3d7ff2965f3da48e3dfda5ce540"),
+    ("measure --fn det:4 --measure dim_partials",
+     "6c9d98144406882573ec30644be912b49df336097352d2da2ce5b6f4be417a44"),
+    ("measure --fn perm:4 --measure dim_partials --field Fp:5",
+     "c3842ed2103d4eeb91072717dfa97d02ad19068b82e3d1c1b0155fe0b04df651"),
+    ("measure --fn esym:4,8 --measure dim_partials --field Fp:3",
+     "0e772b828410f30c9b678694ab1e6c59a6b2e6f9325593d1e763aac0b211884d"),
+    ("invariance --fn esym:2,4 --measure dim_partials --trials 5 --seed 1",
+     "83e566ef71d757d643022734a37155f7e83e88604e72d95ed6f5a290a4b3b48f"),
+    ("table --n-min 4 --n-max 9 --d-min 2 --d-max 4 --field Fp:5",
+     "b4c881e9624075548ed424c0c4f76cac15b9865d9ef381f7c5eb96c1018e6bd3"),
 ]
 
 

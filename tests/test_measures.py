@@ -4,6 +4,8 @@ import random
 from dataclasses import asdict
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dense_matrices import dense_rank, partials_matrix, shifted_matrix
 from oracles import sympy_dim_partials, sympy_shifted_rank
@@ -15,6 +17,7 @@ from seplab import (
     derivative_rows,
     dim_partials,
     elementary_symmetric,
+    expand,
     from_spec,
     hessian,
     hessian_rank_at,
@@ -22,12 +25,15 @@ from seplab import (
     monomials_exact,
     monomials_upto,
     permanent_poly,
+    power,
     prime_field,
     determinant_poly,
+    sampler_from_spec,
     shifted_partials_rank,
     zero,
 )
 from seplab import linalg, measures
+from seplab.poly import linear_form
 
 F7 = prime_field(7)
 
@@ -174,6 +180,79 @@ def test_dim_partials_calls_derivative_once_per_nonzero_derivative(monkeypatch):
     dim_partials(g)
     nonzero = [c for c in monomials_upto(3, g.degree) if not real(g, c).is_zero]
     assert calls == nonzero
+
+
+def _orders_asked(f, monkeypatch):
+    """The operators dim_partials(f) asks ``measures.derivative`` for."""
+    calls = []
+    real = measures.derivative
+    monkeypatch.setattr(
+        measures, "derivative", lambda g, c: calls.append(c) or real(g, c)
+    )
+    dim_partials(f)
+    monkeypatch.undo()
+    return calls
+
+
+def test_dim_partials_of_homogeneous_f_asks_only_orders_up_to_half_the_degree(monkeypatch):
+    """Over Q and F_p with p > d the orders past d/2 are mirrored, not built;
+    over F_3, below the degree 4 of e(4,8), every nonzero operator is asked for."""
+    big = prime_field(1000003)
+    circuit = expand(sampler_from_spec("depth3:8,4,1", big).sample(random.Random(5)))
+    for f in (from_spec("esym:4,8"), circuit):
+        assert f.is_homogeneous and f.degree == 4
+        nonzero = [c for c in monomials_upto(8, 2) if not derivative(f, c).is_zero]
+        assert _orders_asked(f, monkeypatch) == nonzero
+    f = from_spec("esym:4,8", prime_field(3))
+    nonzero = [c for c in monomials_upto(8, 4) if not derivative(f, c).is_zero]
+    assert any(sum(c) == 4 for c in nonzero)
+    assert _orders_asked(f, monkeypatch) == nonzero
+
+
+def test_dim_partials_does_not_mirror_where_p_is_at_most_the_degree():
+    """x^2 over F_2 and x^3 over F_3: every derivative of order >= 1 is 0, so
+    the span is f alone; mirroring order 0 onto order d would count 2."""
+    assert dim_partials(monomial((2,), 1, prime_field(2))) == 1
+    assert dim_partials(monomial((3,), 1, prime_field(3))) == 1
+
+
+_MIRRORED = [RATIONALS, F7, prime_field(1000003)]
+_SMALL_P = [prime_field(2), prime_field(3)]
+
+
+def _homogeneous(kind, field, rng):
+    """A homogeneous input of the given kind and degree d <= 5, with d >= p
+    over F_2 and F_3, where every order is ranked."""
+    d = rng.randint(field.p if field in _SMALL_P else 0, 5)
+    n = rng.randint(1, 4)
+    if kind in ("esym", "depth3"):
+        d = max(d, 1)
+    if kind == "rand":
+        terms = {e: rng.randint(-4, 4) for e in monomials_exact(n, d) if rng.random() < 0.6}
+        return Poly(n, field, terms)
+    if kind == "esym":
+        return elementary_symmetric(d, rng.randint(d, 6), field)
+    if kind in ("det", "perm"):
+        return from_spec(f"{kind}:3", field)
+    if kind == "power":
+        return power(linear_form([rng.choice((-2, -1, 1, 2)) for _ in range(n)], field), d)
+    sampler = sampler_from_spec(f"depth3:{n},{d},{rng.randint(1, 3)}", field)
+    return expand(sampler.sample(rng))
+
+
+@pytest.mark.parametrize("field", _MIRRORED + _SMALL_P, ids=lambda f: f.name)
+@pytest.mark.parametrize("kind", ["rand", "esym", "det", "perm", "power", "depth3"])
+@settings(max_examples=6, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32 - 1))
+def test_dim_partials_of_homogeneous_f_matches_the_dense_rank(kind, field, seed):
+    """Mirrored (Q, F_7, F_1000003 with p > d) and fallback (F_2, F_3 with
+    d >= p) alike equal the rank of the full dense derivative matrix, and a
+    power l^d of a nonzero linear form spans d + 1 where p > d."""
+    f = _homogeneous(kind, field, random.Random(seed))
+    assert f.is_homogeneous
+    assert dim_partials(f) == dense_rank(f, partials_matrix(f))
+    if kind == "power" and field in _MIRRORED:
+        assert dim_partials(f) == f.degree + 1
 
 
 def test_order_zero_row_adds_one_for_homogeneous_inputs():
