@@ -16,19 +16,24 @@ in shifted's defaults k = l = 1.
 
 Every derivative measure is the rank of rows m * d^c f (a shift monomial
 times a derivative of f), and ``derivative_rows`` is the one generator of
-those rows; ``linalg.span_rank`` ranks them.  The operators c come from
-``poly.derivative_operators``, which lists, order by order, exactly those
-with a nonzero derivative, and ``derivative`` then serves each row from the
-same levels.  Zero rows are never built, only columns that are hit are
-ranked, and homogeneous f is ranked block by block; the row and column
+those rows.  The operators c come from ``poly.derivative_operators``, which
+lists, order by order, exactly those with a nonzero derivative, and
+``derivative`` then serves each row from the same levels.  Zero rows are
+never built and only columns that are hit are ranked; the row and column
 counts reported are those of the full matrix over all operators, shifts and
 monomials, counted with ``poly.monomial_count``.
 
-For homogeneous f of degree d, order k of ``dim_partials`` is M_k[c][m] =
-f_{c+m} (c+m)!/m! (|c| = k, |m| = d-k).  With G[c][m] = f_{c+m} (c+m)!,
-M_k = G diag(1/m!) and M_{d-k} = (diag(1/c!) G)^T have the rank of G when
-every e! with |e| = d is a unit: over Q and over F_p with p > d.  There only
-orders k <= d/2 are ranked; over F_p with p <= d all are (x^2 over F_2: 1).
+These rows reach ``linalg`` only through ``_block_rank``, as blocks (key,
+multiplicity, rows) ranked as the sum of multiplicity * span rank.  A
+non-homogeneous f is one block; for homogeneous f each row is homogeneous of
+degree D = deg f - |c| + |m| and rows of distinct D share no column, so
+there is one block per D, in first-seen order.  In ``dim_partials`` of
+homogeneous f of degree d the order-k block (D = d-k) is M_k[c][m] =
+f_{c+m} (c+m)!/m!.  With G[c][m] = f_{c+m} (c+m)!, M_k = G diag(1/m!) and
+M_{d-k} = (diag(1/c!) G)^T have the rank of G when every e! with |e| = d is
+a unit: over Q and over F_p with p > d.  There only orders k <= d/2 are
+built and the blocks with 2D > d count twice; over F_p with p <= d all
+orders are ranked (x^2 over F_2: 1).
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ from operator import add
 from typing import Sequence
 
 from . import linalg
-from .field import Scalar
+from .field import Field, Scalar
 from .poly import (
     Exponent,
     Poly,
@@ -68,7 +73,7 @@ class MeasureReport:
     cols: int
 
     def __post_init__(self):
-        if not (0 <= self.rank <= min(self.rows, self.cols) or self.rows == 0):
+        if not 0 <= self.rank <= min(self.rows, self.cols):
             raise ValueError("rank exceeds matrix dimensions")
 
 
@@ -96,30 +101,29 @@ def derivative_rows(
     return [{at[e]: v for e, v in g.items()} for at in shifted for g in derivs]
 
 
-def _rows_rank(f: Poly, rows: list[dict]) -> int:
-    """Span rank of rows built from f, by output-degree block when f is
-    homogeneous (its rows are then too, so the matrix is block diagonal)."""
+def _blocks(f: Poly, rows: list[dict], mirror: bool = False) -> list[tuple]:
+    """Rows built from f as (key, multiplicity, rows) blocks, graded by output
+    degree D when f is homogeneous and counted twice where mirror and 2D > d."""
     if not f.is_homogeneous:
-        return linalg.span_rank(rows, f.field)
-    blocks: dict[int, list[dict]] = {}
+        return [(None, 1, rows)]
+    by_degree: dict[int, list[dict]] = {}
     for r in rows:
         if r:
-            blocks.setdefault(sum(next(iter(r))), []).append(r)
-    return sum(linalg.span_rank(b, f.field) for b in blocks.values())
+            by_degree.setdefault(sum(next(iter(r))), []).append(r)
+    return [(D, 2 if mirror and 2 * D > f.degree else 1, b) for D, b in by_degree.items()]
+
+
+def _block_rank(blocks: list[tuple], field: Field) -> int:
+    """Sum of multiplicity * span rank over (key, multiplicity, rows) blocks."""
+    return sum(mult * linalg.span_rank(rows, field) for _, mult, rows in blocks)
 
 
 def dim_partials(f: Poly) -> int:
-    """Dimension of the span of all partial derivatives of f, order 0 included.
-    For homogeneous f of degree d over Q or F_p with p > d, order d-k has the
-    rank of order k (module docstring), so the orders past d/2 are mirrored."""
+    """Dimension of the span of all partial derivatives of f, order 0 included."""
     d, p = f.degree, f.field.p
-    if not f.is_homogeneous:
-        ops = [c for k in range(d + 1) for c in derivative_operators(f, k)]
-        return linalg.span_rank(derivative_rows(f, ops), f.field)
-    mirror = p is None or p > d
-    ranks = [linalg.span_rank(derivative_rows(f, derivative_operators(f, k)), f.field)
-             for k in range(d // 2 + 1 if mirror else d + 1)]
-    return sum(r if 2 * k == d or not mirror else 2 * r for k, r in enumerate(ranks))
+    mirror = f.is_homogeneous and (p is None or p > d)
+    ops = [c for k in range(d // 2 + 1 if mirror else d + 1) for c in derivative_operators(f, k)]
+    return _block_rank(_blocks(f, derivative_rows(f, ops), mirror), f.field)
 
 
 def shifted_partials_rank(f: Poly, k: int, l: int) -> int:
@@ -131,7 +135,8 @@ def shifted_partials_rank(f: Poly, k: int, l: int) -> int:
     if l < 0:
         raise ValueError("negative shift degree")
     shifts = monomials_upto(f.n, l) if k <= f.degree else []
-    return _rows_rank(f, derivative_rows(f, derivative_operators(f, k), shifts))
+    rows = derivative_rows(f, derivative_operators(f, k), shifts)
+    return _block_rank(_blocks(f, rows), f.field)
 
 
 # ---------------------------------------------------------------------------
@@ -143,16 +148,8 @@ def hessian(f: Poly) -> tuple[tuple[Poly, ...], ...]:
     """n x n matrix of second partial derivatives (entries are polynomials)."""
     if f.n < 1:
         raise ValueError("hessian needs at least one variable")
-    rows = []
-    for i in range(f.n):
-        row = []
-        for j in range(f.n):
-            orders = [0] * f.n
-            orders[i] += 1
-            orders[j] += 1
-            row.append(derivative(f, tuple(orders)))
-        rows.append(tuple(row))
-    return tuple(rows)
+    unit = [tuple(int(i == j) for j in range(f.n)) for i in range(f.n)]
+    return tuple(tuple(derivative(f, tuple(map(add, a, b))) for b in unit) for a in unit)
 
 
 def hessian_rank_at(f: Poly, point) -> int:

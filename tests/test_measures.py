@@ -245,12 +245,17 @@ def _homogeneous(kind, field, rng):
 @settings(max_examples=6, deadline=None, derandomize=True, database=None)
 @given(st.integers(0, 2**32 - 1))
 def test_dim_partials_of_homogeneous_f_matches_the_dense_rank(kind, field, seed):
-    """Mirrored (Q, F_7, F_1000003 with p > d) and fallback (F_2, F_3 with
-    d >= p) alike equal the rank of the full dense derivative matrix, and a
-    power l^d of a nonzero linear form spans d + 1 where p > d."""
+    """Both derivative measures rank homogeneous f by output-degree block.
+    dim_partials, mirrored (Q, F_7, F_1000003 with p > d) and fallback (F_2,
+    F_3 with d >= p) alike, and shifted at (k, l) = (1, 1), (2, 1) equal the
+    rank of the full dense matrix, and a power l^d of a nonzero linear form
+    spans d + 1 where p > d."""
     f = _homogeneous(kind, field, random.Random(seed))
     assert f.is_homogeneous
     assert dim_partials(f) == dense_rank(f, partials_matrix(f))
+    for k, l in ((1, 1), (2, 1)):
+        if k <= f.degree:
+            assert shifted_partials_rank(f, k, l) == dense_rank(f, shifted_matrix(f, k, l))
     if kind == "power" and field in _MIRRORED:
         assert dim_partials(f) == f.degree + 1
 
@@ -407,6 +412,8 @@ def test_compute_measure_errors():
         compute_measure("hessian_rank", f)
     with pytest.raises(ValueError):
         compute_measure("does_not_exist", f)
+    with pytest.raises(ValueError, match="rank exceeds"):
+        measures.MeasureReport("dim_partials", {}, 1, 0, 0)
 
 
 @pytest.mark.parametrize("name", measures.MEASURES)
