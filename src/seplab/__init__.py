@@ -12,7 +12,6 @@ from .poly import (
     Poly,
     add,
     coefficient_of,
-    constant,
     derivative,
     evaluate,
     grlex_key,

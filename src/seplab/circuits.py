@@ -60,10 +60,7 @@ def expand(circuit: Depth4Circuit) -> Poly:
     """Multiply out a circuit into its canonical sparse polynomial."""
     total = polyops.zero(circuit.n, circuit.field)
     for factors in circuit.summands:
-        prod = polyops.constant(circuit.n, 1, circuit.field)
-        for f in factors:
-            prod = polyops.multiply(prod, f)
-        total = polyops.add(total, prod)
+        total = polyops.add(total, polyops.multiply(*factors))
     return total
 
 

@@ -47,7 +47,7 @@ from operator import mul, or_
 from typing import Callable, Mapping, Sequence
 
 from .field import Field, Scalar
-from .poly import grlex_key
+from .poly import _grlex_sorted
 
 
 def _eliminate(m: list[list[int]], p: int | None) -> list[int]:
@@ -365,7 +365,7 @@ def densify(
     outside raises ValueError instead of being dropped.
     """
     if cols is None:
-        cols = sorted({e for r in rows for e in r}, key=grlex_key)
+        cols = _grlex_sorted({e for r in rows for e in r})
     index = {e: i for i, e in enumerate(cols)}
     dense = []
     for r in rows:

@@ -114,8 +114,12 @@ def _blocks(f: Poly, rows: list[dict], mirror: bool = False) -> list[tuple]:
 
 
 def _block_rank(blocks: list[tuple], field: Field) -> int:
-    """Sum of multiplicity * span rank over (key, multiplicity, rows) blocks."""
-    return sum(mult * linalg.span_rank(rows, field) for _, mult, rows in blocks)
+    """Sum of multiplicity * span rank over (key, multiplicity, rows) blocks;
+    rows are nonzero canonical term maps, so one row is rank 1, not laid out."""
+    return sum(
+        mult * (1 if len(rows) == 1 else linalg.span_rank(rows, field))
+        for _, mult, rows in blocks
+    )
 
 
 def dim_partials(f: Poly) -> int:

@@ -12,9 +12,10 @@ ties broken by tuple comparison of the exponents.
 exponents: each exponent tuple (e_1, .., e_n) becomes the single integer
 sum e_i * B^(n-i), so a monomial product is one integer addition.  The base B
 must exceed every per-variable exponent of the result, so that no digit
-carries: deg f + deg g + 1 for a product, k * deg f + 1 for a k-th power,
-and sum_i need_i * deg(image_i) + 1 for a substitution, where need_i is the
-highest power of variable i in f.  Results are unpacked once, at the end.
+carries: the factors' degrees summed plus 1 for a product, k * deg f + 1 for
+a k-th power, and sum_i need_i * deg(image_i) + 1 for a substitution, where
+need_i is the highest power of variable i in f.  Results are unpacked once,
+at the end, so a product of any number of factors is one pass.
 
 ``derivative`` keeps the nonzero derivatives of f on f as levels by order:
 level k+1 comes from level k alone, since d^(c+u_i) f = d_i d^c f, and each
@@ -29,6 +30,7 @@ that rank code differentiates by.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb
 from typing import Mapping, Sequence
 
@@ -40,6 +42,12 @@ Exponent = tuple[int, ...]
 def grlex_key(e: Exponent):
     """Sort key realizing the graded-lexicographic order."""
     return (sum(e), e)
+
+
+def _grlex_sorted(keys) -> list[Exponent]:
+    """``sorted(keys, key=grlex_key)`` by two C-level sorts: tuple order,
+    then a stable sort by total degree."""
+    return sorted(sorted(keys), key=sum)
 
 
 def monomials_exact(n: int, degree: int, max_exponent: int | None = None) -> list[Exponent]:
@@ -85,9 +93,10 @@ class Poly:
 
     Construction canonicalizes: coefficients are coerced into ``field``, zero
     terms are dropped, exponents are validated against ``n`` (only
-    ``derivative``, whose term maps are canonical already, skips this).  Instances are
-    treated as immutable; all operations return new values.  The zero
-    polynomial is the empty term map and has degree -1.
+    ``derivative``, ``multiply`` and ``add``, whose term maps are canonical
+    already, skip this).  Instances are treated as immutable; all operations
+    return new values.  The zero polynomial is the empty term map and has
+    degree -1.
     """
 
     n: int
@@ -112,17 +121,18 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    @property
+    # computed on first use and kept, like the derivative levels, outside the fields
+    @cached_property
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        return max((sum(e) for e in self.terms), default=-1)
+        return max(map(sum, self.terms), default=-1)
 
-    @property
+    @cached_property
     def is_homogeneous(self) -> bool:
-        return len({sum(e) for e in self.terms}) <= 1
+        return len(set(map(sum, self.terms))) <= 1
 
     def sorted_terms(self) -> list[tuple[Exponent, Scalar]]:
-        return sorted(self.terms.items(), key=lambda t: grlex_key(t[0]))
+        return [(e, self.terms[e]) for e in _grlex_sorted(self.terms)]
 
     def coefficient(self, e: Exponent) -> Scalar:
         return self.terms.get(tuple(e), 0)
@@ -141,10 +151,6 @@ class Poly:
 
 def zero(n: int, field: Field = RATIONALS) -> Poly:
     return Poly(n, field, {})
-
-
-def constant(n: int, c, field: Field = RATIONALS) -> Poly:
-    return Poly(n, field, {(0,) * n: c})
 
 
 def variable(i: int, n: int, field: Field = RATIONALS) -> Poly:
@@ -167,11 +173,11 @@ def _check_ring(f: Poly, g: Poly):
 
 def add(f: Poly, g: Poly) -> Poly:
     _check_ring(f, g)
+    coerce = f.field.coerce  # over Q 1/2 + 1/2 is the int 1
     terms = dict(f.terms)
     for e, c in g.terms.items():
-        prev = terms.get(e)
-        terms[e] = c if prev is None else prev + c
-    return Poly(f.n, f.field, terms)
+        terms[e] = coerce(terms[e] + c) if e in terms else c
+    return _trusted(f.n, f.field, {e: c for e, c in terms.items() if c})
 
 
 def negate(f: Poly) -> Poly:
@@ -227,12 +233,18 @@ def _packed_mul(a: Mapping[int, Scalar], b: Mapping[int, Scalar], p: int | None)
     return {k: vp for k, v in out.items() if (vp := v % p)}
 
 
-def multiply(f: Poly, g: Poly) -> Poly:
-    _check_ring(f, g)
+def multiply(f: Poly, *factors: Poly) -> Poly:
+    """The product of f and any further factors, packed and unpacked once."""
+    for g in factors:
+        _check_ring(f, g)
     # no exponent of the product exceeds its total degree
-    base = max(f.degree, 0) + max(g.degree, 0) + 1
-    product = _packed_mul(_pack(f.terms, base), _pack(g.terms, base), f.field.p)
-    return Poly(f.n, f.field, _unpack(product, f.n, base))
+    base = sum(max(g.degree, 0) for g in (f, *factors)) + 1
+    product = _pack(f.terms, base)
+    for g in factors:
+        product = _packed_mul(product, _pack(g.terms, base), f.field.p)
+    coerce = f.field.coerce  # over Q 1/2 * 2 is the int 1; mod p all are ints
+    product = {k: v if type(v) is int else coerce(v) for k, v in product.items()}
+    return _trusted(f.n, f.field, _unpack(product, f.n, base))
 
 
 def power(f: Poly, k: int) -> Poly:

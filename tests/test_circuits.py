@@ -3,17 +3,23 @@
 import hashlib
 import json
 import random
+from fractions import Fraction
+from operator import add as add_exponents
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from seplab import (
     Depth4Circuit,
     Poly,
     RATIONALS,
     add,
-    constant,
     dim_partials,
     expand,
+    monomial,
+    multiply,
+    negate,
     poly_to_json,
     prime_field,
     sample_depth3,
@@ -53,6 +59,81 @@ def test_expand_is_additive_over_gates():
     b = sample_depth3(3, 2, 1, RATIONALS, rng)
     joint = Depth4Circuit(3, RATIONALS, 1, a.summands + b.summands)
     assert expand(joint) == add(expand(a), expand(b))
+
+
+FIELDS = (RATIONALS, prime_field(2), prime_field(7), prime_field(2**31 - 1))
+# halves and their negatives, so that products and sums cancel to 0 and reach
+# integral values such as 1/2 * 2
+Q_SCALARS = (1, -1, 2, -2, 3, Fraction(1, 2), Fraction(-1, 2), Fraction(3, 2), Fraction(2, 3))
+
+
+@st.composite
+def circuits(draw):
+    """A circuit over one of FIELDS with t = 1 or 2, n = 0..3 and one to
+    three summands of one to three factors."""
+    field, n, t = draw(st.sampled_from(FIELDS)), draw(st.integers(0, 3)), draw(st.integers(1, 2))
+    exponents = st.tuples(*[st.integers(0, t)] * n).filter(lambda e: sum(e) <= t)
+    scalars = (
+        st.sampled_from(Q_SCALARS) if field.p is None else st.integers(-2 * field.p, 2 * field.p)
+    )
+    factor = st.builds(
+        lambda terms: Poly(n, field, terms),
+        st.dictionaries(exponents, scalars, min_size=1, max_size=4),
+    ).filter(lambda f: not f.is_zero)
+    summands = draw(st.lists(st.lists(factor, min_size=1, max_size=3), min_size=1, max_size=3))
+    return Depth4Circuit(n, field, t, tuple(map(tuple, summands)))
+
+
+def reference_product(n, field, factors):
+    """The product factor by factor, each step through the validating constructor."""
+    product = Poly(n, field, {(0,) * n: 1})
+    for g in factors:
+        terms = {}
+        for e1, c1 in product.terms.items():
+            for e2, c2 in g.terms.items():
+                e = tuple(map(add_exponents, e1, e2))
+                terms[e] = terms.get(e, 0) + c1 * c2
+        product = Poly(n, field, terms)
+    return product
+
+
+def reference_sum(f, g):
+    terms = dict(f.terms)
+    for e, c in g.terms.items():
+        terms[e] = terms.get(e, 0) + c
+    return Poly(f.n, f.field, terms)
+
+
+def assert_same(f, g):
+    """Equal rings, term maps and coefficient types."""
+    assert (f.n, f.field, f.terms) == (g.n, g.field, g.terms)
+    assert {e: type(c) for e, c in f.terms.items()} == {e: type(c) for e, c in g.terms.items()}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(circuits())
+@example(  # 1/2 x * 2 x - x * x: an integral product, then a sum that cancels
+    Depth4Circuit(1, RATIONALS, 1, (
+        (monomial((1,), Fraction(1, 2)), monomial((1,), 2)),
+        (monomial((1,), -1), monomial((1,), 1)),
+    ))
+)
+@example(sigma_pi_sigma(2, ((1, 1), (1, 1)), field=prime_field(2)))  # 2xy is 0 in F_2
+def test_products_sums_and_expansions_match_factor_by_factor_references(circuit):
+    """multiply of a summand's factors (with a zero factor: 0), add of the
+    running sum and the product, and expand of the circuit agree with the
+    references, coefficient types included."""
+    n, field = circuit.n, circuit.field
+    nothing = Poly(n, field, {})
+    total = nothing
+    for factors in circuit.summands:
+        product = multiply(*factors)
+        assert_same(product, reference_product(n, field, factors))
+        assert_same(multiply(*factors, nothing), nothing)
+        assert_same(add(product, negate(product)), nothing)
+        assert_same(add(total, product), reference_sum(total, product))
+        total = reference_sum(total, product)
+    assert_same(expand(circuit), total)
 
 
 def test_circuit_validation():
@@ -167,7 +248,7 @@ def test_nw_bound_frozen_examples():
     rep2 = verify_nw_bound(single)
     assert (rep2.dimension, rep2.bound, rep2.ok) == (2, 2, True)
     assert (rep2.s, rep2.d) == (1, 1)
-    scaled = Depth4Circuit(2, RATIONALS, 1, ((constant(2, 3), linear_form((1, 2), RATIONALS)),))
+    scaled = Depth4Circuit(2, RATIONALS, 1, ((monomial((0, 0), 3), linear_form((1, 2), RATIONALS)),))
     assert (verify_nw_bound(scaled).dimension, verify_nw_bound(scaled).bound) == (2, 2)
 
 

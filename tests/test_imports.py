@@ -58,6 +58,7 @@ KEPT = {
     "compose": "the group law that the group tests check apply against",
     "power": "k-th powers on the product kernel, checked against sympy with multiply",
     "minors_explicit": "spans the minors explicitly at tiny sizes, to check evaluate_module",
+    "grlex_key": "the grlex order as a sort key, which the column and term order tests check against",
 }
 
 

@@ -19,7 +19,7 @@ from oracles import (
     rational_rank,
     two_rref_kernel,
 )
-from seplab import RATIONALS, intersect_all, linalg, prime_field
+from seplab import RATIONALS, grlex_key, intersect_all, linalg, prime_field
 from seplab.linalg import (
     _CERT_MIN_DIM,
     _CERT_PRIMES,
@@ -603,6 +603,11 @@ def test_densify_lays_sparse_rows_over_the_grlex_support():
     with pytest.raises(ValueError):
         densify(rows, cols=[(1, 0), (0, 0)])
     assert densify([]) == ([], [])
+    # supports of mixed degree, where tuple order alone is not grlex
+    rng = random.Random(41)
+    keys = [tuple(rng.randrange(4) for _ in range(3)) for _ in range(60)]
+    mixed = [{e: 1 for e in rng.sample(keys, 20)} for _ in range(4)]
+    assert densify(mixed)[0] == sorted({e for r in mixed for e in r}, key=grlex_key)
 
 
 def test_span_rank_of_sparse_rows_against_sympy():
@@ -619,6 +624,9 @@ def test_span_rank_of_sparse_rows_against_sympy():
             expected = rational_rank(dense) if p is None else modular_rank(dense, p)
             assert span_rank(rows, field) == expected
     assert span_rank([{}, {}], RATIONALS) == 0
+    # one row whose values all vanish mod p spans nothing
+    assert span_rank([{(1, 0): 7, (0, 1): -14}], prime_field(7)) == 0
+    assert span_rank([{(0,): 2}], prime_field(2)) == 0
 
 
 @st.composite

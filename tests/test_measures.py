@@ -276,6 +276,17 @@ def test_order_zero_row_adds_one_for_homogeneous_inputs():
     assert dim_partials(g) >= proper_partials(g)
 
 
+def test_a_one_row_block_has_rank_one_without_a_rank_call(monkeypatch):
+    """derivative_rows gives nonzero canonical rows, so a block of one row
+    counts 1 over any field, F_2 and F_7 included, times its multiplicity."""
+    monkeypatch.setattr(linalg, "rank", None)  # any rank call fails
+    for field in (prime_field(2), F7):
+        f = Poly(3, field, {(1, 1, 0): 1, (0, 0, 2): field.p - 1})
+        rows = derivative_rows(f, [(0, 0, 0)])
+        assert measures._block_rank([(2, 1, rows)], field) == 1
+        assert measures._block_rank([(2, 2, rows), (1, 1, rows[:1])], field) == 3
+
+
 def test_zero_polynomial_conventions():
     assert dim_partials(zero(3)) == 0
     rep = compute_measure("dim_partials", zero(3))

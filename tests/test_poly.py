@@ -1,5 +1,6 @@
 """Tests for sparse exact polynomial arithmetic."""
 
+import itertools
 import math
 import random
 from dataclasses import fields
@@ -16,7 +17,6 @@ from seplab import (
     Poly,
     add,
     coefficient_of,
-    constant,
     derivative,
     evaluate,
     grlex_key,
@@ -36,7 +36,7 @@ from seplab import (
     zero,
 )
 from seplab.linalg import mat_mul
-from seplab.poly import derivative_operators, monomial_count
+from seplab.poly import _trusted, derivative_operators, monomial_count
 
 F7 = prime_field(7)
 
@@ -95,6 +95,32 @@ def test_homogeneity_flag():
     assert not Poly(2, RATIONALS, {(2, 0): 1, (1, 0): 3}).is_homogeneous
 
 
+def test_cached_degree_and_homogeneity_match_a_fresh_recomputation():
+    """Polynomials from every producer, read twice: the zero polynomial has
+    degree -1 and is homogeneous, in any number of variables."""
+    f = Poly(3, RATIONALS, {(2, 1, 0): Fraction(1, 2), (0, 0, 1): 4, (0, 0, 0): -1})
+    g = Poly(3, RATIONALS, {(1, 1, 1): 2, (0, 0, 1): -4})
+    h = Poly(2, F7, {(3, 0): 1, (1, 1): 3})
+    made = [
+        f, g, h, zero(3), zero(0), monomial((), 5),
+        _trusted(2, F7, {(1, 1): 2, (2, 0): 5}), _trusted(0, F7, {}),
+        derivative(f, (1, 0, 0)), derivative(f, (0, 0, 2)), derivative(h, (3, 0)),
+        multiply(f, g), multiply(h, h, h), multiply(f, zero(3)), multiply(monomial((), 2)),
+        add(f, g), add(g, negate(g)), add(h, h), add(zero(0), monomial((), 3)),
+        substitute(f, [variable(0, 2), variable(1, 2), Poly(2, RATIONALS, {(1, 0): 1, (0, 0): 1})]),
+        substitute(h, [zero(1, F7), variable(0, 1, F7)]),
+    ]
+    for p in made:
+        degrees = {sum(e) for e in p.terms}
+        for _ in range(2):
+            assert p.degree == max(degrees, default=-1), p
+            assert p.is_homogeneous == (len(degrees) <= 1), p
+    assert [(p.degree, p.is_homogeneous) for p in (zero(3), zero(0), made[-1])] == [(-1, True)] * 3
+    assert [(p.degree, p.is_homogeneous) for p in (f, made[11], made[12])] == [
+        (3, False), (6, False), (9, False)
+    ]
+
+
 def test_ring_arithmetic_matches_sympy():
     """add/subtract/multiply/power agree with sympy expansion."""
     rng = random.Random(101)
@@ -112,7 +138,7 @@ def test_ring_arithmetic_matches_sympy():
         )
     f = rand_poly(2, 2, rng)
     assert power(f, 3) == multiply(f, multiply(f, f))
-    assert power(f, 0) == constant(2, 1)
+    assert power(f, 0) == monomial((0, 0), 1)
 
 
 def test_prime_field_arithmetic_is_reduction_of_integer_arithmetic():
@@ -142,7 +168,7 @@ def test_partial_derivative_matches_sympy():
 def test_iterated_derivative_picks_up_falling_factorials():
     f = monomial((3,), 1)
     assert derivative(f, (2,)) == monomial((1,), 6)
-    assert derivative(f, (3,)) == constant(1, 6)
+    assert derivative(f, (3,)) == monomial((0,), 6)
     assert derivative(f, (4,)).is_zero
     rng = random.Random(6)
     xs = sympy.symbols("x0:2")
@@ -363,6 +389,9 @@ def test_json_round_trip_both_fields():
         "terms": [{"e": [0, 0, 0], "c": "2"}, {"e": [1, 1, 1], "c": "6"}],
     }
     assert data["terms"] == sorted(data["terms"], key=lambda t: grlex_key(tuple(t["e"])))
+    # mixed degrees, where tuple order alone is not grlex
+    mixed = Poly(3, F7, {e: 1 for e in itertools.product(range(3), repeat=3)})
+    assert [e for e, _ in mixed.sorted_terms()] == sorted(mixed.terms, key=grlex_key)
 
 
 def test_str_is_readable():
@@ -458,7 +487,7 @@ def test_product_kernel_edge_cases_match_sympy_expand(field):
     cases = [
         (zero(2, field), f, [nonhom, nonhom], 2),
         (f, zero(2, field), [zero(2, field), nonhom], 0),
-        (f, f, [constant(0, half, field), constant(0, 4, field)], 3),
+        (f, f, [monomial((), half, field), monomial((), 4, field)], 3),
         (f, nonhom, [nonhom, variable(0, 2, field)], 3),
     ]
     for f1, g, images, k in cases:
@@ -480,14 +509,14 @@ def test_rational_coefficients_are_ints_exactly_when_integral():
     ]
     assert f.coefficient((1, 0)) == 1 and f.coefficient((0, 0)) == 0
     assert type(q.parse("8/4")) is int and type(q.parse("0.5")) is Fraction
-    assert type(f.coefficient((0, 0))) is int and type(evaluate(constant(2, 0), [1, 1])) is int
+    assert type(f.coefficient((0, 0))) is int and type(evaluate(monomial((0, 0), 0), [1, 1])) is int
     derived = derivative(f, (2, 0))  # (1/2 x0^2)'' = 1
     halves = Poly(2, q, {(1, 0): Fraction(1, 2), (0, 1): Fraction(3, 2)})
-    doubled = multiply(halves, constant(2, 2))
+    doubled = multiply(halves, monomial((0, 0), 2))
     moved = substitute_linear(f, [[2, 0], [0, Fraction(1, 2)]])  # 1/2 * 2^2 = 2, ...
     for g in (f, derived, doubled, moved, power(halves, 2)):
         _assert_canonical(g)
-    assert derived == constant(2, 1) and doubled == Poly(2, q, {(1, 0): 1, (0, 1): 3})
+    assert derived == monomial((0, 0), 1) and doubled == Poly(2, q, {(1, 0): 1, (0, 1): 3})
     assert moved == Poly(2, q, {(2, 0): 2, (1, 0): 2, (0, 1): 1, (1, 1): 2})
     for value in (evaluate(halves, [2, 2]), evaluate(halves, [1, 0])):
         assert type(value) is (int if value.denominator == 1 else Fraction)
