@@ -21,7 +21,6 @@ from .poly import (
     multiply,
     negate,
     poly_to_json,
-    power,
     scalar_multiply,
     substitute,
     substitute_linear,
@@ -95,11 +94,9 @@ from .sepmod import (
     SeparationReport,
     evaluate_module,
     explicit_product,
-    explicit_span,
     group_closure,
     in_span,
     minors_explicit,
-    module_product,
     poly_det,
     poly_matrix_minors,
     run_separation,

@@ -118,8 +118,6 @@ class NWBoundReport:
     dimension: int
     bound: int
     ok: bool
-    s: int
-    d: int
 
 
 def verify_nw_bound(circuit: Depth4Circuit) -> NWBoundReport:
@@ -130,7 +128,7 @@ def verify_nw_bound(circuit: Depth4Circuit) -> NWBoundReport:
         raise ValueError(f"the s * 2^d budget needs linear factors (t = 1), not t={circuit.t}")
     dim = measures.dim_partials(expand(circuit))
     bound = circuit.s * (1 << circuit.d)
-    return NWBoundReport(dim, bound, dim <= bound, circuit.s, circuit.d)
+    return NWBoundReport(dim, bound, dim <= bound)
 
 
 # ---------------------------------------------------------------------------

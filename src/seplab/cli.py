@@ -77,8 +77,16 @@ def _measure_params(args, fld: Field) -> dict:
     field; ``measures.measure_params`` checks them and fills in defaults."""
     params = {key: v for key in ("k", "l", "point") if (v := vars(args).get(key)) is not None}
     if "point" in params:
-        params["point"] = [fld.parse(t.strip()) for t in params["point"].split(",") if t.strip()]
+        params["point"] = [_point_entry(t, fld) for t in params["point"].split(",") if t.strip()]
     return params
+
+
+def _point_entry(token: str, fld: Field):
+    """One --point entry as a scalar of the field; a bad one is named."""
+    try:
+        return fld.coerce(token)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"bad --point entry {token.strip()!r} over {fld}: {exc}") from exc
 
 
 def _only(
@@ -92,9 +100,8 @@ def _only(
 
 
 def _mod3_residue(args, spec: str | None) -> int:
-    """--mod3-residue, which only a "mod3:n" spec reads ("mod3:n,r" has its own)."""
-    kind, _, rest = (spec or "").partition(":")
-    reads = kind == "mod3" and "," not in rest
+    """--mod3-residue, which only a "mod3:n" spec reads."""
+    reads = (spec or "").partition(":")[0] == "mod3"
     return _only(args.mod3_residue, "--mod3-residue", reads, 0, 'a "mod3:n" function spec')
 
 

@@ -9,9 +9,8 @@ the only scalar division, in ``inv``, divides a Fraction, so no value becomes
 a float.  Over F_p scalars are ints in ``[0, p)``.
 
 A :class:`Field` value tags a polynomial or matrix with the arithmetic to use
-and provides the scalar helpers (coercion, inversion, parsing, exact
-formatting).  Hot loops branch on ``field.p`` directly and inline the modular
-reduction.
+and provides the scalar helpers, coercion (strings included) and inversion.
+Hot loops branch on ``field.p`` directly and inline the modular reduction.
 """
 
 from __future__ import annotations
@@ -70,7 +69,8 @@ class Field:
         return self.name
 
     def coerce(self, value) -> Scalar:
-        """Bring an int, Fraction, or string into canonical scalar form.
+        """Bring an int, Fraction, or string such as "-2/5" or "0.25"
+        (surrounding whitespace allowed) into canonical scalar form.
 
         Over the rationals that is an ``int`` when the value is integral and
         a ``Fraction`` otherwise.  Over F_p a Fraction is accepted when its
@@ -104,10 +104,6 @@ class Field:
         if a == 0:
             raise ZeroDivisionError("inverse of 0")
         return pow(a, self.p - 2, self.p)
-
-    def parse(self, text: str) -> Scalar:
-        """Parse an exact scalar from a string such as "3", "-2/5", "0.25"."""
-        return self.coerce(Fraction(text.strip()))
 
 
 RATIONALS = Field()

@@ -125,9 +125,9 @@ def from_spec(
 ) -> Poly:
     """Build a benchmark polynomial from its text spec.
 
-    Formats: "esym:d,n", "det:n", "perm:n", "mod3:n" (or "mod3:n,residue"),
-    "rand:n,d,seed".  ``field`` defaults to the rationals (ignored for mod3,
-    which is always over F_2).
+    Formats: "esym:d,n", "det:n", "perm:n", "mod3:n" (its residue is
+    ``mod3_residue``), "rand:n,d,seed".  ``field`` defaults to the rationals
+    (ignored for mod3, which is always over F_2).
     """
     kind, args = parse_spec(spec, "function")
     fld = field or RATIONALS
@@ -137,11 +137,12 @@ def from_spec(
         return determinant_poly(args[0], fld)
     if kind == "perm" and len(args) == 1:
         return permanent_poly(args[0], fld)
-    if kind == "mod3" and len(args) in (1, 2):
+    if kind == "mod3" and len(args) == 1:
         if field is not None and field.p != 2:
             raise ValueError("mod3 is defined over F2 only")
-        residue = args[1] if len(args) == 2 else mod3_residue
-        return mod3_multilinear(args[0], residue)
+        return mod3_multilinear(args[0], mod3_residue)
+    if kind == "mod3" and len(args) == 2:
+        raise ValueError(f"function spec {spec!r}: a mod3 residue is set by --mod3-residue")
     if kind == "rand" and len(args) == 3:
         return random_dense_poly(args[0], args[1], trial_rng(args[2], 0), fld)
     raise ValueError(

@@ -179,10 +179,6 @@ class CoeffMap:
     every f supported on the basis.
     """
 
-    n: int
-    d: int
-    field: Field
-    homogeneous: bool
     basis: tuple
     matrix: tuple[tuple[Scalar, ...], ...]
 
@@ -197,7 +193,7 @@ def induced_coeff_map(g: GroupElement, d: int, homogeneous: bool = True) -> Coef
     basis = monomials_exact(g.n, d) if homogeneous else monomials_upto(g.n, d)
     images = [apply(g, monomial(e, 1, g.field)).terms for e in basis]
     matrix = tuple(zip(*linalg.densify(images, basis)[1]))
-    return CoeffMap(g.n, d, g.field, homogeneous, tuple(basis), matrix)
+    return CoeffMap(tuple(basis), matrix)
 
 
 # ---------------------------------------------------------------------------

@@ -140,9 +140,10 @@ def _width(rows, ncols: int | None) -> int:
     return width
 
 
-def _field_rows(rows: list[list], field: Field) -> list[list[int]]:
-    """Rows of ints ready to eliminate: residues mod p, or over ℚ each row
-    times the lcm of its denominators (which keeps the row space)."""
+def _field_rows(rows, field: Field) -> list[list[int]]:
+    """New rows of ints ready to eliminate, so the caller's rows are never
+    touched: residues mod p, or over ℚ each row times the lcm of its
+    denominators (which keeps the row space)."""
     p = field.p
     if p is not None:
         # a Fraction stays a Fraction under % p, so it goes through coerce
@@ -151,9 +152,9 @@ def _field_rows(rows: list[list], field: Field) -> list[list[int]]:
     out = []
     for r in rows:
         # ints and Fractions both carry numerator and denominator; a row of
-        # ints is kept as it is
+        # ints is copied as it is
         if set(map(type, r)) <= {int}:
-            out.append(r)
+            out.append(list(r))
             continue
         den = lcm(*(x.denominator for x in r))
         out.append([x.numerator * (den // x.denominator) for x in r])
@@ -352,7 +353,7 @@ def rank(rows, field: Field, ncols: int | None = None) -> int:
         r = _certified_rank(sparse, width)
         if r is not None:
             return r
-    return len(_eliminate(_field_rows([list(r) for r in rows], field), field.p))
+    return len(_eliminate(_field_rows(rows, field), field.p))
 
 
 def densify(
@@ -392,7 +393,7 @@ def rref(rows, field: Field, ncols: int | None = None) -> tuple[list[list[Scalar
     equal as lists.
     """
     ncols = _width(rows, ncols)
-    m = _field_rows([list(r) for r in rows], field)
+    m = _field_rows(rows, field)
     p = field.p
     pivots = _eliminate(m, p)
     # Back-substitute over the echelon rows, bottom row first: scale each

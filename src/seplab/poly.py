@@ -8,14 +8,14 @@ The canonical monomial order used for iteration and matrix column indexing
 everywhere in this package is graded lexicographic: lower total degree first,
 ties broken by tuple comparison of the exponents.
 
-``multiply``, ``power`` and ``substitute`` share one product kernel on packed
+``multiply`` and ``substitute`` share one product kernel on packed
 exponents: each exponent tuple (e_1, .., e_n) becomes the single integer
 sum e_i * B^(n-i), so a monomial product is one integer addition.  The base B
 must exceed every per-variable exponent of the result, so that no digit
-carries: the factors' degrees summed plus 1 for a product, k * deg f + 1 for
-a k-th power, and sum_i need_i * deg(image_i) + 1 for a substitution, where
-need_i is the highest power of variable i in f.  Results are unpacked once,
-at the end, so a product of any number of factors is one pass.
+carries: the factors' degrees summed plus 1 for a product, and
+sum_i need_i * deg(image_i) + 1 for a substitution, where need_i is the
+highest power of variable i in f.  Results are unpacked once, at the end, so
+a product of any number of factors, a k-th power included, is one pass.
 
 ``derivative`` keeps the nonzero derivatives of f on f as levels by order:
 level k+1 comes from level k alone, since d^(c+u_i) f = d_i d^c f, and each
@@ -245,21 +245,6 @@ def multiply(f: Poly, *factors: Poly) -> Poly:
     coerce = f.field.coerce  # over Q 1/2 * 2 is the int 1; mod p all are ints
     product = {k: v if type(v) is int else coerce(v) for k, v in product.items()}
     return _trusted(f.n, f.field, _unpack(product, f.n, base))
-
-
-def power(f: Poly, k: int) -> Poly:
-    if k < 0:
-        raise ValueError("negative power")
-    base = k * max(f.degree, 0) + 1
-    p = f.field.p
-    result, square = {0: 1}, _pack(f.terms, base)
-    while k:
-        if k & 1:
-            result = _packed_mul(result, square, p)
-        k >>= 1
-        if k:
-            square = _packed_mul(square, square, p)
-    return Poly(f.n, f.field, _unpack(result, f.n, base))
 
 
 def _trusted(n: int, field: Field, terms: dict[Exponent, Scalar]) -> Poly:

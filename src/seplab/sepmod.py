@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import asdict, astuple, dataclass, field as dc_field, fields
+from dataclasses import astuple, dataclass, field as dc_field, fields
 from typing import Sequence, Union
 
 from . import circuits, groups, linalg, measures
@@ -173,14 +173,6 @@ class ProductModule:
 TestModule = Union[ExplicitSpan, MinorsOfMeasure, ProductModule]
 
 
-def explicit_span(ambient: Ambient, polys: Sequence[Poly]) -> ExplicitSpan:
-    return ExplicitSpan(ambient, tuple(polys))
-
-
-def module_product(left: TestModule, right: TestModule) -> ProductModule:
-    return ProductModule(left, right)
-
-
 def explicit_product(left: ExplicitSpan, right: ExplicitSpan) -> ExplicitSpan:
     """Materialized product span: pairwise products of basis elements."""
     if left.ambient != right.ambient:
@@ -213,11 +205,10 @@ class ModuleEvaluation:
     vanishes: bool
     value: int
     threshold: int
-    detail: dict
 
 
 def evaluate_module(module: TestModule, f: Poly) -> ModuleEvaluation:
-    """Decide vanishing of the module at f, with witness data.
+    """Decide vanishing of the module at f.
 
     Rank modules report the measure rank against the threshold r; explicit
     spans report how many basis test polynomials are nonzero at f (module
@@ -225,39 +216,15 @@ def evaluate_module(module: TestModule, f: Poly) -> ModuleEvaluation:
     """
     if isinstance(module, MinorsOfMeasure):
         module.ambient.require(f)
-        report = measures.compute_measure(module.measure, f, module.params)
-        return ModuleEvaluation(
-            vanishes=report.rank <= module.r,
-            value=report.rank,
-            threshold=module.r,
-            detail={"measure": module.measure, "params": report.params},
-        )
+        rank = measures.compute_measure(module.measure, f, module.params).rank
+        return ModuleEvaluation(rank <= module.r, rank, module.r)
     if isinstance(module, ExplicitSpan):
         point = module.ambient.coeff_vector(f)
-        nonzero = [
-            i
-            for i, t in enumerate(module.basis)
-            if polyops.evaluate(t, point) != 0
-        ]
-        return ModuleEvaluation(
-            vanishes=not nonzero,
-            value=len(nonzero),
-            threshold=0,
-            detail={
-                "dim": module.dim,
-                "first_nonzero_index": nonzero[0] if nonzero else None,
-            },
-        )
+        nonzero = sum(polyops.evaluate(t, point) != 0 for t in module.basis)
+        return ModuleEvaluation(not nonzero, nonzero, 0)
     if isinstance(module, ProductModule):
-        left = evaluate_module(module.left, f)
-        right = evaluate_module(module.right, f)
-        vanishes = left.vanishes or right.vanishes
-        return ModuleEvaluation(
-            vanishes=vanishes,
-            value=0 if vanishes else 1,
-            threshold=0,
-            detail={"left": asdict(left), "right": asdict(right)},
-        )
+        vanishes = vanishes_on(module.left, f) | vanishes_on(module.right, f)
+        return ModuleEvaluation(vanishes, int(not vanishes), 0)
     raise TypeError(f"not a test module: {type(module).__name__}")
 
 
@@ -367,7 +334,6 @@ class ClosureReport:
     """Span generated by transporting a module around a group."""
 
     module: ExplicitSpan
-    group: str
     mode: str
     samples: int
     dim: int
@@ -396,9 +362,7 @@ def group_closure(
         elements = groups.enumerate_permutations(amb.n, amb.field)
         images = span.basis + tuple(t for g in elements for t in transported(g))
         closed = ExplicitSpan(amb, images)
-        return ClosureReport(
-            closed, "sym", "exhaustive", len(elements), closed.dim
-        )
+        return ClosureReport(closed, "exhaustive", len(elements), closed.dim)
     if group == "gl":
         if rng is None:
             raise ValueError("sampled closure needs a random generator")
@@ -414,7 +378,7 @@ def group_closure(
             else:
                 streak = 0
             current = grown
-        return ClosureReport(current, "gl", "sampled", samples, current.dim)
+        return ClosureReport(current, "sampled", samples, current.dim)
     raise ValueError(f'unknown group {group!r} (expected "sym" or "gl")')
 
 

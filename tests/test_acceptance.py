@@ -14,8 +14,10 @@ from oracles import exponent_orbit_dim, laplace_det, naive_distance, rational_ra
 from seplab import (
     RATIONALS,
     Ambient,
+    ExplicitSpan,
     MinorsOfMeasure,
     Poly,
+    ProductModule,
     determinant_poly,
     dim_partials,
     distance_to_degree,
@@ -24,7 +26,6 @@ from seplab import (
     evaluate,
     evaluate_module,
     explicit_product,
-    explicit_span,
     gk_intersection_test,
     gl_points,
     group_closure,
@@ -34,7 +35,6 @@ from seplab import (
     induced_coeff_map,
     invariance_check,
     mat_mul,
-    module_product,
     multiply,
     permanent_poly,
     poly_matrix_minors,
@@ -257,14 +257,12 @@ def test_criterion_07_product_modules_vanish_disjunctively():
         rng = random.Random(70700 + t)
         field = RATIONALS if t % 2 == 0 else F7
         ambient = Ambient(2, 2, field)
-        left = explicit_span(
+        left = ExplicitSpan(
             ambient,
-            [random_dense_poly(ambient.N, 1, rng, field) for _ in range(rng.randint(1, 2))],
+            tuple(random_dense_poly(ambient.N, 1, rng, field) for _ in range(rng.randint(1, 2))),
         )
-        right = explicit_span(
-            ambient, [random_dense_poly(ambient.N, 1, rng, field)]
-        )
-        product = module_product(left, right)
+        right = ExplicitSpan(ambient, (random_dense_poly(ambient.N, 1, rng, field),))
+        product = ProductModule(left, right)
         f = random_dense_poly(2, 2, rng, field)
         got = evaluate_module(product, f)
         assert got.vanishes == (
@@ -283,9 +281,9 @@ def test_criterion_07_product_modules_vanish_disjunctively():
     u = ambient.coeff_variable(exps[0])
     v = ambient.coeff_variable(exps[1])
     lit = explicit_product(
-        explicit_span(ambient, [u]), explicit_span(ambient, [v])
+        ExplicitSpan(ambient, (u,)), ExplicitSpan(ambient, (v,))
     )
-    assert lit.basis == explicit_span(ambient, [multiply(u, v)]).basis
+    assert lit.basis == ExplicitSpan(ambient, (multiply(u, v),)).basis
     print(
         "ACCEPTANCE criterion 07: PASS — OR-vanishing verified on 50 instances "
         "plus the one-generator product"
@@ -329,7 +327,7 @@ def test_criterion_09_permutation_closure_of_coefficient_slots():
     ]
     for slot in ambient.coeff_exponents():
         t = ambient.coeff_variable(slot)
-        closure = group_closure(explicit_span(ambient, [t]), "sym")
+        closure = group_closure(ExplicitSpan(ambient, (t,)), "sym")
         assert closure.mode == "exhaustive"
         assert closure.samples == 6
         assert closure.dim == exponent_orbit_dim(slot, 3)

@@ -247,7 +247,6 @@ def test_nw_bound_frozen_examples():
     single = sigma_pi_sigma(2, ((1, 2),))
     rep2 = verify_nw_bound(single)
     assert (rep2.dimension, rep2.bound, rep2.ok) == (2, 2, True)
-    assert (rep2.s, rep2.d) == (1, 1)
     scaled = Depth4Circuit(2, RATIONALS, 1, ((monomial((0, 0), 3), linear_form((1, 2), RATIONALS)),))
     assert (verify_nw_bound(scaled).dimension, verify_nw_bound(scaled).bound) == (2, 2)
 

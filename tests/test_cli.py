@@ -14,7 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seplab import circuits, format_table, groups, prime_field, truth_table
+from seplab import (
+    circuits, f2lab, format_table, groups, mod3_multilinear, prime_field, truth_table,
+)
 from seplab.measures import MEASURES
 from seplab.cli import build_parser, main
 from seplab.seeding import trial_rng
@@ -339,17 +341,16 @@ def test_trials_is_refused_where_the_whole_group_runs(capsys):
         ["invariance", "--fn", "esym:2,2", "--measure", "dim_partials", "--trials", "1"],
         ["separate", "--module", "minors:dim_partials:4", "--easy", "depth3:4,2,1",
          "--hard", "esym:2,4", "--trials", "1"],
-        ["rs-distance", "--fn", "mod3:4,2", "--bound", "1"],
+        ["rs-distance", "--fn", "esym:2,4", "--bound", "1"],
         ["rs-distance", "--table", "{tmp}/a.tt", "--bound", "1"],
         ["gk-check", "--fn", "det:2", "--trials", "1"],
     ],
-    ids=["measure", "invariance", "separate", "rs-distance-residue-spec", "rs-distance-table",
+    ids=["measure", "invariance", "separate", "rs-distance-fn", "rs-distance-table",
          "gk-check"],
 )
 def test_mod3_residue_is_refused_where_no_mod3_spec_reads_it(capsys, tmp_path, argv):
-    """Only a one-argument "mod3:n" spec reads --mod3-residue ("mod3:n,r"
-    carries its own), so elsewhere it would give two configs for one
-    computation; without it the config shows residue 0."""
+    """Only a "mod3:n" spec reads --mod3-residue, so elsewhere it would give
+    two configs for one computation; without it the config shows residue 0."""
     (tmp_path / "a.tt").write_text(format_table(truth_table(2, lambda pt: pt[0])))
     argv = [a.format(tmp=tmp_path) for a in argv]
     code, data = run_json(capsys, argv)
@@ -361,14 +362,20 @@ def test_mod3_residue_is_refused_where_no_mod3_spec_reads_it(capsys, tmp_path, a
 
 
 def test_mod3_residue_reaches_a_mod3_spec(capsys):
-    """--mod3-residue r on "mod3:3" computes what "mod3:3,r" does."""
+    """--mod3-residue r on "mod3:3" computes the distance of the residue-r
+    function, and shows r in the config; a spec "mod3:3,r" that names its
+    own residue is refused, so one function has one config."""
     results = []
     for r in ("0", "1"):
         flag = run_json(capsys, ["rs-distance", "--fn", "mod3:3", "--bound", "0",
                                  "--mod3-residue", r])[1]
-        spec = run_json(capsys, ["rs-distance", "--fn", f"mod3:3,{r}", "--bound", "0"])[1]
-        assert flag["config"]["mod3_residue"] == int(r) and flag["result"] == spec["result"]
+        table = f2lab.multilinear_to_truth_table(mod3_multilinear(3, int(r)))
+        want = json.loads(json.dumps(f2lab.distance_to_degree(table, 0).to_json()))
+        assert flag["config"]["mod3_residue"] == int(r) and flag["result"] == want
         results.append(flag["result"])
+        assert main(["rs-distance", "--fn", f"mod3:3,{r}", "--bound", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--mod3-residue" in captured.err
     assert results[0] != results[1]
 
 
@@ -378,7 +385,8 @@ def test_mod3_residue_reaches_a_mod3_spec(capsys):
     + [(f"mod3:3,{r}", []) for r in ("3", "4", "-2")],
 )
 def test_mod3_residue_outside_0_to_2_is_a_usage_error(capsys, fn, flag):
-    """Residues 1, 4 and -2 once all named one function; now only 1 does."""
+    """Residues 1, 4 and -2 once all named one function; now the flag takes
+    only 0, 1 or 2, and a spec takes no residue at all."""
     assert main(["rs-distance", "--fn", fn, "--bound", "0"] + flag) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "residue" in captured.err
@@ -679,15 +687,17 @@ def test_negative_trials_are_usage_errors(capsys):
 
 
 def test_division_by_zero_in_a_point_is_a_usage_error(capsys):
+    """The error names the flag and the entry it could not read."""
     hessian = ["measure", "--fn", "det:2", "--measure", "hessian_rank"]
-    for argv in (
-        hessian + ["--point", "1,1/0,1,1"],
-        hessian + ["--point", "1,1/7,1,1", "--field", "Fp:7"],
+    for argv, token in (
+        (hessian + ["--point", "1,1/0,1,1"], "1/0"),
+        (hessian + ["--point", "1, 1/7 ,1,1", "--field", "Fp:7"], "1/7"),
+        (hessian + ["--point", "1,x,1,1"], "x"),
     ):
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error:")
+        assert captured.err.startswith(f"error: bad --point entry '{token}'")
 
 
 def test_outputs_are_byte_identical_across_reruns(tmp_path):

@@ -122,14 +122,16 @@ def test_mod3_agrees_with_weight_predicate():
 
 
 def test_mod3_residue_outside_0_to_2_is_refused():
-    """A residue names one function only as 0, 1 or 2."""
+    """A residue names one function only as 0, 1 or 2, and it is never part
+    of the spec."""
     for residue in (3, 4, -1, -2):
         with pytest.raises(ValueError, match="residue"):
             mod3_multilinear(3, residue)
         with pytest.raises(ValueError, match="residue"):
-            from_spec(f"mod3:3,{residue}")
-        with pytest.raises(ValueError, match="residue"):
             from_spec("mod3:3", mod3_residue=residue)
+    for residue in (0, 1, 2, 3):
+        with pytest.raises(ValueError, match="residue"):
+            from_spec(f"mod3:3,{residue}")
 
 
 def test_random_dense_poly_hits_every_monomial():
@@ -148,7 +150,7 @@ def test_from_spec_round_trips():
     assert from_spec("det:2") == determinant_poly(2, RATIONALS)
     assert from_spec("perm:3") == permanent_poly(3, RATIONALS)
     assert from_spec("mod3:3") == mod3_multilinear(3)
-    assert from_spec("mod3:3,2") == mod3_multilinear(3, 2)
+    assert from_spec("mod3:3", mod3_residue=2) == mod3_multilinear(3, 2)
     a = from_spec("rand:3,2,77")
     b = from_spec("rand:3,2,77")
     assert a == b and len(a.terms) == math.comb(5, 2)

@@ -1,7 +1,7 @@
 """Every module of the package, every test file and every benchmark script
 reads every name it imports, every public function, class or method of the
-package has a caller outside the unit tests, and every defaulted parameter
-of a public function is passed by one."""
+package has a caller outside the unit tests, every defaulted parameter
+of a public function is passed by one, and every dataclass field is read."""
 
 import ast
 from pathlib import Path
@@ -54,9 +54,7 @@ KEPT = {
     "format_table": "writes the truth-table files that the rs-distance --table tests read",
     "identity_element": "the group and f2lab tests' neutral element",
     "random_permutation": "the group tests' permutation sampler",
-    "vanishes_on": "the module tests' membership check, and the place for an early exit",
     "compose": "the group law that the group tests check apply against",
-    "power": "k-th powers on the product kernel, checked against sympy with multiply",
     "minors_explicit": "spans the minors explicitly at tiny sizes, to check evaluate_module",
     "grlex_key": "the grlex order as a sort key, which the column and term order tests check against",
 }
@@ -237,3 +235,78 @@ def test_every_kept_parameter_is_needed():
     """The scan flags every KEPT_PARAMS entry once the allow-list is empty."""
     flagged = unpassed(MODULES, READERS, kept_params={})
     assert sorted(label.partition(": ")[2] for label in flagged) == sorted(KEPT_PARAMS)
+
+
+# Dataclass fields kept on purpose although nothing reads them by name: a
+# class name keeps every field of a report that the CLI prints whole through
+# asdict/astuple; one reason each.
+KEPT_FIELDS = {
+    "GKReport": "gk-check prints it whole through asdict",
+    "InvarianceReport": "invariance prints it whole through asdict",
+    "TrialResult": "separate prints each trial whole through asdict, or astuple for csv",
+    "SeparationReport": "separate prints it whole through asdict",
+    "SymbolicMatrix.row_labels": "the derivative operator of each row, which the tests check",
+    "SymbolicMatrix.col_labels": "the monomial of each column, which the tests check",
+}
+
+
+def unread_fields(modules: list[Path], readers: list[Path], kept=KEPT_FIELDS) -> list[str]:
+    """'module: Class.field' for each field of a top-level @dataclass of
+    ``modules`` that no attribute read in the modules or in ``readers`` names;
+    a class in ``kept`` keeps all its fields, a 'Class.field' entry one.
+
+    Reads are matched by the attribute name alone, as ``uncalled`` matches
+    calls, so a field that shares its name with any attribute read anywhere
+    is never flagged: the scan cannot see an unread field called ``n``, ``d``
+    or ``field``, which many classes have."""
+    trees = [ast.parse(p.read_text(encoding="utf-8")) for p in modules + readers]
+    read = {
+        n.attr for t in trees for n in ast.walk(t)
+        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+    }
+    found = []
+    for p, tree in zip(modules, trees):
+        for node in tree.body:
+            if not isinstance(node, ast.ClassDef) or node.name in kept or not any(
+                getattr(getattr(d, "func", d), "id", None) == "dataclass"
+                for d in node.decorator_list
+            ):
+                continue
+            for stmt in node.body:
+                if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                    name = stmt.target.id
+                    if name not in read and f"{node.name}.{name}" not in kept:
+                        found.append(f"{p.stem}: {node.name}.{name}")
+    return sorted(found)
+
+
+def test_scan_finds_an_unread_field(tmp_path):
+    module, reader = tmp_path / "a.py", tmp_path / "b.py"
+    module.write_text(
+        "from dataclasses import dataclass\n"
+        "@dataclass(frozen=True)\nclass Report:\n    shown: int\n    echoed: int\n"
+        "    def total(self): return self.shown\n"
+        "@dataclass\nclass Pair:\n    left: int\n    right: int\n"
+        "@dataclass\nclass Printed:\n    whole: int\n"
+        "class Plain:\n    unread: int\n"
+    )
+    reader.write_text("from a import Pair\nPair(1, 2).left = 3\nprint(Pair(1, 2).right)\n")
+    kept = {"Printed": ""}
+    assert unread_fields([module], [reader], kept) == ["a: Pair.left", "a: Report.echoed"]
+    assert unread_fields([module], [reader], kept | {"Pair.left": ""}) == ["a: Report.echoed"]
+
+
+def test_every_dataclass_field_is_read():
+    assert unread_fields(MODULES, READERS) == []
+
+
+def test_every_kept_field_is_needed():
+    """Each KEPT_FIELDS entry, a class or one field, makes the scan flag a
+    field of it once the entry is removed."""
+    stale = []
+    for entry in KEPT_FIELDS:
+        flagged = unread_fields(MODULES, READERS, KEPT_FIELDS.keys() - {entry})
+        names = [label.partition(": ")[2] for label in flagged]
+        if not any(name == entry or name.startswith(entry + ".") for name in names):
+            stale.append(entry)
+    assert stale == []

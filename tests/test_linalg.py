@@ -527,16 +527,23 @@ def test_right_kernel_matches_two_rrefs_and_sympy_nullspace(case):
 @given(kernel_cases(), st.booleans())
 def test_linear_algebra_leaves_its_arguments_alone(case, as_tuples):
     """Back-substitution updates rows in place, so it must work on copies:
-    list and tuple rows, and all-int rows over Q, come back untouched."""
+    list and tuple rows, and all-int rows over Q, come back untouched, also
+    by rank on both sides of the _CERT_MIN_DIM gate (the rows bordered by an
+    identity block of that size)."""
     rows, nc, p = case
     field = RATIONALS if p is None else prime_field(p)
+    pad = [0] * _CERT_MIN_DIM
+    big = [list(r) + pad for r in rows]
+    big += [[0] * nc + [int(i == j) for j in range(_CERT_MIN_DIM)] for i in range(_CERT_MIN_DIM)]
     if as_tuples:
-        rows = [tuple(r) for r in rows]
-    before = copy.deepcopy(rows)
+        rows, big = [tuple(r) for r in rows], [tuple(r) for r in big]
+    before, big_before = copy.deepcopy(rows), copy.deepcopy(big)
     if rows:
         rref(rows, field, nc)
     right_kernel(rows, field, nc)
-    assert rows == before
+    r = rank(rows, field, nc)
+    assert rank(big, field, nc + _CERT_MIN_DIM) == r + _CERT_MIN_DIM
+    assert rows == before and big == big_before
     cols = [(j,) for j in range(nc)]
     # the kernel of fewer rows holds a; the row space meets it mod p
     a, b = kernel(rows, field, cols), kernel(rows[1:], field, cols)

@@ -24,8 +24,8 @@ from seplab import (
     monomial,
     monomials_exact,
     monomials_upto,
+    multiply,
     permanent_poly,
-    power,
     prime_field,
     determinant_poly,
     sampler_from_spec,
@@ -235,7 +235,8 @@ def _homogeneous(kind, field, rng):
     if kind in ("det", "perm"):
         return from_spec(f"{kind}:3", field)
     if kind == "power":
-        return power(linear_form([rng.choice((-2, -1, 1, 2)) for _ in range(n)], field), d)
+        l = linear_form([rng.choice((-2, -1, 1, 2)) for _ in range(n)], field)
+        return multiply(monomial((0,) * n, 1, field), *[l] * d)  # l^d, d = 0 included
     sampler = sampler_from_spec(f"depth3:{n},{d},{rng.randint(1, 3)}", field)
     return expand(sampler.sample(rng))
 
