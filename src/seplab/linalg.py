@@ -14,15 +14,16 @@ A ℚ rank of a matrix with at least ``_CERT_MIN_DIM`` rows and columns is
 certified from one elimination mod a prime p below 2**30 instead.  A minor
 that is nonzero mod p is nonzero over ℤ, so the rank r mod p is a lower bound,
 and it is the rank when it fills the smaller side.  Otherwise the smaller
-kernel mod p is lifted to ℚ by rational reconstruction and checked exactly
-over ℤ; its vectors are independent, so if all pass the rank is at most r.
-Vectors that fail are redone modulo a product of two primes by CRT, and if
-that fails too, or an unlucky prime (rank mod p below the ℚ rank) makes the
-pivots disagree, Bareiss decides.  Smaller matrices, RREF and kernels always
-use Bareiss.  A rank of that size, over either field, still takes dense rows
-but reads only their nonzeros, once: mod p (over F_p or for a certificate)
-each sparse row is packed into one int, and a certificate transposes sparse
-rows.  RREF, kernels and smaller ranks stay on list rows.
+kernel mod p is lifted to ℚ by rational reconstruction (Wang's, else a large
+quotient's) and checked exactly over ℤ; its vectors are independent, so if
+all pass the rank is at most r.  Vectors that fail are redone modulo a
+product of two primes by CRT, and if that fails too, or an unlucky prime
+(rank mod p below the ℚ rank) makes the pivots disagree, Bareiss decides.
+Smaller matrices, RREF and kernels always use Bareiss.  A rank of that size,
+over either field, takes dense rows but reads only their nonzeros, once: mod
+p each sparse row is packed into one int from its nonzeros and kept as read
+if it becomes a pivot unreduced; over F_p a tall matrix is read by columns.
+RREF, kernels and smaller ranks stay on list rows.
 
 Sparse rows are maps from column keys (exponent tuples) to scalars, such as
 polynomial term maps; ``densify`` is the one place they are laid out as dense
@@ -170,34 +171,41 @@ _CERT_MIN_DIM = 48
 _CERT_PRIMES = (1073741789, 1073741783)
 
 
-def _packed_echelon(rows, p: int, ncols: int) -> tuple[dict[int, int], Callable]:
-    """A monic echelon basis of sparse rows of residues mod p, one int per
-    row: ({leading column: the packed entries past it}, unpack to nonzero
-    (slot, value) pairs).
+def _packed_echelon(rows, p: int, ncols: int) -> tuple[dict[int, tuple[int, int]], Callable]:
+    """An echelon basis of sparse rows of residues mod p, one int per row:
+    ({leading column: (the packed entries past it, the inverse of the leading
+    entry)}, unpack to a packed row's nonzero columns and their values).
 
     Column j is slot ncols-1-j, so a row leads at its highest nonzero slot.  A
     slot is the smallest of 8 to 128 bits (128: low word, 8 zero bytes) that
     holds (ncols+1)·p²: a row meets each pivot once at most, gaining at most
-    (p-1)² per slot, so no slot carries.  Rows are read until the rank is full.
+    (p-1)² per slot, so no slot carries.  A row is packed by writing its
+    nonzeros into zeroed bytes.  A pivot row is kept as read, not made monic;
+    only one that was reduced has its slots taken mod p.  Rows are read until
+    the rank is full.
     """
     w = next(b for b in (8, 16, 32, 64, 128) if (ncols + 1) * p * p < 1 << b)
     code, wide = {8: "B", 16: "H", 32: "I"}.get(w, "Q"), w > 64  # "<": standard sizes
-    packer = struct.Struct("<" + "Q8x" * ncols if wide else f"<{ncols}{code}")
-    words = struct.Struct(f"<{ncols * (1 + wide)}{code}")
+    words, put = struct.Struct(f"<{ncols * (1 + wide)}{code}"), struct.Struct("<" + code).pack_into
+    cols, at = list(range(ncols)), [(ncols - 1 - j) * w // 8 for j in range(ncols)]
 
-    def unpack(big: int) -> list[tuple[int, int]]:
-        a = words.unpack(big.to_bytes(words.size, "little"))
+    def pack(js, xs) -> int:
+        buf = bytearray(words.size)
+        for j, x in zip(js, xs):
+            put(buf, at[j], x)
+        return int.from_bytes(buf, "little")
+
+    def unpack(big: int) -> tuple[list[int], list[int]]:
+        a = words.unpack(big.to_bytes(words.size, "little"))[::-1]  # by column
         if not wide:
-            return [(s, a[s]) for s in compress(range(ncols), a)]
-        lo, hi = a[::2], a[1::2]
-        return [(s, lo[s] | hi[s] << 64) for s in compress(range(ncols), map(or_, lo, hi))]
+            return list(compress(cols, a)), list(compress(a, a))
+        lo, hi = a[1::2], a[::2]
+        js = list(compress(cols, map(or_, lo, hi)))
+        return js, [lo[j] | hi[j] << 64 for j in js]
 
     full, table = min(len(rows), ncols), {}
     for js, xs in rows:
-        row = [0] * ncols
-        for j, x in zip(js, xs):
-            row[j] = x
-        big = int.from_bytes(packer.pack(*row[::-1]), "little")
+        big, reduced = pack(js, xs), False
         while big:
             s = (big.bit_length() - 1) // w
             top = big >> s * w
@@ -205,12 +213,16 @@ def _packed_echelon(rows, p: int, ncols: int) -> tuple[dict[int, int], Callable]
             if top := top % p:
                 t = table.get(s)
                 if t is None:
-                    inv, vals = pow(top, -1, p), [0] * ncols
-                    for j, x in unpack(big):
-                        vals[j] = x * inv % p
-                    table[s] = int.from_bytes(packer.pack(*vals), "little")
+                    if reduced and wide:  # each slot mod p; a 128-bit slot is two words
+                        js, xs = unpack(big)
+                        big = pack(js, [x % p for x in xs])
+                    elif reduced:  # one word per slot: every word at once
+                        a = words.unpack(big.to_bytes(words.size, "little"))
+                        big = int.from_bytes(words.pack(*[x % p for x in a]), "little")
+                    table[s] = big, pow(top, -1, p)
                     break
-                big += (p - top) * t
+                big += (p - top * t[1] % p) * t[0]
+                reduced = True
         if len(table) == full:
             break
     return {ncols - 1 - s: t for s, t in table.items()}, unpack
@@ -218,8 +230,8 @@ def _packed_echelon(rows, p: int, ncols: int) -> tuple[dict[int, int], Callable]
 
 def _sparse(rows, field: Field, width: int) -> list[tuple[list[int], list[int]]]:
     """Each row's nonzeros, read once: (columns, values ready to eliminate)."""
-    values = _field_rows([list(compress(r, r)) for r in rows], field)
-    return list(zip([list(compress(range(width), r)) for r in rows], values))
+    values, cols = _field_rows([list(compress(r, r)) for r in rows], field), list(range(width))
+    return list(zip([list(compress(cols, r)) for r in rows], values))
 
 
 def _transpose(rows, width: int) -> list[tuple[list[int], list]]:
@@ -246,9 +258,10 @@ def _mod_kernel(m, p: int, width: int) -> tuple[list[int], Callable[[int], dict[
         return pivots, None
     nz, rows_at = [], [[] for _ in range(width)]
     for k, c in enumerate(pivots):
-        row = sorted((width - 1 - s, x) for s, x in unpack(table[c]))
-        nz.append(([j for j, _ in row], [x for _, x in row]))
-        for j, _ in row:
+        tail, inv = table[c]
+        js, xs = unpack(tail)
+        nz.append((js, [x * inv % p for x in xs]))
+        for j in js:
             rows_at[j].append(k)
 
     def vector(f: int) -> dict[int, int]:
@@ -270,23 +283,29 @@ def _lift(v: dict[int, int], m: int) -> dict[int, int] | None:
     """An integer multiple of the rational vector that is v mod m, or None.
 
     Each entry times the common denominator so far is reconstructed (Wang)
-    with numerator and denominator at most sqrt(m/2).
+    with numerator and denominator at most sqrt(m/2).  If that fails, each
+    is instead the remainder over cofactor just before the first quotient of
+    its Euclidean run above sqrt(m/2)/16 (Monagan's large-quotient test),
+    which needs |numerator·denominator| below about 16·sqrt(2m): integer
+    entries 4 bits past Wang's bound still lift.
     """
     bound = isqrt(m >> 1)
-    den = 1
-    parts = []
-    for j, a in v.items():
-        r0, r1, t0, t1 = m, a * den % m, 0, 1
-        while r1 > bound:
-            q = r0 // r1
-            r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
-        if t1 < 0:
-            r1, t1 = -r1, -t1
-        den *= t1
-        if den > bound:
-            return None
-        parts.append((j, r1, den))
-    return {j: n * (den // d) for j, n, d in parts}
+    for wang in (True, False):
+        den, parts = 1, []
+        for j, a in v.items():
+            r0, r1, t0, t1 = m, a * den % m, 0, 1
+            while r1 > bound if wang else r1 and r0 // r1 <= bound >> 4:
+                q = r0 // r1
+                r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+            if t1 < 0:
+                r1, t1 = -r1, -t1
+            den *= t1
+            if den > bound if wang else not r1:
+                break
+            parts.append((j, r1, den))
+        else:
+            return {j: n * (den // d) for j, n, d in parts}
+    return None
 
 
 def _certified_rank(a: list, width: int) -> int | None:
@@ -342,13 +361,16 @@ def rank(rows, field: Field, ncols: int | None = None) -> int:
     returned when it fills the smaller side, or when the smaller kernel mod p
     lifts to ℚ and passes an exact check over ℤ, which bounds the rank by r
     from above.  Otherwise, and for every smaller matrix, fraction-free
-    Bareiss gives the rank.  Over F_p a matrix that size has packed rows.
+    Bareiss gives the rank.  Over F_p a matrix that size has packed rows, of
+    its shorter side: rank(M) = rank(Mᵀ), so a tall one is read by columns.
     Either way a matrix that size is read once, nonzeros only.
     """
     width = _width(rows, ncols)
     if min(len(rows), width) >= _CERT_MIN_DIM:
         sparse = _sparse(rows, field, width)
         if field.p is not None:
+            if len(rows) > width:
+                sparse, width = _transpose(sparse, width), len(rows)
             return len(_packed_echelon(sparse, field.p, width)[0])
         r = _certified_rank(sparse, width)
         if r is not None:

@@ -193,6 +193,23 @@ def test_tall_kernels_take_the_second_prime_then_bareiss(bits, seed):
 
 
 @settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32 - 1))
+def test_a_kernel_just_past_wangs_bound_lifts_from_one_prime(seed):
+    """[I48 | w] plus one row Σ(2^20 + i)·row_i with |w| in [2^18, 2^19]:
+    past Wang's bound sqrt(p1/2) ≈ 2^14.5, but the integer vector (-w, 1)
+    comes just before a quotient p1/|w| ≥ 2^11 in each entry's Euclidean
+    run, so it lifts and is certified mod p1 alone."""
+    rng = random.Random(seed)
+    w = [rng.choice((-1, 1)) * rng.randint(2**18, 2**19) for _ in range(48)]
+    top = [[int(i == j) for j in range(48)] + [w[i]] for i in range(48)]
+    m = top + [[sum((2**20 + i) * row[j] for i, row in enumerate(top)) for j in range(49)]]
+    with recorded_eliminations() as seen:
+        assert rank(m, RATIONALS) == 48
+    assert seen == [_CERT_PRIMES[0]]
+    assert rational_rank(m) == 48
+
+
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
 @given(st.integers(0, 47))
 def test_an_unlucky_prime_falls_back_to_bareiss(i):
     """With primes 7 and 11, I48 with a 7 on the diagonal has rank 47 mod 7;
@@ -263,14 +280,26 @@ def test_packed_kernel_pivots_and_kernels_match(case):
     """The packed kernel's pivots are _eliminate's (it stops only at full rank,
     when all rows were read or every column is a pivot), its rank is sympy's,
     and each kernel vector _mod_kernel builds from it is 1 at its free column,
-    0 at the others, and killed by every row."""
+    0 at the others, and killed by every row.  Each pivot is (tail, inverse of
+    its leading entry): the tail's residues lie past the pivot column, and the
+    pivot rows are in the row space."""
     m, p = case
     nc = len(m[0])
     reduced = [[x % p for x in r] for r in m]
-    table, _ = _packed_echelon(_sparse(m, prime_field(p), nc), p, nc)
+    table, unpack = _packed_echelon(_sparse(m, prime_field(p), nc), p, nc)
     pivots = _eliminate([list(r) for r in reduced], p)
     assert sorted(table) == pivots
     assert len(pivots) == modular_rank(m, p)
+    pivot_rows = []
+    for c, (tail, inv) in table.items():
+        js, xs = unpack(tail)
+        assert 0 < inv < p and all(j > c for j in js) and all(0 < x < p for x in xs)
+        row = [0] * nc
+        row[c] = pow(inv, -1, p)
+        for j, x in zip(js, xs):
+            row[j] = x
+        pivot_rows.append(row)
+    assert len(_eliminate(pivot_rows + reduced, p)) == len(pivots)
     with recorded_eliminations() as seen:
         assert rank(m, prime_field(p)) == len(pivots)
     assert seen == [p]
@@ -282,6 +311,77 @@ def test_packed_kernel_pivots_and_kernels_match(case):
         v = vector(f)
         assert all(v.get(g, 0) == (g == f) for g in free)
         assert all(sum(row[j] * x for j, x in v.items()) % p == 0 for row in m)
+
+
+@pytest.mark.parametrize("p, nc", SLOT_EDGES)
+def test_a_row_packed_from_its_nonzeros_unpacks_to_them(p, nc):
+    """A row read into the packed kernel alone becomes its one pivot, kept as
+    read: unpacking its tail gives the row's other nonzeros back, at every
+    slot width, 128-bit slots included, with residues up to p - 1."""
+    rng = random.Random(p * nc)
+    for density in (1, 0.3, 0.05):
+        row = [rng.choice((1, p - 1, rng.randrange(p))) if rng.random() < density else 0
+               for _ in range(nc)]
+        js, xs = [j for j, x in enumerate(row) if x], [x for x in row if x]
+        table, unpack = _packed_echelon([(js, xs)], p, nc)
+        if not js:
+            assert table == {}
+            continue
+        (c, (tail, inv)), = table.items()
+        assert c == js[0] and inv * xs[0] % p == 1
+        assert unpack(tail) == (js[1:], xs[1:])
+
+
+# (p, smallest and largest long side) for each slot width a rank at the gate
+# can take: the packed kernel reads the short side as rows, so its slots
+# hold (long side + 1)·p²
+GATED_SLOT_WIDTHS = {
+    8: (2, _CERT_MIN_DIM, 62),
+    16: (2, 63, 72),
+    32: (251, _CERT_MIN_DIM, 72),
+    64: (1000003, _CERT_MIN_DIM, 72),
+    128: (_CERT_PRIMES[0], _CERT_MIN_DIM, 72),
+}
+
+
+@pytest.mark.parametrize("width", sorted(GATED_SLOT_WIDTHS))
+@settings(max_examples=8, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_packed_rank_of_a_matrix_and_its_transpose(width, data):
+    """Over F_p a rank at the gate, of M and of Mᵀ, is _eliminate's and
+    sympy's: tall and wide, full or planted low rank, with zero and duplicate
+    rows, unreduced and negative ints, and Fractions."""
+    p, lo, hi = GATED_SLOT_WIDTHS[width]
+    long = data.draw(st.integers(lo, hi))
+    short = data.draw(st.integers(_CERT_MIN_DIM, long))
+    assert next(b for b in (8, 16, 32, 64, 128) if (long + 1) * p * p < 1 << b) == width
+    nr, nc = (long, short) if data.draw(st.booleans()) else (short, long)
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+    density = data.draw(st.sampled_from([1, 0.3, 0.05]))
+    fractions = data.draw(st.booleans())
+
+    def cell():
+        if rng.random() >= density:
+            return 0
+        x = rng.randint(-3 * p, 3 * p)
+        if fractions and rng.random() < 0.3:
+            return Fraction(x, rng.choice([d for d in (2, 3, 5) if d % p]))
+        return x
+
+    k = data.draw(st.sampled_from([1, 5, short - 1, short]))
+    u = [[rng.randint(-2, 2) for _ in range(k)] for _ in range(nr)]
+    v = [[cell() for _ in range(nc)] for _ in range(k)]
+    m = [[sum(map(mul, row, col)) for col in zip(*v)] for row in u]
+    for _ in range(data.draw(st.integers(0, 3))):
+        m[rng.randrange(nr)] = list(m[rng.randrange(nr)]) if rng.random() < 0.5 else [0] * nc
+    field = prime_field(p)
+    residues = [[field.coerce(x) for x in row] for row in m]
+    r = len(_eliminate([list(row) for row in residues], p))
+    assert r == modular_rank(residues, p)
+    for a in (m, [list(col) for col in zip(*m)]):
+        with recorded_eliminations() as seen:
+            assert rank(a, field) == r
+        assert seen == [p]
 
 
 def test_shape_errors_above_the_gate():
