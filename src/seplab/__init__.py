@@ -50,7 +50,6 @@ from .measures import (
     shifted_partials_rank,
 )
 from .groups import (
-    CoeffMap,
     GroupElement,
     InvarianceReport,
     apply,

@@ -334,16 +334,13 @@ def cmd_gk_check(args) -> int:
         raise ValueError("gk-check runs over a prime field (use --field Fp:<q>)")
     residue = _mod3_residue(args, args.fn)
     f = functions.from_spec(args.fn, fld, residue)
-    n = isqrt(f.n)
-    if n * n != f.n:
-        raise ValueError(f"{f.n} variables do not form a square matrix")
     if args.trials < 0:
         raise ValueError("--trials must be nonnegative (0 = whole group)")
     seed = _only(args.seed, "--seed", args.trials > 0, 0)
     if args.trials > 0:
         rng = trial_rng(seed, 0)
         sigmas = [
-            groups.random_invertible(n, fld, rng) for _ in range(args.trials)
+            groups.random_invertible(isqrt(f.n), fld, rng) for _ in range(args.trials)
         ]
     else:
         sigmas = None  # the whole group

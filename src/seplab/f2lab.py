@@ -18,11 +18,11 @@ from dataclasses import dataclass
 from math import comb, isqrt
 from typing import Callable, Sequence
 
-from . import groups, linalg, measures
+from . import groups, linalg
 from . import poly as polyops
 from .errors import InfeasibleError
 from .field import prime_field
-from .poly import Poly, derivative_operators, monomials_exact
+from .poly import Poly, derivative, derivative_operators, monomials_exact
 
 # bytes of 0/1 values <-> the ASCII digits that int(..., 2) and format() use
 _TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
@@ -533,7 +533,7 @@ def gk_intersection_test(
     # the derivatives do not depend on the twist, so they are taken once
     top = min(r, reduced_f.degree)
     ops = [c for k in range(top + 1) for c in derivative_operators(reduced_f, k)]
-    derivs = [Poly(m, f.field, t) for t in measures.derivative_rows(reduced_f, ops)]
+    derivs = [derivative(reduced_f, c) for c in ops]
     spans = []
     for s in sigmas:
         twist = _twist_matrix(s.matrix, n)

@@ -5,14 +5,13 @@ substitutes x by A·x.  A variable permutation is the 0/1 matrix that sends
 x_i to x_perm[i].  GL_n(F_q) is built row by row, each row running over the
 vectors outside the span of the rows above it, so no candidate is ranked.
 ``induced_coeff_map`` turns an element into the matrix of its action on the
-coefficient vectors of fixed-degree polynomials, which is how test
+coefficient vectors over a given monomial basis, which is how test
 polynomials are transported.  ``invariance_check`` measures a polynomial
 before and after random (or exhaustively enumerated) substitutions.
 """
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 import random
 from dataclasses import dataclass
@@ -22,7 +21,7 @@ from typing import Sequence
 from . import linalg, measures
 from .errors import InfeasibleError
 from .field import Field, RATIONALS, Scalar
-from .poly import Poly, monomial, monomials_exact, monomials_upto
+from .poly import Poly, monomial
 from . import poly as polyops
 
 _ENUMERATION_LIMIT = 10_000
@@ -34,8 +33,9 @@ class GroupElement:
     """An invertible linear map of the variables.
 
     ``matrix`` rows are tuples of field scalars.  Use the factory functions:
-    ``linear_element`` validates invertibility by exact rank, and permutation
-    matrices and the enumerated group are invertible by construction.
+    ``linear_element`` and ``random_invertible`` check invertibility by exact
+    rank, and permutation matrices and the enumerated group are invertible by
+    construction.
     """
 
     field: Field
@@ -107,8 +107,8 @@ def random_invertible(n: int, field: Field, rng: random.Random) -> GroupElement:
             ]
         else:
             rows = [[rng.randrange(field.p) for _ in range(n)] for _ in range(n)]
-        with contextlib.suppress(ValueError):  # singular: draw again
-            return linear_element(rows, field)
+        if linalg.is_invertible(rows, field):
+            return GroupElement(field, tuple(map(tuple, rows)))
 
 
 def random_permutation(
@@ -142,7 +142,7 @@ def enumerate_invertible(n: int, field: Field) -> list[GroupElement]:
         raise ValueError("an invertible matrix needs n >= 1")
     q = field.p
     if q is None:
-        raise InfeasibleError("cannot enumerate an infinite matrix group")
+        raise ValueError("cannot enumerate an infinite matrix group")
     size = gl_order(n, q)
     if size > _ENUMERATION_LIMIT:
         raise InfeasibleError(f"|GL_{n}(F_{q})| = {size} exceeds {_ENUMERATION_LIMIT} elements")
@@ -170,30 +170,15 @@ def enumerate_invertible(n: int, field: Field) -> list[GroupElement]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CoeffMap:
-    """Matrix of the coefficient-space action of a group element.
+def induced_coeff_map(g: GroupElement, basis: Sequence) -> tuple[tuple[Scalar, ...], ...]:
+    """Matrix M of g on the coefficient vectors over the monomial ``basis``:
+    M · coeffs(f) = coeffs(apply(g, f)) for every f supported on the basis.
 
-    ``basis`` lists the monomial exponents indexing coordinates (grlex
-    order); ``matrix`` satisfies  M · coeffs(f) = coeffs(apply(g, f))  for
-    every f supported on the basis.
+    A basis that g does not map into its own span (not closed under g) is
+    refused by ``densify``'s strict columns.
     """
-
-    basis: tuple
-    matrix: tuple[tuple[Scalar, ...], ...]
-
-
-def induced_coeff_map(g: GroupElement, d: int, homogeneous: bool = True) -> CoeffMap:
-    """Coefficient-space matrix of g on degree-d polynomials.
-
-    The basis is the grlex list of degree-exactly-d monomials (dimension
-    binom(n+d-1, d)); pass ``homogeneous=False`` for the degree-<=d basis.
-    A linear map preserves both.
-    """
-    basis = monomials_exact(g.n, d) if homogeneous else monomials_upto(g.n, d)
     images = [apply(g, monomial(e, 1, g.field)).terms for e in basis]
-    matrix = tuple(zip(*linalg.densify(images, basis)[1]))
-    return CoeffMap(tuple(basis), matrix)
+    return tuple(zip(*linalg.densify(images, basis)[1]))
 
 
 # ---------------------------------------------------------------------------

@@ -520,15 +520,11 @@ class Subspace:
         return kernel(self.basis, self.field, self.cols)
 
 
-def _reduced(rows, field: Field, cols: Sequence) -> Subspace:
-    reduced, _ = rref(rows, field, ncols=len(cols))
-    return Subspace(field, tuple(cols), tuple(map(tuple, reduced)))
-
-
 def span(rows: Sequence[Mapping], field: Field, cols: Sequence | None = None) -> Subspace:
     """Span of sparse rows, laid out over ``cols`` as ``densify`` does."""
     cols, dense = densify(rows, cols)
-    return _reduced(dense, field, cols)
+    reduced, _ = rref(dense, field, ncols=len(cols))
+    return Subspace(field, tuple(cols), tuple(map(tuple, reduced)))
 
 
 def kernel(rows, field: Field, cols: Sequence) -> Subspace:
@@ -542,14 +538,12 @@ def mat_mul(a, b, field: Field) -> list[list[Scalar]]:
         raise ValueError("empty matrix product")
     if len(a[0]) != len(b):
         raise ValueError("inner dimension mismatch")
-    p = field.p
     bt = list(zip(*b))
     out = []
     for row in a:
         out_row = []
         for col in bt:
-            s = sum(x * y for x, y in zip(row, col))
-            out_row.append(field.coerce(s if p is None else s % p))
+            out_row.append(field.coerce(sum(x * y for x, y in zip(row, col))))
         out.append(out_row)
     return out
 

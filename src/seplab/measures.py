@@ -158,8 +158,6 @@ def hessian(f: Poly) -> tuple[tuple[Poly, ...], ...]:
 
 def hessian_rank_at(f: Poly, point) -> int:
     """Exact rank of the scalar Hessian of f at the given point."""
-    if len(point) != f.n:
-        raise ValueError(f"point has {len(point)} entries, expected {f.n}")
     h = hessian(f)
     scalar_rows = [[evaluate(entry, point) for entry in row] for row in h]
     return linalg.rank(scalar_rows, f.field, ncols=f.n)

@@ -353,10 +353,11 @@ def group_closure(
     which is evidence, not proof.
     """
     amb = span.ambient
+    basis = amb.coeff_exponents()
 
     def transported(g: groups.GroupElement) -> tuple:
-        cm = groups.induced_coeff_map(g, amb.d, homogeneous=amb.homogeneous)
-        return tuple(polyops.substitute_linear(t, cm.matrix) for t in span.basis)
+        matrix = groups.induced_coeff_map(g, basis)
+        return tuple(polyops.substitute_linear(t, matrix) for t in span.basis)
 
     if group == "sym":
         elements = groups.enumerate_permutations(amb.n, amb.field)

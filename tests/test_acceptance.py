@@ -333,10 +333,10 @@ def test_criterion_09_permutation_closure_of_coefficient_slots():
         assert closure.dim == exponent_orbit_dim(slot, 3)
         images = []
         for g in perms:
-            cm = induced_coeff_map(g, 2, homogeneous=True)
+            matrix = induced_coeff_map(g, ambient.coeff_exponents())
             for b in closure.module.basis:
-                assert in_span(closure.module, substitute_linear(b, cm.matrix))
-            images.append(substitute_linear(t, cm.matrix))
+                assert in_span(closure.module, substitute_linear(b, matrix))
+            images.append(substitute_linear(t, matrix))
         rows = [[img.coefficient(e) for e in unit_exps] for img in images]
         assert rational_rank(rows) == closure.dim
     print(

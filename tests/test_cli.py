@@ -686,6 +686,19 @@ def test_negative_trials_are_usage_errors(capsys):
         assert captured.err.startswith("error:")
 
 
+def test_a_whole_group_run_over_the_rationals_is_a_usage_error(capsys):
+    """GL_n(Q) is infinite, so enumerating it is invalid input (exit 2), not a
+    size cap (exit 3), in both commands that run a whole group."""
+    for argv in (
+        ["invariance", "--fn", "esym:2,3", "--measure", "dim_partials", "--exhaustive"],
+        ["gk-check", "--fn", "det:2", "--field", "Q"],
+    ):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+
+
 def test_division_by_zero_in_a_point_is_a_usage_error(capsys):
     """The error names the flag and the entry it could not read."""
     hessian = ["measure", "--fn", "det:2", "--measure", "hessian_rank"]

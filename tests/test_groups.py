@@ -23,6 +23,7 @@ from seplab import (
     induced_coeff_map,
     invariance_check,
     linear_element,
+    monomials_exact,
     monomials_upto,
     permutation_element,
     prime_field,
@@ -171,7 +172,7 @@ def test_enumerate_invertible_guards(monkeypatch):
     monkeypatch.setattr(linalg, "rank", lambda *args, **kwargs: ranks.append(args))
     with pytest.raises(ValueError, match="n >= 1"):
         enumerate_invertible(0, prime_field(2))
-    with pytest.raises(InfeasibleError):
+    with pytest.raises(ValueError, match="infinite"):
         enumerate_invertible(2, RATIONALS)
     for n, q in ((3, 7), (3, 3), (4, 2), (2, 11), (1, 10007)):
         assert gl_order(n, q) > 10_000
@@ -209,15 +210,16 @@ def test_induced_coeff_map_transports_coefficients():
         for _ in range(10):
             d = rng.choice((2, 3))
             g = rand_element(2, rng, field)
-            cm = induced_coeff_map(g, d)
+            basis = monomials_exact(2, d)
+            matrix = induced_coeff_map(g, basis)
             terms = {
                 e: (rng.randint(-3, 3) if field.p is None else rng.randrange(field.p))
-                for e in cm.basis
+                for e in basis
             }
             f = Poly(2, field, terms)
             moved = apply(g, f)
-            column = [[v] for v in coeff_vector(f, cm.basis)]
-            assert mat_mul(cm.matrix, column, field) == [[v] for v in coeff_vector(moved, cm.basis)]
+            column = [[v] for v in coeff_vector(f, basis)]
+            assert mat_mul(matrix, column, field) == [[v] for v in coeff_vector(moved, basis)]
 
 
 def test_induced_coeff_map_matrix_is_multiplicative():
@@ -225,19 +227,24 @@ def test_induced_coeff_map_matrix_is_multiplicative():
     rng = random.Random(22)
     g = random_invertible(2, RATIONALS, rng)
     h = random_invertible(2, RATIONALS, rng)
-    mg = induced_coeff_map(g, 2).matrix
-    mh = induced_coeff_map(h, 2).matrix
-    mgh = induced_coeff_map(compose(g, h), 2).matrix
+    basis = monomials_exact(2, 2)
+    mg = induced_coeff_map(g, basis)
+    mh = induced_coeff_map(h, basis)
+    mgh = induced_coeff_map(compose(g, h), basis)
     assert [list(r) for r in mgh] == mat_mul(mg, mh, RATIONALS)
 
 
 def test_inhomogeneous_basis_holds_every_degree_up_to_d():
     g = linear_element([[1, 1], [0, 1]])
-    cm = induced_coeff_map(g, 2, homogeneous=False)
-    assert len(cm.basis) == 6  # all monomials of degree <= 2 in two variables
+    basis = monomials_upto(2, 2)
+    matrix = induced_coeff_map(g, basis)
+    assert len(matrix) == 6  # all monomials of degree <= 2 in two variables
     f = Poly(2, RATIONALS, {(2, 0): 1, (0, 1): -3, (0, 0): 5})
-    column = [[v] for v in coeff_vector(f, cm.basis)]
-    assert mat_mul(cm.matrix, column, RATIONALS) == [[v] for v in coeff_vector(apply(g, f), cm.basis)]
+    column = [[v] for v in coeff_vector(f, basis)]
+    assert mat_mul(matrix, column, RATIONALS) == [[v] for v in coeff_vector(apply(g, f), basis)]
+    # x0 -> x0 + x1 moves x0 off a basis that lacks x1, so the map is refused
+    with pytest.raises(ValueError, match=r"\(0, 1\)"):
+        induced_coeff_map(g, [(1, 0)])
 
 
 def test_invariance_check_rank_measures_hold():
