@@ -256,13 +256,15 @@ def cmd_separate(args) -> int:
     if args.format == "json":
         _emit(_json_text(config, asdict(report)), args.out)
     else:
-        summary = [
+        rows = [["trial", "seed", "rank", "bound", "vanished"]]
+        rows += [[t.trial, t.seed, t.rank, t.bound, int(t.vanished)] for t in report.rows]
+        rows += [
             ["separating", int(report.separating)],
             ["easy_vanish_count", report.easy_vanish_count],
             ["hard_nonvanish", int(report.hard_nonvanish)],
             ["hard_value", report.hard_value],
         ]
-        _emit(_csv_text(config, report.csv_rows() + summary), args.out)
+        _emit(_csv_text(config, rows), args.out)
     return 0
 
 

@@ -524,12 +524,6 @@ def gk_intersection_test(
                 "twists must be invertible linear elements on the matrix side"
             )
 
-    if reduced_f.is_zero:
-        return {
-            s: GKReport(n, q, r, max_degree, len(sigmas), s, 0, 0, False)
-            for s in STRATEGIES
-        }
-
     # the derivatives do not depend on the twist, so they are taken once
     top = min(r, reduced_f.degree)
     ops = [c for k in range(top + 1) for c in derivative_operators(reduced_f, k)]

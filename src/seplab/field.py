@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 from typing import Union
 
 Scalar = Union[Fraction, int]
@@ -25,27 +26,8 @@ _MAX_PRIME = 2**31
 
 
 def _is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin; exact for every n < 3,215,031,751."""
-    if n < 2:
-        return False
-    for q in (2, 3, 5, 7):
-        if n % q == 0:
-            return n == q
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in (2, 3, 5, 7):
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+    """Trial division: exact, and at most 46,340 steps for an admitted modulus."""
+    return n >= 2 and all(n % q for q in range(2, isqrt(n) + 1))
 
 
 @dataclass(frozen=True)

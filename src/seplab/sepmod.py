@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import astuple, dataclass, field as dc_field, fields
+from dataclasses import dataclass, field as dc_field
 from typing import Sequence, Union
 
 from . import circuits, groups, linalg, measures
@@ -319,9 +319,7 @@ def minors_explicit(
     above min(rows, cols) leave no minors, giving the empty span that vanishes everywhere.
     """
     entries = matrix.entries if isinstance(matrix, SymbolicMatrix) else matrix
-    minors = poly_matrix_minors(entries, r + 1)
-    nonzero = [m for m in minors if not m.is_zero]
-    return ExplicitSpan(ambient, tuple(nonzero))
+    return ExplicitSpan(ambient, tuple(poly_matrix_minors(entries, r + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -416,12 +414,6 @@ class SeparationReport:
     separating: bool
     note: str
 
-    def csv_rows(self) -> list[list]:
-        """A header of TrialResult's fields, then one row per trial (its
-        fields are all ints or bools, printed as ints)."""
-        header = [f.name for f in fields(TrialResult)]
-        return [header] + [list(map(int, astuple(t))) for t in self.rows]
-
 
 def run_separation(
     module: TestModule,
@@ -443,7 +435,6 @@ def run_separation(
             "split the batch over several master seeds"
         )
     rows = []
-    vanish_count = 0
     for i in range(trials):
         rng = trial_rng(seed, i)
         f_easy = circuits.expand(sampler.sample(rng))
@@ -457,8 +448,7 @@ def run_separation(
                 vanished=outcome.vanishes,
             )
         )
-        if outcome.vanishes:
-            vanish_count += 1
+    vanish_count = sum(row.vanished for row in rows)
     hard_outcome = evaluate_module(module, f_hard)
     hard_nonvanish = not hard_outcome.vanishes
     if trials == 0:

@@ -187,6 +187,10 @@ def test_separate_csv_layout(tmp_path):
     assert rows[0][0].startswith("config=")
     json.loads(rows[0][0][len("config=") :])  # the embedded config is valid JSON
     assert rows[1] == ["trial", "seed", "rank", "bound", "vanished"]
+    # config, header, one row per trial (bools printed as ints), four summary rows
+    assert len(rows) == 2 + 2 + 4
+    assert [row[0] for row in rows[2:4]] == ["0", "1"]
+    assert all(row[4] == "1" for row in rows[2:4])
     assert ["separating", "1"] in rows
 
 

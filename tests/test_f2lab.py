@@ -580,12 +580,20 @@ def test_gk_builds_the_vanishing_ideal_once_for_both_strategies(monkeypatch):
 
 
 def test_gk_zero_polynomial_fails_cleanly():
-    reports = gk_intersection_test(zero(4, F2), 1, [identity_element(2, F2)])
-    assert sorted(reports) == ["pairwise", "stacked"]
-    for strategy, rep in reports.items():
-        assert rep.strategy == strategy
-        assert rep.lambda_dim == 0 and rep.intersection_dim == 0
-        assert not rep.property_holds
+    """The zero polynomial spans nothing under any twist, the whole group
+    GL_2(F_q) included: lambda and the intersection are 0."""
+    for fld, sigmas, count in [
+        (F2, [identity_element(2, F2)], 1), (F2, None, 6), (F3, None, 48),
+    ]:
+        q = fld.p
+        reports = gk_intersection_test(zero(4, fld), 1, sigmas)
+        assert tuple(reports) == f2lab.STRATEGIES
+        for strategy, rep in reports.items():
+            assert asdict(rep) == {
+                "n": 2, "q": q, "r": 1, "max_degree": 4 * (q - 1), "sigma_count": count,
+                "strategy": strategy, "lambda_dim": 0, "intersection_dim": 0,
+                "property_holds": False,
+            }
 
 
 def test_gk_validation_and_guards():

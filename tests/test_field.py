@@ -1,6 +1,7 @@
 """Tests for the coefficient-field layer."""
 
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
@@ -43,7 +44,9 @@ def test_prime_field_inverse():
 
 
 def test_nonprime_modulus_rejected():
-    for bad in (0, 1, 4, 6, 9, 561):
+    # past the sieve below: 2**31, a prime square at the isqrt edge of the
+    # admitted range, and strong pseudoprimes to base 2 and to bases 2, 3, 5
+    for bad in (0, 1, 4, 6, 9, 561, 2**31, 46_337**2, 2_047, 25_326_001):
         with pytest.raises(ValueError):
             prime_field(bad)
 
@@ -54,6 +57,23 @@ def test_large_prime_accepted_small_rejected():
     assert f.coerce(p + 5) == 5
     with pytest.raises(ValueError):
         prime_field(2**61 - 1)
+
+
+def _accepts(n: int) -> bool:
+    try:
+        prime_field(n)
+    except ValueError:
+        return False
+    return True
+
+
+def test_prime_field_accepts_exactly_the_sieved_primes():
+    limit = 10**5
+    sieve = [False, False] + [True] * (limit - 2)
+    for q in range(2, isqrt(limit) + 1):
+        if sieve[q]:
+            sieve[q * q :: q] = [False] * len(range(q * q, limit, q))
+    assert [n for n in range(limit) if _accepts(n)] == [n for n in range(limit) if sieve[n]]
 
 
 def test_field_from_name_round_trip():

@@ -239,11 +239,10 @@ def test_every_kept_parameter_is_needed():
 
 # Dataclass fields kept on purpose although nothing reads them by name: a
 # class name keeps every field of a report that the CLI prints whole through
-# asdict/astuple; one reason each.
+# asdict; one reason each.
 KEPT_FIELDS = {
     "GKReport": "gk-check prints it whole through asdict",
     "InvarianceReport": "invariance prints it whole through asdict",
-    "TrialResult": "separate prints each trial whole through asdict, or astuple for csv",
     "SeparationReport": "separate prints it whole through asdict",
     "SymbolicMatrix.row_labels": "the derivative operator of each row, which the tests check",
     "SymbolicMatrix.col_labels": "the monomial of each column, which the tests check",
