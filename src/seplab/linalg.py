@@ -11,14 +11,16 @@ number of pivots it finds, RREF back-substitutes over the echelon rows it
 leaves, and a kernel is one RREF of the matrix with its columns reversed.
 
 A ℚ rank of a matrix with at least ``_CERT_MIN_DIM`` rows and columns is
-certified from one elimination mod a prime p below 2**30 instead.  A minor
-that is nonzero mod p is nonzero over ℤ, so the rank r mod p is a lower bound,
-and it is the rank when it fills the smaller side.  Otherwise the smaller
-kernel mod p is lifted to ℚ by rational reconstruction (Wang's, else a large
-quotient's) and checked exactly over ℤ; its vectors are independent, so if
-all pass the rank is at most r.  Vectors that fail are redone modulo a
-product of two primes by CRT, and if that fails too, or an unlucky prime
-(rank mod p below the ℚ rank) makes the pivots disagree, Bareiss decides.
+certified mod primes instead.  A minor nonzero mod a prime is nonzero over ℤ,
+so a rank mod a prime is a lower bound, and the rank when it fills the smaller
+side.  If the long side is at least twice the short one, the short side's
+vectors are first eliminated mod a prime below 2**25 up to the first that
+reduces to 0.  If one does, or the matrix is squarer, it is ranked mod a prime
+p below 2**30, and a rank r short of full has the smaller kernel mod p lifted
+to ℚ by rational reconstruction and checked exactly over ℤ; its vectors are
+independent, so if all pass the rank is at most r.  Vectors that fail are
+redone modulo a product of two primes by CRT, and if that fails too, or an
+unlucky prime makes the pivots disagree, Bareiss decides.
 Smaller matrices, RREF and kernels always use Bareiss.  A rank of that size,
 over either field, takes dense rows but reads only their nonzeros, once: mod
 p each sparse row is packed into one int from its nonzeros and kept as read
@@ -169,9 +171,12 @@ _CERT_MIN_DIM = 48
 # A residue below 2**30 is one CPython digit.  The second prime serves only
 # kernels that do not lift from the first.
 _CERT_PRIMES = (1073741789, 1073741783)
+_SHORT_PRIME = 33554393  # below 2**25: 64-bit slots for a long side up to 16,383
 
 
-def _packed_echelon(rows, p: int, ncols: int) -> tuple[dict[int, tuple[int, int]], Callable]:
+def _packed_echelon(
+    rows, p: int, ncols: int, until_dependent: bool = False
+) -> tuple[dict[int, tuple[int, int]], Callable]:
     """An echelon basis of sparse rows of residues mod p, one int per row:
     ({leading column: (the packed entries past it, the inverse of the leading
     entry)}, unpack to a packed row's nonzero columns and their values).
@@ -181,8 +186,9 @@ def _packed_echelon(rows, p: int, ncols: int) -> tuple[dict[int, tuple[int, int]
     holds (ncols+1)·p²: a row meets each pivot once at most, gaining at most
     (p-1)² per slot, so no slot carries.  A row is packed by writing its
     nonzeros into zeroed bytes.  A pivot row is kept as read, not made monic;
-    only one that was reduced has its slots taken mod p.  Rows are read until
-    the rank is full.
+    only one that was reduced has its nonzero slots taken mod p.  Rows are
+    read until the rank is full or, with ``until_dependent``, until one
+    reduces to 0.
     """
     w = next(b for b in (8, 16, 32, 64, 128) if (ncols + 1) * p * p < 1 << b)
     code, wide = {8: "B", 16: "H", 32: "I"}.get(w, "Q"), w > 64  # "<": standard sizes
@@ -204,7 +210,7 @@ def _packed_echelon(rows, p: int, ncols: int) -> tuple[dict[int, tuple[int, int]
         return js, [lo[j] | hi[j] << 64 for j in js]
 
     full, table = min(len(rows), ncols), {}
-    for js, xs in rows:
+    for n, (js, xs) in enumerate(rows, 1):
         big, reduced = pack(js, xs), False
         while big:
             s = (big.bit_length() - 1) // w
@@ -216,14 +222,16 @@ def _packed_echelon(rows, p: int, ncols: int) -> tuple[dict[int, tuple[int, int]
                     if reduced and wide:  # each slot mod p; a 128-bit slot is two words
                         js, xs = unpack(big)
                         big = pack(js, [x % p for x in xs])
-                    elif reduced:  # one word per slot: every word at once
-                        a = words.unpack(big.to_bytes(words.size, "little"))
-                        big = int.from_bytes(words.pack(*[x % p for x in a]), "little")
+                    elif reduced:  # one word per slot: only the nonzero words
+                        a = list(words.unpack(big.to_bytes(words.size, "little")))
+                        for i in compress(cols, a):
+                            a[i] %= p
+                        big = int.from_bytes(words.pack(*a), "little")
                     table[s] = big, pow(top, -1, p)
                     break
                 big += (p - top * t[1] % p) * t[0]
                 reduced = True
-        if len(table) == full:
+        if len(table) == full or until_dependent and len(table) < n:
             break
     return {ncols - 1 - s: t for s, t in table.items()}, unpack
 
@@ -312,16 +320,21 @@ def _certified_rank(a: list, width: int) -> int | None:
     """The ℚ rank of sparse integer rows certified mod _CERT_PRIMES, or None.
 
     M is a, or its transpose if that has fewer columns, so that the kernel
-    lifted is the smaller one.  Each kernel vector mod p1 is 1 at its own
+    lifted is the smaller one.  At least twice as tall as wide, M is first
+    read by columns mod _SHORT_PRIME up to the first that reduces to 0: if
+    none does, M has full rank.  Each kernel vector mod p1 is 1 at its own
     free column and 0 at the others, so the lifted vectors are independent.
     """
-    tall = width <= len(a)
-    mrows, mwidth = (a, width) if tall else (_transpose(a, width), len(a))
+    at = _transpose(a, width)
+    (mrows, mwidth), cols = ((a, width), at) if width <= len(a) else ((at, len(a)), a)
+    if len(mrows) >= 2 * mwidth:
+        short = [(js, [x % _SHORT_PRIME for x in xs]) for js, xs in cols]
+        if len(_packed_echelon(short, _SHORT_PRIME, len(mrows), True)[0]) == mwidth:
+            return mwidth
     p1, p2 = _CERT_PRIMES
     pivots, vector1 = _mod_kernel(mrows, p1, mwidth)
     if len(pivots) == mwidth:
         return mwidth
-    cols = _transpose(a, width) if tall else a
 
     def verified(v: dict[int, int], m: int) -> bool:
         w = _lift(v, m)
@@ -356,14 +369,16 @@ def _certified_rank(a: list, width: int) -> int | None:
 def rank(rows, field: Field, ncols: int | None = None) -> int:
     """Exact rank of a matrix over the given field.
 
-    Over ℚ a matrix with at least _CERT_MIN_DIM rows and columns is ranked
-    mod a prime below 2**30 first.  That rank r is a lower bound, and it is
-    returned when it fills the smaller side, or when the smaller kernel mod p
-    lifts to ℚ and passes an exact check over ℤ, which bounds the rank by r
-    from above.  Otherwise, and for every smaller matrix, fraction-free
-    Bareiss gives the rank.  Over F_p a matrix that size has packed rows, of
-    its shorter side: rank(M) = rank(Mᵀ), so a tall one is read by columns.
-    Either way a matrix that size is read once, nonzeros only.
+    Over ℚ a matrix with at least _CERT_MIN_DIM rows and columns, whose long
+    side is at least twice its short side, has its short side read mod a
+    prime below 2**25 up to the first vector that reduces to 0; if none does,
+    the rank is the short side.  Else it is ranked mod a prime below 2**30: a
+    lower bound r returned when it fills the smaller side, or when the
+    smaller kernel mod p lifts to ℚ and passes an exact check over ℤ, which
+    bounds the rank by r.  Otherwise, and for every smaller matrix, Bareiss
+    gives the rank.  Over F_p a matrix that size has packed rows, of its
+    shorter side: rank(M) = rank(Mᵀ), so a tall one is read by columns;
+    either way it is read once, nonzeros only.
     """
     width = _width(rows, ncols)
     if min(len(rows), width) >= _CERT_MIN_DIM:

@@ -20,14 +20,17 @@ from oracles import (
     two_rref_kernel,
 )
 from seplab import RATIONALS, grlex_key, intersect_all, linalg, prime_field
+from seplab.field import _is_prime
 from seplab.linalg import (
     _CERT_MIN_DIM,
     _CERT_PRIMES,
+    _SHORT_PRIME,
     _eliminate,
     _field_rows,
     _mod_kernel,
     _packed_echelon,
     _sparse,
+    _transpose,
     densify,
     identity_matrix,
     kernel,
@@ -136,10 +139,10 @@ def recorded_eliminations():
         seen.append(p)
         return eliminate(m, p)
 
-    def recording_packed(rows, p, ncols):
+    def recording_packed(rows, p, ncols, until_dependent=False):
         assert is_sparse_mod(rows, p, ncols)
         seen.append(p)
-        return packed(rows, p, ncols)
+        return packed(rows, p, ncols, until_dependent)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(linalg, "_eliminate", recording_eliminate)
@@ -224,10 +227,89 @@ def test_an_unlucky_prime_falls_back_to_bareiss(i):
     assert rational_rank(m) == 48
 
 
+@pytest.mark.parametrize("kind", ["full", "deficient", "planted"])
+@pytest.mark.parametrize("aspect", [-1, 0, 7])
+@pytest.mark.parametrize("wide", [False, True])
+@settings(max_examples=2, deadline=None, derandomize=True, database=None)
+@given(st.integers(_CERT_MIN_DIM, 56), st.booleans(), st.integers(0, 2**32 - 1))
+def test_rational_rank_reads_the_short_side_first(kind, aspect, wide, short, fractions, seed):
+    """A ℚ rank whose long side is 2·short + aspect: just below the gate, at
+    it or past it.  At or past the gate it eliminates its short side mod
+    _SHORT_PRIME first: at full rank that pass alone answers; otherwise it
+    stops at the first short-side vector that reduces to 0 (the second, if
+    planted as a multiple of the first) and the rank goes on mod the first
+    certificate prime.  Below the gate the route is the first certificate
+    prime's.  Bareiss and sympy's QQ domain matrices both confirm the rank,
+    and the short side's residues mod _SHORT_PRIME show where the pass
+    stopped."""
+    rng = random.Random(seed)
+    long = 2 * short + aspect
+    k = rng.randint(1, short - 1) if kind == "deficient" else short
+    u = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(long)]
+    v = rand_matrix(k, short, rng)
+    m = [[sum(map(mul, row, col)) for col in zip(*v)] for row in u]  # the short side is columns
+    if kind == "planted":
+        c = rng.choice((-2, 1, 3))
+        for row in m:
+            row[1] = c * row[0]
+    if fractions:  # each row over its own denominator: the same rank
+        m = [[Fraction(x, d) for x in row] for row, d in zip(m, rng.choices(range(1, 7), k=long))]
+    if wide:
+        m = [list(col) for col in zip(*m)]
+    with recorded_eliminations() as seen:
+        r = rank(m, RATIONALS)
+    assert r == bareiss_rank(m) == qq_rank(m)
+    assert (r == short) == (kind == "full")
+    p1 = _CERT_PRIMES[0]
+    if aspect < 0:
+        assert seen == [p1] if kind == "full" else seen[0] == p1
+    else:
+        assert seen == [_SHORT_PRIME] if kind == "full" else seen[:2] == [_SHORT_PRIME, p1]
+    # the pass stops at the first short-side vector dependent mod q on
+    # those before it: the second, if planted
+    q = _SHORT_PRIME
+    sparse = _sparse(m, prime_field(q), len(m[0]))
+    vectors = _transpose(sparse, len(m[0])) if len(m) > len(m[0]) else sparse
+    t = len(_packed_echelon(vectors, q, long, until_dependent=True)[0])
+    dense = [[0] * long for _ in vectors]
+    for row, (js, xs) in zip(dense, vectors):
+        for j, x in zip(js, xs):
+            row[j] = x
+    assert modular_rank(dense[:t], q) == t
+    assert t == short or modular_rank(dense[: t + 1], q) == t
+    assert t == 1 or kind != "planted"
+
+
+@pytest.mark.parametrize("wide", [False, True])
+@settings(max_examples=6, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 47), st.integers(0, 2**32 - 1))
+def test_an_unlucky_short_side_prime_falls_through_to_the_first(wide, r, seed):
+    """96 x 48 of full column rank over ℚ whose last column is column 0 plus
+    _SHORT_PRIME·e_r: mod that prime it has rank 47, so the short-side pass
+    falls through and the first certificate prime finds rank 48."""
+    q = _SHORT_PRIME
+    assert q < 2**25 and _is_prime(q)
+    rng = random.Random(seed)
+    m = [[rng.randint(-9, 9) for _ in range(47)] for _ in range(96)]
+    for i, row in enumerate(m):
+        row.append(row[0] + q * (i == r))
+    if wide:
+        m = [list(col) for col in zip(*m)]
+    assert qq_rank(m) == 48
+    with recorded_eliminations() as seen:
+        assert rank(m, RATIONALS) == 48
+    assert seen == [q, _CERT_PRIMES[0]]
+
+
+# the largest long side whose slots mod _SHORT_PRIME are 64-bit:
+# (ncols+1)·q² < 2**64
+SHORT_PRIME_64 = ((1 << 64) - 1) // _SHORT_PRIME**2 - 1
+
 # (p, ncols) on both sides of each slot width the packed kernel can pick:
 # (ncols+1)·p² crosses 2**8 for p = 2, 3, 7, 2**16 for p = 7, and 2**64 for
-# the first certificate prime
+# the short-side prime and the first certificate prime
 SLOT_EDGES = [(2, 62), (2, 63), (3, 27), (3, 28), (7, 4), (7, 5), (7, 1336), (7, 1337),
+              (_SHORT_PRIME, SHORT_PRIME_64), (_SHORT_PRIME, SHORT_PRIME_64 + 1),
               (_CERT_PRIMES[0], 15), (_CERT_PRIMES[0], 16)]
 
 
