@@ -11,16 +11,17 @@ number of pivots it finds, RREF back-substitutes over the echelon rows it
 leaves, and a kernel is one RREF of the matrix with its columns reversed.
 
 A ℚ rank of a matrix with at least ``_CERT_MIN_DIM`` rows and columns is
-certified mod primes instead.  A minor nonzero mod a prime is nonzero over ℤ,
-so a rank mod a prime is a lower bound, and the rank when it fills the smaller
-side.  If the long side is at least twice the short one, the short side's
-vectors are first eliminated mod a prime below 2**25 up to the first that
-reduces to 0.  If one does, or the matrix is squarer, it is ranked mod a prime
-p below 2**30, and a rank r short of full has the smaller kernel mod p lifted
-to ℚ by rational reconstruction and checked exactly over ℤ; its vectors are
-independent, so if all pass the rank is at most r.  Vectors that fail are
-redone modulo a product of two primes by CRT, and if that fails too, or an
-unlucky prime makes the pivots disagree, Bareiss decides.
+certified mod the primes ``_CERT_PRIMES`` instead.  A minor nonzero mod a
+prime is nonzero over ℤ, so a rank mod a prime is a lower bound, and the rank
+when it fills the smaller side.  If the long side is at least twice the short
+one, the short side's vectors are first eliminated mod the first prime, up to
+the first that reduces to 0.  If one does, or the matrix is squarer, it is
+ranked mod the primes in turn.  At a rank r short of full, each vector of the
+smaller kernel is combined by CRT with its residues mod the primes before,
+lifted to ℚ by rational reconstruction and checked exactly over ℤ.  The
+vectors are independent, so if all pass, the rank is at most r; those that
+fail go on to the next prime.  If some fail after the last prime, or an
+unlucky prime makes the pivots disagree with the first's, Bareiss decides.
 Smaller matrices, RREF and kernels always use Bareiss.  A rank of that size,
 over either field, takes dense rows but reads only their nonzeros, once: mod
 p each sparse row is packed into one int from its nonzeros and kept as read
@@ -168,10 +169,9 @@ def _field_rows(rows, field: Field) -> list[list[int]]:
 # prime and certified (see ``rank``).  Below it a kernel that fails to lift
 # costs more than the Bareiss run it was meant to save.
 _CERT_MIN_DIM = 48
-# A residue below 2**30 is one CPython digit.  The second prime serves only
-# kernels that do not lift from the first.
-_CERT_PRIMES = (1073741789, 1073741783)
-_SHORT_PRIME = 33554393  # below 2**25: 64-bit slots for a long side up to 16,383
+# Below 2**25, so packed slots are 64-bit for a long side up to 16,383.  A
+# prime after the first runs only while some kernel vector has not lifted.
+_CERT_PRIMES = (33554393, 33554383, 33554371)
 
 
 def _packed_echelon(
@@ -252,18 +252,15 @@ def _transpose(rows, width: int) -> list[tuple[list[int], list]]:
     return cols
 
 
-def _mod_kernel(m, p: int, width: int) -> tuple[list[int], Callable[[int], dict[int, int]] | None]:
+def _mod_kernel(m, p: int, width: int) -> tuple[list[int], Callable[[int], dict[int, int]]]:
     """Eliminate sparse integer rows mod p: (pivot columns, kernel vector maker).
 
     The maker takes a free column f and returns, as {column: residue}, the
     kernel vector that is 1 at f and 0 at every other free column, found by
-    back-substitution over the echelon rows that meet its nonzeros (None at
-    full rank, where no column is free).
+    back-substitution over the echelon rows that meet its nonzeros.
     """
     table, unpack = _packed_echelon([(js, [x % p for x in xs]) for js, xs in m], p, width)
     pivots = sorted(table)
-    if len(pivots) == width:
-        return pivots, None
     nz, rows_at = [], [[] for _ in range(width)]
     for k, c in enumerate(pivots):
         tail, inv = table[c]
@@ -291,50 +288,38 @@ def _lift(v: dict[int, int], m: int) -> dict[int, int] | None:
     """An integer multiple of the rational vector that is v mod m, or None.
 
     Each entry times the common denominator so far is reconstructed (Wang)
-    with numerator and denominator at most sqrt(m/2).  If that fails, each
-    is instead the remainder over cofactor just before the first quotient of
-    its Euclidean run above sqrt(m/2)/16 (Monagan's large-quotient test),
-    which needs |numerator·denominator| below about 16·sqrt(2m): integer
-    entries 4 bits past Wang's bound still lift.
+    with numerator and denominator at most sqrt(m/2).
     """
     bound = isqrt(m >> 1)
-    for wang in (True, False):
-        den, parts = 1, []
-        for j, a in v.items():
-            r0, r1, t0, t1 = m, a * den % m, 0, 1
-            while r1 > bound if wang else r1 and r0 // r1 <= bound >> 4:
-                q = r0 // r1
-                r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
-            if t1 < 0:
-                r1, t1 = -r1, -t1
-            den *= t1
-            if den > bound if wang else not r1:
-                break
-            parts.append((j, r1, den))
-        else:
-            return {j: n * (den // d) for j, n, d in parts}
-    return None
+    den, parts = 1, []
+    for j, a in v.items():
+        r0, r1, t0, t1 = m, a * den % m, 0, 1
+        while r1 > bound:
+            q = r0 // r1
+            r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+        if t1 < 0:
+            r1, t1 = -r1, -t1
+        den *= t1
+        if den > bound:
+            return None
+        parts.append((j, r1, den))
+    return {j: n * (den // d) for j, n, d in parts}
 
 
 def _certified_rank(a: list, width: int) -> int | None:
     """The ℚ rank of sparse integer rows certified mod _CERT_PRIMES, or None.
 
     M is a, or its transpose if that has fewer columns, so that the kernel
-    lifted is the smaller one.  At least twice as tall as wide, M is first
-    read by columns mod _SHORT_PRIME up to the first that reduces to 0: if
-    none does, M has full rank.  Each kernel vector mod p1 is 1 at its own
-    free column and 0 at the others, so the lifted vectors are independent.
+    lifted is the smaller one.  Each kernel vector is 1 at its own free
+    column and 0 at the others, so the lifted vectors are independent.
     """
     at = _transpose(a, width)
     (mrows, mwidth), cols = ((a, width), at) if width <= len(a) else ((at, len(a)), a)
+    q = _CERT_PRIMES[0]
     if len(mrows) >= 2 * mwidth:
-        short = [(js, [x % _SHORT_PRIME for x in xs]) for js, xs in cols]
-        if len(_packed_echelon(short, _SHORT_PRIME, len(mrows), True)[0]) == mwidth:
+        short = [(js, [x % q for x in xs]) for js, xs in cols]
+        if len(_packed_echelon(short, q, len(mrows), True)[0]) == mwidth:
             return mwidth
-    p1, p2 = _CERT_PRIMES
-    pivots, vector1 = _mod_kernel(mrows, p1, mwidth)
-    if len(pivots) == mwidth:
-        return mwidth
 
     def verified(v: dict[int, int], m: int) -> bool:
         w = _lift(v, m)
@@ -346,39 +331,36 @@ def _certified_rank(a: list, width: int) -> int | None:
                 acc[i] += x * y
         return not any(acc)
 
-    pivot_set = set(pivots)
-    kernel1 = {f: vector1(f) for f in range(mwidth) if f not in pivot_set}
-    failed = [f for f, v in kernel1.items() if not verified(v, p1)]
-    if failed:
-        pivots2, vector2 = _mod_kernel(mrows, p2, mwidth)
-        if pivots2 != pivots:
+    m = 1
+    for p in _CERT_PRIMES:
+        pivots, vector = _mod_kernel(mrows, p, mwidth)
+        if len(pivots) == mwidth:
+            return mwidth
+        if m == 1:
+            first, todo = pivots, {f: {} for f in set(range(mwidth)).difference(pivots)}
+        elif pivots != first:
             return None
-        # x mod p1 and y mod p2 are x·e1 + y·e2 mod p1·p2
-        e1, e2 = p2 * pow(p2, -1, p1), p1 * pow(p1, -1, p2)
-        for f in failed:
-            v1, v2 = kernel1[f], vector2(f)
-            v = {
-                j: (v1.get(j, 0) * e1 + v2.get(j, 0) * e2) % (p1 * p2)
-                for j in v1.keys() | v2.keys()
-            }
-            if not verified(v, p1 * p2):
-                return None
-    return len(pivots)
+        # x mod m and y mod p are x + m·((y - x)·m⁻¹ mod p) mod m·p
+        inv = pow(m, -1, p)
+        for f, x in todo.items():
+            y = vector(f)
+            todo[f] = {j: x.get(j, 0) + m * ((y.get(j, 0) - x.get(j, 0)) * inv % p)
+                       for j in x.keys() | y.keys()}
+        m *= p
+        todo = {f: v for f, v in todo.items() if not verified(v, m)}
+        if not todo:
+            return len(first)
+    return None
 
 
 def rank(rows, field: Field, ncols: int | None = None) -> int:
     """Exact rank of a matrix over the given field.
 
-    Over ℚ a matrix with at least _CERT_MIN_DIM rows and columns, whose long
-    side is at least twice its short side, has its short side read mod a
-    prime below 2**25 up to the first vector that reduces to 0; if none does,
-    the rank is the short side.  Else it is ranked mod a prime below 2**30: a
-    lower bound r returned when it fills the smaller side, or when the
-    smaller kernel mod p lifts to ℚ and passes an exact check over ℤ, which
-    bounds the rank by r.  Otherwise, and for every smaller matrix, Bareiss
-    gives the rank.  Over F_p a matrix that size has packed rows, of its
-    shorter side: rank(M) = rank(Mᵀ), so a tall one is read by columns;
-    either way it is read once, nonzeros only.
+    Over ℚ a matrix with at least _CERT_MIN_DIM rows and columns has its rank
+    certified mod _CERT_PRIMES (see the module docstring); when that fails,
+    and for every smaller matrix, Bareiss gives the rank.  Over F_p a matrix
+    that size has packed rows, of its shorter side: rank(M) = rank(Mᵀ), so a
+    tall one is read by columns; either way it is read once, nonzeros only.
     """
     width = _width(rows, ncols)
     if min(len(rows), width) >= _CERT_MIN_DIM:

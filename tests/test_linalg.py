@@ -4,6 +4,7 @@ import copy
 import random
 from contextlib import contextmanager
 from fractions import Fraction
+from math import isqrt, prod
 from operator import mul
 
 import pytest
@@ -24,7 +25,6 @@ from seplab.field import _is_prime
 from seplab.linalg import (
     _CERT_MIN_DIM,
     _CERT_PRIMES,
-    _SHORT_PRIME,
     _eliminate,
     _field_rows,
     _mod_kernel,
@@ -180,51 +180,46 @@ def test_certified_rank_of_planted_products_matches_bareiss(k, wide, fractions, 
         assert seen[0] == _CERT_PRIMES[0]
 
 
-@settings(max_examples=10, deadline=None, derandomize=True, database=None)
-@given(st.sampled_from([20, 40]), st.integers(0, 2**32 - 1))
-def test_tall_kernels_take_the_second_prime_then_bareiss(bits, seed):
-    """[I48 | w] plus one row Σ(2^20 + i)·row_i: the kernel vector (-w, 1)
-    lifts mod p1·p2 when |w| < 2^21, and not at all when |w| ~ 2^40."""
+@pytest.mark.parametrize("bits", [10, 20, 28, 36, 40])
+@settings(max_examples=5, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32 - 1))
+def test_a_tall_kernel_takes_the_primes_wangs_bound_asks_for(bits, seed):
+    """[I48 | w] plus one row Σ(2^20 + i)·row_i, |w| in [2^bits, 2^(bits+1)]:
+    the kernel vector (-w, 1) lifts modulo the product of the first k
+    certificate primes once Wang's bound sqrt(m/2) reaches max |w|, each
+    prime after the first serving only that vector, and if no k does,
+    Bareiss decides."""
     rng = random.Random(seed)
     w = [rng.choice((-1, 1)) * rng.randint(2**bits, 2 ** (bits + 1)) for _ in range(48)]
     top = [[int(i == j) for j in range(48)] + [w[i]] for i in range(48)]
     m = top + [[sum((2**20 + i) * row[j] for i, row in enumerate(top)) for j in range(49)]]
     with recorded_eliminations() as seen:
         assert rank(m, RATIONALS) == 48
-    assert seen == list(_CERT_PRIMES) + ([None] if bits == 40 else [])
+    k = next((k for k in range(1, len(_CERT_PRIMES) + 1)
+              if isqrt(prod(_CERT_PRIMES[:k]) >> 1) >= max(map(abs, w))), None)
+    assert seen == (list(_CERT_PRIMES[:k]) if k else list(_CERT_PRIMES) + [None])
     assert rational_rank(m) == 48
 
 
 @settings(max_examples=10, deadline=None, derandomize=True, database=None)
-@given(st.integers(0, 2**32 - 1))
-def test_a_kernel_just_past_wangs_bound_lifts_from_one_prime(seed):
-    """[I48 | w] plus one row Σ(2^20 + i)·row_i with |w| in [2^18, 2^19]:
-    past Wang's bound sqrt(p1/2) ≈ 2^14.5, but the integer vector (-w, 1)
-    comes just before a quotient p1/|w| ≥ 2^11 in each entry's Euclidean
-    run, so it lifts and is certified mod p1 alone."""
-    rng = random.Random(seed)
-    w = [rng.choice((-1, 1)) * rng.randint(2**18, 2**19) for _ in range(48)]
-    top = [[int(i == j) for j in range(48)] + [w[i]] for i in range(48)]
-    m = top + [[sum((2**20 + i) * row[j] for i, row in enumerate(top)) for j in range(49)]]
-    with recorded_eliminations() as seen:
-        assert rank(m, RATIONALS) == 48
-    assert seen == [_CERT_PRIMES[0]]
-    assert rational_rank(m) == 48
-
-
-@settings(max_examples=10, deadline=None, derandomize=True, database=None)
-@given(st.integers(0, 47))
+@given(st.integers(0, 46))
 def test_an_unlucky_prime_falls_back_to_bareiss(i):
     """With primes 7 and 11, I48 with a 7 on the diagonal has rank 47 mod 7;
-    its kernel vector fails the check over Z and 11 finds other pivots."""
+    its kernel vector fails the check over Z and 11 finds the full rank.  If
+    row 47 is also a copy of row 0 (rank 47), 11 finds other pivots than 7,
+    so Bareiss decides."""
     m = identity_matrix(48)
     m[i][i] = 7
+    deficient = [list(r) for r in m[:47]] + [list(m[0])]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(linalg, "_CERT_PRIMES", (7, 11))
         with recorded_eliminations() as seen:
             assert rank(m, RATIONALS) == 48
-    assert seen == [7, 11, None]
-    assert rational_rank(m) == 48
+        assert seen == [7, 11]
+        with recorded_eliminations() as seen:
+            assert rank(deficient, RATIONALS) == 47
+        assert seen == [7, 11, None]
+    assert rational_rank(m) == 48 and rational_rank(deficient) == 47
 
 
 @pytest.mark.parametrize("kind", ["full", "deficient", "planted"])
@@ -234,14 +229,13 @@ def test_an_unlucky_prime_falls_back_to_bareiss(i):
 @given(st.integers(_CERT_MIN_DIM, 56), st.booleans(), st.integers(0, 2**32 - 1))
 def test_rational_rank_reads_the_short_side_first(kind, aspect, wide, short, fractions, seed):
     """A ℚ rank whose long side is 2·short + aspect: just below the gate, at
-    it or past it.  At or past the gate it eliminates its short side mod
-    _SHORT_PRIME first: at full rank that pass alone answers; otherwise it
-    stops at the first short-side vector that reduces to 0 (the second, if
-    planted as a multiple of the first) and the rank goes on mod the first
-    certificate prime.  Below the gate the route is the first certificate
-    prime's.  Bareiss and sympy's QQ domain matrices both confirm the rank,
-    and the short side's residues mod _SHORT_PRIME show where the pass
-    stopped."""
+    it or past it.  At or past the gate it eliminates its short side mod the
+    first certificate prime p1 first: at full rank that pass alone answers;
+    otherwise it stops at the first short-side vector that reduces to 0 (the
+    second, if planted as a multiple of the first) and the rank goes on mod
+    p1.  Below the gate the route starts mod p1.  Bareiss and sympy's QQ
+    domain matrices both confirm the rank, and the short side's residues mod
+    p1 show where the pass stopped."""
     rng = random.Random(seed)
     long = 2 * short + aspect
     k = rng.randint(1, short - 1) if kind == "deficient" else short
@@ -264,10 +258,10 @@ def test_rational_rank_reads_the_short_side_first(kind, aspect, wide, short, fra
     if aspect < 0:
         assert seen == [p1] if kind == "full" else seen[0] == p1
     else:
-        assert seen == [_SHORT_PRIME] if kind == "full" else seen[:2] == [_SHORT_PRIME, p1]
+        assert seen == [p1] if kind == "full" else seen[:2] == [p1, p1]
     # the pass stops at the first short-side vector dependent mod q on
     # those before it: the second, if planted
-    q = _SHORT_PRIME
+    q = p1
     sparse = _sparse(m, prime_field(q), len(m[0]))
     vectors = _transpose(sparse, len(m[0])) if len(m) > len(m[0]) else sparse
     t = len(_packed_echelon(vectors, q, long, until_dependent=True)[0])
@@ -285,10 +279,10 @@ def test_rational_rank_reads_the_short_side_first(kind, aspect, wide, short, fra
 @given(st.integers(0, 47), st.integers(0, 2**32 - 1))
 def test_an_unlucky_short_side_prime_falls_through_to_the_first(wide, r, seed):
     """96 x 48 of full column rank over ℚ whose last column is column 0 plus
-    _SHORT_PRIME·e_r: mod that prime it has rank 47, so the short-side pass
-    falls through and the first certificate prime finds rank 48."""
-    q = _SHORT_PRIME
-    assert q < 2**25 and _is_prime(q)
+    p1·e_r, p1 the first certificate prime: mod p1 it has rank 47, so the
+    short-side pass falls through, the kernel vector mod p1 fails the check
+    over ℤ, and the second prime finds rank 48."""
+    q, p2 = _CERT_PRIMES[:2]
     rng = random.Random(seed)
     m = [[rng.randint(-9, 9) for _ in range(47)] for _ in range(96)]
     for i, row in enumerate(m):
@@ -298,19 +292,30 @@ def test_an_unlucky_short_side_prime_falls_through_to_the_first(wide, r, seed):
     assert qq_rank(m) == 48
     with recorded_eliminations() as seen:
         assert rank(m, RATIONALS) == 48
-    assert seen == [q, _CERT_PRIMES[0]]
+    assert seen == [q, q, p2]
 
 
-# the largest long side whose slots mod _SHORT_PRIME are 64-bit:
-# (ncols+1)·q² < 2**64
-SHORT_PRIME_64 = ((1 << 64) - 1) // _SHORT_PRIME**2 - 1
+def test_the_certificate_primes():
+    """Distinct primes, each with 64-bit slots up to 16,383 columns, whose
+    product passes 2**60."""
+    assert len(set(_CERT_PRIMES)) == len(_CERT_PRIMES)
+    assert all(_is_prime(p) and 16_384 * p * p < 2**64 for p in _CERT_PRIMES)
+    assert prod(_CERT_PRIMES) > 2**60
 
+
+def last_64_bit(p):
+    """The largest ncols whose slots mod p are 64-bit: (ncols+1)·p² < 2**64."""
+    return ((1 << 64) - 1) // p**2 - 1
+
+
+P_MAX = 2**31 - 1  # the largest prime a field admits
 # (p, ncols) on both sides of each slot width the packed kernel can pick:
 # (ncols+1)·p² crosses 2**8 for p = 2, 3, 7, 2**16 for p = 7, and 2**64 for
-# the short-side prime and the first certificate prime
+# the first certificate prime and for P_MAX
 SLOT_EDGES = [(2, 62), (2, 63), (3, 27), (3, 28), (7, 4), (7, 5), (7, 1336), (7, 1337),
-              (_SHORT_PRIME, SHORT_PRIME_64), (_SHORT_PRIME, SHORT_PRIME_64 + 1),
-              (_CERT_PRIMES[0], 15), (_CERT_PRIMES[0], 16)]
+              (_CERT_PRIMES[0], last_64_bit(_CERT_PRIMES[0])),
+              (_CERT_PRIMES[0], last_64_bit(_CERT_PRIMES[0]) + 1),
+              (P_MAX, last_64_bit(P_MAX)), (P_MAX, last_64_bit(P_MAX) + 1)]
 
 
 @st.composite
@@ -321,7 +326,7 @@ def packed_cases(draw):
         p, nc = draw(st.sampled_from(SLOT_EDGES))
         nr = draw(st.integers(1, 6 if nc > 100 else 70))
     else:
-        p = draw(st.sampled_from([2, 3, 7, 1000003, _CERT_PRIMES[0]]))
+        p = draw(st.sampled_from([2, 3, 7, 1000003, _CERT_PRIMES[0], P_MAX]))
         nr = draw(st.integers(1, 60))
         nc = draw(st.integers(_CERT_MIN_DIM - 2, 60))
         if draw(st.booleans()):
@@ -344,10 +349,10 @@ def packed_cases(draw):
 
 
 def _dense_wide_slots():
-    """100 x 110 of rank 95 mod the first certificate prime: its late
-    independent rows meet enough pivots that their 128-bit slots pass 2**64
-    before they become pivots, and the last five must then reduce to 0."""
-    p, rng = _CERT_PRIMES[0], random.Random(0)
+    """100 x 110 of rank 95 mod P_MAX: its late independent rows meet enough
+    pivots that their 128-bit slots pass 2**64 before they become pivots, and
+    the last five must then reduce to 0."""
+    p, rng = P_MAX, random.Random(0)
     m = [[rng.randrange(p) for _ in range(110)] for _ in range(95)]
     for _ in range(5):
         coeffs = [rng.randrange(p) for _ in m]
@@ -388,7 +393,6 @@ def test_packed_kernel_pivots_and_kernels_match(case):
     kernel_pivots, vector = _mod_kernel(_sparse(m, RATIONALS, nc), p, nc)
     assert kernel_pivots == pivots
     free = [f for f in range(nc) if f not in set(pivots)]
-    assert (vector is None) == (not free)
     for f in free[:8]:
         v = vector(f)
         assert all(v.get(g, 0) == (g == f) for g in free)
@@ -422,7 +426,7 @@ GATED_SLOT_WIDTHS = {
     16: (2, 63, 72),
     32: (251, _CERT_MIN_DIM, 72),
     64: (1000003, _CERT_MIN_DIM, 72),
-    128: (_CERT_PRIMES[0], _CERT_MIN_DIM, 72),
+    128: (P_MAX, _CERT_MIN_DIM, 72),
 }
 
 
