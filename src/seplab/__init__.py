@@ -53,7 +53,6 @@ from .groups import (
     GroupElement,
     InvarianceReport,
     apply,
-    compose,
     enumerate_invertible,
     enumerate_permutations,
     gl_order,
@@ -63,7 +62,6 @@ from .groups import (
     linear_element,
     permutation_element,
     random_invertible,
-    random_permutation,
 )
 from .functions import (
     determinant_poly,

@@ -332,8 +332,6 @@ def cmd_rs_distance(args) -> int:
 
 def cmd_gk_check(args) -> int:
     fld = field_from_name(args.field)
-    if fld.p is None:
-        raise ValueError("gk-check runs over a prime field (use --field Fp:<q>)")
     residue = _mod3_residue(args, args.fn)
     f = functions.from_spec(args.fn, fld, residue)
     if args.trials < 0:

@@ -5,12 +5,12 @@ integral value is an ``int`` (never a ``bool``) and only a value whose
 denominator exceeds 1 is a ``fractions.Fraction``: most inputs are integral,
 and int arithmetic is several times cheaper.  ``coerce`` turns an integral
 Fraction back into an int.  The two types compare, hash and print alike, and
-the only scalar division, in ``inv``, divides a Fraction, so no value becomes
-a float.  Over F_p scalars are ints in ``[0, p)``.
+the only scalar division (``linalg.rref``'s pivot inverse) makes a Fraction,
+so no value becomes a float.  Over F_p scalars are ints in ``[0, p)``.
 
 A :class:`Field` value tags a polynomial or matrix with the arithmetic to use
-and provides the scalar helpers, coercion (strings included) and inversion.
-Hot loops branch on ``field.p`` directly and inline the modular reduction.
+and coerces scalars into it (strings included); hot loops branch on
+``field.p`` directly and inline the modular reduction.
 """
 
 from __future__ import annotations
@@ -76,16 +76,6 @@ class Field:
                     )
                 return value.numerator * pow(den, self.p - 2, self.p) % self.p
         raise TypeError(f"cannot coerce {value!r} into {self.name}")
-
-    def inv(self, a: Scalar) -> Scalar:
-        if self.p is None:
-            if a == 0:
-                raise ZeroDivisionError("inverse of 0")
-            return Fraction(1) / a
-        a %= self.p
-        if a == 0:
-            raise ZeroDivisionError("inverse of 0")
-        return pow(a, self.p - 2, self.p)
 
 
 RATIONALS = Field()

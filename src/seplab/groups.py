@@ -76,20 +76,6 @@ def apply(g: GroupElement, f: Poly) -> Poly:
     return polyops.substitute_linear(f, g.matrix)
 
 
-def compose(g: GroupElement, h: GroupElement) -> GroupElement:
-    """Element whose action is "h first, then g" on polynomials.
-
-    Substitutions compose right-to-left: apply(compose(g, h), f) equals
-    apply(g, apply(h, f)).  That is x -> A_h·(A_g·x), so the matrix is
-    A_h · A_g, which is invertible as both factors are.
-    """
-    if g.n != h.n:
-        raise ValueError("arity mismatch")
-    if g.field != h.field:
-        raise ValueError("field mismatch")
-    return GroupElement(g.field, tuple(map(tuple, linalg.mat_mul(h.matrix, g.matrix, g.field))))
-
-
 # ---------------------------------------------------------------------------
 # sampling and enumeration
 # ---------------------------------------------------------------------------
@@ -109,14 +95,6 @@ def random_invertible(n: int, field: Field, rng: random.Random) -> GroupElement:
             rows = [[rng.randrange(field.p) for _ in range(n)] for _ in range(n)]
         if linalg.is_invertible(rows, field):
             return GroupElement(field, tuple(map(tuple, rows)))
-
-
-def random_permutation(
-    n: int, rng: random.Random, field: Field = RATIONALS
-) -> GroupElement:
-    order = list(range(n))
-    rng.shuffle(order)
-    return permutation_element(order, field)
 
 
 def enumerate_permutations(n: int, field: Field = RATIONALS) -> list[GroupElement]:

@@ -45,6 +45,7 @@ from __future__ import annotations
 import struct
 from bisect import bisect
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import compress
 from math import isqrt, lcm
 from operator import mul, or_
@@ -262,7 +263,7 @@ def _mod_kernel(m, p: int, width: int) -> tuple[list[int], Callable[[int], dict[
     table, unpack = _packed_echelon([(js, [x % p for x in xs]) for js, xs in m], p, width)
     pivots = sorted(table)
     nz, rows_at = [], [[] for _ in range(width)]
-    for k, c in enumerate(pivots):
+    for k, c in enumerate(pivots if len(pivots) < width else ()):
         tail, inv = table[c]
         js, xs = unpack(tail)
         nz.append((js, [x * inv % p for x in xs]))
@@ -423,7 +424,7 @@ def rref(rows, field: Field, ncols: int | None = None) -> tuple[list[list[Scalar
         c = pivots[k]
         row = m[k]
         if p is None:
-            inv = field.inv(row[c])
+            inv = Fraction(1, row[c])
             row[c] = 1
             for j in range(c + 1, ncols):
                 if row[j]:
@@ -550,5 +551,4 @@ def identity_matrix(n: int) -> list[list[Scalar]]:
 
 
 def is_invertible(matrix: Sequence[Sequence], field: Field) -> bool:
-    m = [list(r) for r in matrix]
-    return bool(m) and len(m) == len(m[0]) == rank(m, field)
+    return bool(matrix) and len(matrix) == len(matrix[0]) == rank(matrix, field)

@@ -137,17 +137,6 @@ class Poly:
     def coefficient(self, e: Exponent) -> Scalar:
         return self.terms.get(tuple(e), 0)
 
-    def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        parts = []
-        for e, c in self.sorted_terms():
-            mono = "*".join(
-                f"x{i}" if v == 1 else f"x{i}^{v}" for i, v in enumerate(e) if v
-            )
-            parts.append(str(c) + (f"*{mono}" if mono else ""))
-        return " + ".join(parts)
-
 
 def zero(n: int, field: Field = RATIONALS) -> Poly:
     return Poly(n, field, {})

@@ -186,11 +186,7 @@ def explicit_product(left: ExplicitSpan, right: ExplicitSpan) -> ExplicitSpan:
 
 
 def in_span(span: ExplicitSpan, t: Poly) -> bool:
-    if t.n != span.ambient.N or t.field != span.ambient.field:
-        raise ValueError("polynomial does not fit the span's coefficient space")
-    # the basis is already reduced and independent, so its rank is its size
-    rows = [b.terms for b in span.basis] + [t.terms]
-    return linalg.span_rank(rows, t.field) == span.dim
+    return ExplicitSpan(span.ambient, span.basis + (t,)).dim == span.dim
 
 
 # ---------------------------------------------------------------------------

@@ -635,7 +635,11 @@ def test_whole_group_runs_above_the_enumeration_limit_are_refused_fast(capsys):
 
 
 def test_gk_check_rejects_rationals(capsys):
-    assert main(["gk-check", "--fn", "det:2", "--field", "Q"]) == 2
+    """Whole-group and sampled runs alike exit 2 and say a prime field is needed."""
+    for extra in ([], ["--trials", "2"]):
+        assert main(["gk-check", "--fn", "det:2", "--field", "Q", *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "prime field" in captured.err
 
 
 def test_one_parser_serves_every_op_of_a_process():

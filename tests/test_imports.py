@@ -53,8 +53,6 @@ def test_module_reads_every_name_it_imports(path):
 KEPT = {
     "format_table": "writes the truth-table files that the rs-distance --table tests read",
     "identity_element": "the group and f2lab tests' neutral element",
-    "random_permutation": "the group tests' permutation sampler",
-    "compose": "the group law that the group tests check apply against",
     "minors_explicit": "spans the minors explicitly at tiny sizes, to check evaluate_module",
     "grlex_key": "the grlex order as a sort key, which the column and term order tests check against",
 }

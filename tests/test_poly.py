@@ -392,13 +392,6 @@ def test_json_round_trip_both_fields():
     assert [e for e, _ in mixed.sorted_terms()] == sorted(mixed.terms, key=grlex_key)
 
 
-def test_str_is_readable():
-    f = Poly(2, RATIONALS, {(2, 0): 2, (0, 1): -1})
-    s = str(f)
-    assert "x0^2" in s and "x1" in s
-    assert str(zero(2)) == "0"
-
-
 # ---------------------------------------------------------------------------
 # the packed product kernel behind substitute and multiply
 # ---------------------------------------------------------------------------

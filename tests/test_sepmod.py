@@ -120,6 +120,16 @@ def test_explicit_span_rejects_wrong_ring():
         ExplicitSpan(amb, (variable(0, 3, prime_field(5)),))
 
 
+def test_in_span_rejects_wrong_ring():
+    """A candidate on the wrong number of coefficient variables, or over
+    another field, is refused, not ranked."""
+    span = ExplicitSpan(Ambient(2, 1, RATIONALS), (variable(0, 3),))
+    with pytest.raises(ValueError, match="does not fit"):
+        in_span(span, variable(0, 2))
+    with pytest.raises(ValueError, match="does not fit"):
+        in_span(span, variable(0, 3, prime_field(5)))
+
+
 def test_minors_module_thresholds_dim_partials():
     amb = Ambient(2, 2, RATIONALS)
     t = MinorsOfMeasure(amb, "dim_partials", 3)
